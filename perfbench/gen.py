@@ -1,4 +1,4 @@
-"""Seeded synthetic inputs for the three workloads.
+"""Seeded synthetic inputs for the workloads.
 
 Every page row is a pure function of (seed, workload, channel, chunk), so
 the same seed always yields the same inputs, and the oracle can regenerate

@@ -37,6 +37,12 @@ def raw_scores(plan: Plan, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return raw_i, raw_t
 
 
+def normalized(rows: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2 norm in float64, returned as float32."""
+    m = rows.astype(np.float64)
+    return (m / np.linalg.norm(m, axis=1, keepdims=True)).astype(np.float32)
+
+
 def zscored(raw: np.ndarray) -> np.ndarray:
     """Logistic squash, then population z-score (zeros if constant)."""
     s = 1.0 / (1.0 + np.exp(-raw))

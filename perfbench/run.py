@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """comret's benchmark: one workload, one seed, one JSON line of results.
 
-    python3 perfbench/run.py --workload interactive-100k --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload interactive-100k --seed 1 --seconds 40 --trace 0
 
 Run from the repository root; the package is imported from ``src``.
 Steps: set up the seeded inputs three times (``setup_s`` is the median),
@@ -61,6 +61,18 @@ def openblas_threads() -> int | None:
     return None
 
 
+def flush(work: Path) -> None:
+    """Write the set-up's files to disk, so their writeback does not run
+    during the timed phase."""
+    for path in work.rglob("*"):
+        if path.is_file():
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+
+
 def environment(comret, nproc: int) -> dict:
     import numpy as np
 
@@ -108,6 +120,7 @@ def main(argv) -> int:
             t0 = time.perf_counter()
             wl.setup(work)
             setup_s.append(time.perf_counter() - t0)
+        flush(work)
 
         raw_path = work / "worker.json"
         worker_env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(HERE)]))

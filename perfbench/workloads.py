@@ -1,4 +1,4 @@
-"""The three workloads: inputs, timed phase and output checks.
+"""The two workloads: inputs, timed phase and output checks.
 
 Each workload has three steps:
 
@@ -10,7 +10,7 @@ Each workload has three steps:
   and returns (attempted, failed, output hashes).
 
 An operation is one call a user would make: one ``retrieve`` in the
-interactive loop, one CLI command in the batch round, one ``ingest``.
+interactive loop, one CLI command in the batch round.
 """
 
 from __future__ import annotations
@@ -69,19 +69,21 @@ class Context:
 
 # --- interactive-100k ------------------------------------------------------
 
-#: Times ``ready_s`` is measured per run; the median is reported.
-READY_REPEATS = 5
+#: Times ``ready_s`` is measured per run, spread evenly over the timed
+#: phase; the median is reported.
+READY_SAMPLES = 8
 
 
 class Interactive:
     """One client in a closed loop calling ``retrieve`` (k=3) on a 100k-page
     index (both channels, 1152 dims, 920 MB): the acceptance-10 shape and
-    the serving use. Queries alternate ucmr / image-only, 1:1."""
+    the serving use. Queries cycle ucmr, ucmr, image-only (2:1)."""
 
     name = "interactive-100k"
     shape = gen.Shape(tag=1, pages=100_000, dim=1152, queries=16)
     k = 3
     modes = ("ucmr", "image-only")
+    cycle = ("ucmr", "ucmr", "image-only")
 
     def __init__(self, seed: int):
         self.plan = gen.make_plan(self.shape, seed)
@@ -109,28 +111,38 @@ class Interactive:
                     out = f"{type(exc).__name__}: {exc}"
                 ops.append({"query": j, "mode": mode, "s": time.perf_counter() - t0, "result": out, "phase": phase})
 
-        # Ready: load the index, then the first ucmr result (op 0), measured
-        # READY_REPEATS times from a dropped index.
-        ready_s, load_s = [], []
-        for _ in range(READY_REPEATS):
-            index = None
-            t0 = time.perf_counter()
-            with ctx.op(0, 1, "load"):
-                index = comret.load_index(ctx.work / "index")
-            load_s.append(time.perf_counter() - t0)
-            call(0, 0, "ucmr", index, "ready")
-            ready_s.append(time.perf_counter() - t0)
+        # Warm-up before the clock starts: the first load and queries in a
+        # fresh process pay one-off costs. Op 0 is kept out of the counts.
+        with ctx.op(0, 1, "load"):
+            index = comret.load_index(ctx.work / "index")
+        for mode in self.modes:
+            call(0, 0, mode, index, "warmup")
 
-        start, n, op_id = time.perf_counter(), 0, 0
+        # Ready (op 0): drop the index, load it, first ucmr result. Taken
+        # READY_SAMPLES times at even intervals of the timed phase, the
+        # first before any loop query, so host slowdowns hit both figures
+        # alike. Ready queries are kept out of the loop's figures.
+        ready_every = ctx.seconds / READY_SAMPLES
+        ready_s, load_s = [], []
+        start, loop_s, n, op_id = time.perf_counter(), 0.0, 0, 0
         while True:
-            for mode in self.modes:
+            if time.perf_counter() - start >= len(ready_s) * ready_every:
+                index = None
+                t0 = time.perf_counter()
+                with ctx.op(0, 1, "load"):
+                    index = comret.load_index(ctx.work / "index")
+                load_s.append(time.perf_counter() - t0)
+                call(0, 0, "ucmr", index, "ready")
+                ready_s.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            for mode in self.cycle:
                 op_id += 1
                 call(op_id, n % len(queries), mode, index, "loop")
             n += 1
+            loop_s += time.perf_counter() - t0
             if time.perf_counter() - start >= ctx.seconds:
                 break
-        return {"ready_s": ready_s, "load_s": load_s, "loop_s": time.perf_counter() - start, "ops": ops,
-                "count_from_op": 1}
+        return {"ready_s": ready_s, "load_s": load_s, "loop_s": loop_s, "ops": ops, "count_from_op": 1}
 
     def check(self, work: Path, raw: dict):
         raw_i, raw_t = oracle.raw_scores(self.plan, self.plan.query_vectors())
@@ -207,14 +219,18 @@ def _cli(argv: list[str], stdout_path: Path) -> tuple[int, float]:
 
 
 class Batch:
-    """The offline-evaluation round on a 20k-page index (184 MB) with
-    qrels and 2% exact-duplicate pages: ``retrieve`` (k=10, all cores),
-    ``eval``, ``ablate`` (3 modes x 5 betas on 2 queries) and ``diagnose``,
-    each a fresh CLI command that reloads the index."""
+    """The offline-evaluation round: ``ingest --normalize`` of a 1k-page
+    shard (two JSONL files, 1152 dims, ~23 MB each, texts in shuffled
+    order), then, on a 20k-page index (184 MB) with qrels and 2%
+    exact-duplicate pages, ``retrieve`` (k=10, all cores), ``eval``,
+    ``ablate`` (3 modes x 5 betas on 1 query) and ``diagnose``, each a fresh
+    CLI command that reloads the index. Rounds are kept short (8 queries)
+    so a run holds enough of them for a steady median."""
 
     name = "batch-20k"
-    shape = gen.Shape(tag=2, pages=20_000, dim=1152, queries=16, dup_share=0.02)
-    ablate_queries = 2
+    shape = gen.Shape(tag=2, pages=20_000, dim=1152, queries=8, dup_share=0.02)
+    shard = gen.Shape(tag=3, pages=1000, dim=1152, queries=0)
+    ablate_queries = 1
     k = 10
     eval_metrics = "recall@5,ndcg@5,mrr@10"
     ablate_modes = ("image-only", "raw-linear", "ucmr")
@@ -223,10 +239,12 @@ class Batch:
     bins = 50
 
     def __init__(self, seed: int, threads: int):
+        self.seed = seed
         self.plan = gen.make_plan(self.shape, seed)
         self.threads = threads
 
     def setup(self, work: Path) -> None:
+        gen.write_ingest_files(self.shard, self.seed, work / "shard_images.jsonl", work / "shard_texts.jsonl")
         vectors = _write_index(self.plan, work / "index")
         gen.write_queries(self.plan, vectors, work / "queries.jsonl")
         gen.write_qrels(self.plan, work / "qrels.tsv")
@@ -239,6 +257,8 @@ class Batch:
         w, threads = str(work), str(self.threads)
         q, sub = self.shape.queries, self.ablate_queries
         return [
+            ("ingest", ["ingest", "--images", f"{w}/shard_images.jsonl", "--texts", f"{w}/shard_texts.jsonl",
+                        "--normalize", "--out", f"{w}/shard-{r}"], 0),
             ("retrieve", ["retrieve", "--index", f"{w}/index", "--queries", f"{w}/queries.jsonl", "--mode", "ucmr",
                           "--k", str(self.k), "--threads", threads, "--out", f"{w}/run-{r}.tsv"], q),
             ("eval", ["eval", "--run", f"{w}/run-{r}.tsv", "--qrels", f"{w}/qrels.tsv",
@@ -252,8 +272,9 @@ class Batch:
         ]
 
     def run(self, ctx: Context) -> dict:
-        rounds, op_id = [], 0
-        start = time.perf_counter()
+        # Round 0 warms up (first imports, first loads) before the clock
+        # starts; it is checked like the others but kept out of the figures.
+        rounds, op_id, start = [], 0, None
         while True:
             r = len(rounds)
             times, codes = {}, {}
@@ -262,16 +283,19 @@ class Batch:
                     codes[name], times[name] = _cli(argv, ctx.work / f"{name}-{r}.out")
                 op_id += 1
             rounds.append({"s": times, "code": codes})
-            if time.perf_counter() - start >= ctx.seconds:
+            if start is None:
+                start = time.perf_counter()
+            elif time.perf_counter() - start >= ctx.seconds:
                 break
         return {"rounds": rounds, "count_from_op": 0}
 
     def query_configs(self) -> dict[str, int]:
         q, sub = self.shape.queries, self.ablate_queries
-        return {"retrieve": q, "eval": 0, "ablate": sub * len(self.ablate_modes) * len(self.betas), "diagnose": q}
+        ablate = sub * len(self.ablate_modes) * len(self.betas)
+        return {"ingest": 0, "retrieve": q, "eval": 0, "ablate": ablate, "diagnose": q}
 
     def expected(self) -> dict:
-        """Oracle run, qrels, ablation table and KL for this seed."""
+        """Oracle run, qrels, ablation table, KL and shard rows for this seed."""
         plan, ids = self.plan, self.plan.ids
         raw_i, raw_t = oracle.raw_scores(plan, plan.query_vectors())
         qids = [gen.query_id(j) for j in range(len(plan.gold))]
@@ -290,13 +314,17 @@ class Batch:
             "qrels": qrels,
             "ablate": ablate,
             "kl": oracle.kl_nats(z_i, z_t, self.bins),
+            "shard": [oracle.normalized(gen.ingest_matrix(self.shard, self.seed, c)) for c in (gen.IMAGE, gen.TEXT)],
         }
 
     def check(self, work: Path, raw: dict):
+        from comret import ComretError
+
         want = self.expected()
         attempted, failed, problems, hashes = 0, 0, [], {}
         for r, rnd in enumerate(raw["rounds"]):
             outputs = {
+                "ingest": [work / f"shard-{r}" / "images.cmeb", work / f"shard-{r}" / "texts.cmeb"],
                 "retrieve": [work / f"run-{r}.tsv"],
                 "eval": [work / f"eval-{r}.out"],
                 "ablate": [work / f"ablate-{r}.out"],
@@ -313,9 +341,9 @@ class Batch:
                     if name in hashes and hashes[name] != digest:
                         raise AssertionError("output bytes differ from round 0")
                     hashes.setdefault(name, digest)
-                except (AssertionError, OSError, ValueError, KeyError, IndexError) as exc:
+                except (AssertionError, OSError, ValueError, KeyError, IndexError, ComretError) as exc:
                     failed += 1
-                    problems.append(f"round {r} {name}: {exc}")
+                    problems.append(f"round {r} {name}: {type(exc).__name__}: {exc}")
         return attempted, failed, problems, hashes
 
     def _read_run(self, path: Path) -> dict[str, list[tuple]]:
@@ -325,6 +353,19 @@ class Batch:
             qid, pid, rank, f, i, t, mode = line.split("\t")
             got.setdefault(qid, []).append((int(rank), pid, float(f), float(i), float(t), mode))
         return {q: sorted(rows) for q, rows in got.items()}
+
+    def _check_ingest(self, work, r, want):
+        from comret import store
+
+        line = (work / f"ingest-{r}.out").read_text(encoding="utf-8")
+        if not line.startswith(f"pages={self.shard.pages} dim={self.shard.dim} normalize=True "):
+            raise AssertionError(f"unexpected summary {line!r}")
+        index = store.load_index(work / f"shard-{r}")
+        if tuple(index.ids) != tuple(gen.page_id(i) for i in range(self.shard.pages)):
+            raise AssertionError("row order differs from the images file")
+        for got, expected in zip((index.images.data, index.texts.data), want["shard"]):
+            if got.shape != expected.shape or float(np.max(np.abs(got - expected))) > 1e-7:
+                raise AssertionError("stored rows differ from the normalized input")
 
     def _check_retrieve(self, work, r, want):
         got = self._read_run(work / f"run-{r}.tsv")
@@ -369,7 +410,7 @@ class Batch:
             raise AssertionError(f"kl_nats {summary['kl_nats']!r}, oracle {want['kl']!r}")
 
     def end_to_end(self, raw: dict) -> dict:
-        rounds = raw["rounds"]
+        rounds = raw["rounds"][1:]
         round_s = [sum(r["s"].values()) for r in rounds]
         configs = self.query_configs()
         total = {name: sum(r["s"][name] for r in rounds) for name in configs}
@@ -379,6 +420,7 @@ class Batch:
             "latency_ms_p50": 1e3 * _quantile(round_s, 0.5),
             "items_per_s": n * sum(configs.values()) / sum(round_s),
             "detail": {
+                "ingest_pages_per_s": n * self.shard.pages / total["ingest"],
                 "retrieve_qps": n * configs["retrieve"] / total["retrieve"],
                 "ablate_query_configs_per_s": n * configs["ablate"] / total["ablate"],
                 "diagnose_qps": n * configs["diagnose"] / total["diagnose"],
@@ -387,82 +429,7 @@ class Batch:
         }
 
 
-# --- ingest-5k ---------------------------------------------------------------
-
-
-class Ingest:
-    """``comret ingest --normalize`` of two 5k-page JSONL files (1152 dims,
-    ~115 MB each, texts in shuffled order): the write side of the store."""
-
-    name = "ingest-5k"
-    shape = gen.Shape(tag=3, pages=5000, dim=1152, queries=0)
-
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    def setup(self, work: Path) -> None:
-        gen.write_ingest_files(self.shape, self.seed, work / "images.jsonl", work / "texts.jsonl")
-
-    def run(self, ctx: Context) -> dict:
-        ops, op_id = [], 0
-        start = time.perf_counter()
-        while True:
-            argv = ["ingest", "--images", f"{ctx.work}/images.jsonl", "--texts", f"{ctx.work}/texts.jsonl",
-                    "--normalize", "--out", f"{ctx.work}/index-{op_id}"]
-            with ctx.op(op_id, 0, "ingest"):
-                code, elapsed = _cli(argv, ctx.work / f"ingest-{op_id}.out")
-            ops.append({"code": code, "s": elapsed})
-            op_id += 1
-            if time.perf_counter() - start >= ctx.seconds:
-                break
-        return {"ops": ops, "count_from_op": 0}
-
-    def check(self, work: Path, raw: dict):
-        from comret import ComretError, store
-
-        def normalized(channel):
-            m = gen.ingest_matrix(self.shape, self.seed, channel).astype(np.float64)
-            return (m / np.linalg.norm(m, axis=1, keepdims=True)).astype(np.float32)
-
-        want_i, want_t = normalized(gen.IMAGE), normalized(gen.TEXT)
-        ids = tuple(gen.page_id(i) for i in range(self.shape.pages))
-        attempted, failed, problems, hashes = 0, 0, [], {}
-        for n, op in enumerate(raw["ops"]):
-            attempted += 1
-            out = work / f"index-{n}"
-            try:
-                if op["code"] != 0:
-                    raise AssertionError(f"exit code {op['code']}")
-                line = (work / f"ingest-{n}.out").read_text(encoding="utf-8")
-                if not line.startswith(f"pages={self.shape.pages} dim={self.shape.dim} normalize=True "):
-                    raise AssertionError(f"unexpected summary {line!r}")
-                index = store.load_index(out)
-                if tuple(index.ids) != ids:
-                    raise AssertionError("row order differs from the images file")
-                for got, want in ((index.images.data, want_i), (index.texts.data, want_t)):
-                    if got.shape != want.shape or float(np.max(np.abs(got - want))) > 1e-7:
-                        raise AssertionError("stored rows differ from the normalized input")
-                del index
-                digest = {f: sha256(out / f) for f in ("images.cmeb", "texts.cmeb")}
-                if hashes and hashes != digest:
-                    raise AssertionError("index bytes differ from the first ingest")
-                hashes = hashes or digest
-            except (AssertionError, OSError, ValueError, ComretError) as exc:
-                failed += 1
-                problems.append(f"ingest {n}: {type(exc).__name__}: {exc}")
-        return attempted, failed, problems, hashes
-
-    def end_to_end(self, raw: dict) -> dict:
-        times = [op["s"] for op in raw["ops"]]
-        return {
-            "ready_s": _quantile(times, 0.5),
-            "latency_ms_p50": 1e3 * _quantile(times, 0.5),
-            "items_per_s": len(times) * self.shape.pages / sum(times),
-            "detail": {"ingest_pages_per_s": len(times) * self.shape.pages / sum(times), "ingest_s": times},
-        }
-
-
-WORKLOADS = {"interactive-100k": Interactive, "batch-20k": Batch, "ingest-5k": Ingest}
+WORKLOADS = {"interactive-100k": Interactive, "batch-20k": Batch}
 
 
 def nproc() -> int:
