@@ -5,9 +5,9 @@ are scored against both by inner product, the two score channels are
 normalized per query (logistic squash then population z-score) and
 blended, and the ranking is evaluated with standard retrieval metrics.
 A toy trainer for the pairwise sigmoid alignment objective is included.
+The package is pure Python on NumPy, with one scoring path.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .core import (
     MODES,
     Corpus,
@@ -23,10 +23,8 @@ from .core import (
 )
 from .errors import ComretError
 from .fusion import (
-    fuse_linear,
-    fuse_ucmr,
+    blend,
     inner_product_scores,
-    rank_top_k,
     retrieve,
     run_queries,
     sigmoid_normalize,
@@ -38,7 +36,6 @@ from .store import IndexDirectory, PackedMatrix, build_index, load_index, save_i
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "MODES",
     "ComretError",
     "Corpus",
@@ -52,16 +49,14 @@ __all__ = [
     "ScoreVector",
     "ValidationReport",
     "as_embedding",
+    "blend",
     "build_index",
     "evaluate_run",
-    "fuse_linear",
-    "fuse_ucmr",
     "hit_at_k",
     "inner_product_scores",
     "load_index",
     "mrr_at_k",
     "ndcg_at_k",
-    "rank_top_k",
     "recall_at_k",
     "retrieve",
     "run_queries",

@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import _kernels, diagnostics, fusion, metrics, store, training
+from . import __version__, diagnostics, fusion, metrics, store, training
 from .core import MODES, FusionConfig
 from .errors import ComretError
 
@@ -171,7 +171,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="comret", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"comret (kernel backend: {_kernels.BACKEND})")
+    parser.add_argument("--version", action="version", version=f"comret {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="build and persist an index from embedding JSONL files")

@@ -74,30 +74,29 @@ def modality_scores(query: np.ndarray, matrix: PackedMatrix, modality: str) -> S
     return ScoreVector(modality=modality, raw=raw, sigmoid=squashed, zscored=zscored, mu=mu, sigma=sigma)
 
 
-def fuse_linear(z_text: np.ndarray, z_image: np.ndarray, alpha: float) -> np.ndarray:
-    """Weighted blend of raw scores: alpha*text + (1-alpha)*image."""
-    if len(z_text) != len(z_image):
-        raise LengthMismatch(len(z_text), len(z_image))
-    return alpha * np.asarray(z_text, dtype=np.float64) + (1.0 - alpha) * np.asarray(z_image, dtype=np.float64)
+def blend(text: np.ndarray, image: np.ndarray, weight: float) -> np.ndarray:
+    """Weighted blend of two score channels: weight*text + (1-weight)*image."""
+    if len(text) != len(image):
+        raise LengthMismatch(len(text), len(image))
+    return weight * np.asarray(text, dtype=np.float64) + (1.0 - weight) * np.asarray(image, dtype=np.float64)
 
 
-def fuse_ucmr(zt_tilde: np.ndarray, zi_tilde: np.ndarray, beta: float) -> np.ndarray:
-    """Weighted blend of z-scored scores: beta*text + (1-beta)*image."""
-    if len(zt_tilde) != len(zi_tilde):
-        raise LengthMismatch(len(zt_tilde), len(zi_tilde))
-    return beta * np.asarray(zt_tilde, dtype=np.float64) + (1.0 - beta) * np.asarray(zi_tilde, dtype=np.float64)
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k highest scores, best first, ties by ascending index.
 
-
-def _ranked_indices(scores: np.ndarray) -> np.ndarray:
-    # Stable sort on the negated scores: descending by score, ties by
-    # ascending ingestion index.
-    return np.argsort(-scores, kind="stable")
-
-
-def rank_top_k(scores: np.ndarray, ids: Sequence[str], k: int) -> list[tuple[int, str, float]]:
-    """Top-k (rank, id, score) triples, ranks 1-based, deterministic ties."""
-    order = _ranked_indices(np.asarray(scores, dtype=np.float64))[: min(k, len(ids))]
-    return [(rank, ids[i], float(scores[i])) for rank, i in enumerate(order, start=1)]
+    Equal to ``np.argsort(-scores, kind="stable")[:k]`` but sorts only the
+    pages scoring at or above the k-th score. Scores are never NaN: every
+    stored and query vector is validated finite.
+    """
+    k = min(k, len(scores))
+    if k == 0:  # an index file may hold zero pages
+        return np.arange(0)
+    neg = -scores
+    kth = np.partition(neg, k - 1)[k - 1]
+    # flatnonzero yields ascending indices, so the stable sort keeps ties
+    # in ingestion order.
+    candidates = np.flatnonzero(neg <= kth)
+    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
 def _sweep_vector(query: QueryRecord, modality: str, mode: str) -> np.ndarray:
@@ -141,16 +140,16 @@ def retrieve(query: QueryRecord, index: IndexDirectory, cfg: FusionConfig) -> Ra
     elif mode == "raw-linear":
         raw_i = inner_product_scores(_sweep_vector(query, "image", mode), index.images)
         raw_t = inner_product_scores(_sweep_vector(query, "text", mode), index.texts)
-        fused, image_col, text_col = fuse_linear(raw_t, raw_i, cfg.alpha), raw_i, raw_t
+        fused, image_col, text_col = blend(raw_t, raw_i, cfg.alpha), raw_i, raw_t
     elif mode == "ucmr":
         sv_i = modality_scores(_sweep_vector(query, "image", mode), index.images, "image")
         sv_t = modality_scores(_sweep_vector(query, "text", mode), index.texts, "text")
-        fused = fuse_ucmr(sv_t.zscored, sv_i.zscored, cfg.beta)
+        fused = blend(sv_t.zscored, sv_i.zscored, cfg.beta)
         image_col, text_col = sv_i.zscored, sv_t.zscored
     else:  # ensemble-ucmr
         sv_i = modality_scores(_channel_vector(query, "image-query", mode), index.images, "image")
         sv_t = modality_scores(_channel_vector(query, "text-query", mode), index.texts, "text")
-        fused = fuse_ucmr(sv_t.zscored, sv_i.zscored, cfg.beta)
+        fused = blend(sv_t.zscored, sv_i.zscored, cfg.beta)
         image_col, text_col = sv_i.zscored, sv_t.zscored
 
     if image_col is None or text_col is None:
@@ -158,7 +157,7 @@ def retrieve(query: QueryRecord, index: IndexDirectory, cfg: FusionConfig) -> Ra
         image_col = zeros if image_col is None else image_col
         text_col = zeros if text_col is None else text_col
 
-    order = _ranked_indices(fused)[: min(cfg.top_k, index.page_count)]
+    order = _top_k(fused, cfg.top_k)
     entries = tuple(
         RankedEntry(
             rank=rank,

@@ -17,6 +17,7 @@ An index directory holds ``images.cmeb``, ``texts.cmeb`` and
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -262,7 +263,12 @@ def read_matrix(path: str | Path) -> PackedMatrix:
         version, dim, count = struct.unpack("<IIQ", _read_exact(fh, 16, "header"))
         if version != VERSION:
             raise UnsupportedVersion(version)
-        payload = _read_exact(fh, count * dim * 4, "matrix payload")
+        # Check the header's row count against the file before allocating
+        # for it, so a corrupt count is a TruncatedFile, not a MemoryError.
+        payload_bytes = count * dim * 4
+        if 20 + payload_bytes > os.fstat(fh.fileno()).st_size:
+            raise TruncatedFile(f"header claims {count} rows of dim {dim}, more than the file holds")
+        payload = _read_exact(fh, payload_bytes, "matrix payload")
         data = np.frombuffer(payload, dtype="<f4").astype(EMBEDDING_DTYPE).reshape(count, dim)
         ids = []
         for _ in range(count):

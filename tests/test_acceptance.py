@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from comret import _kernels
 from comret.cli import main as cli_main
 from comret.core import FusionConfig
 from comret.diagnostics import build_histogram, kl_divergence, modality_divergence_report
@@ -295,7 +294,7 @@ def test_10_performance_contract():
         dual = best_of(dual_cfg)
         single = best_of(single_cfg)
         print(
-            f"  [backend={_kernels.BACKEND} dual={dual * 1e3:.1f}ms "
+            f"  [dual={dual * 1e3:.1f}ms "
             f"single={single * 1e3:.1f}ms ratio={dual / single:.2f}]"
         )
         assert dual < 0.250

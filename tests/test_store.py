@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,10 @@ class TestMatrixRoundTrip:
         write_matrix(idx.images, path)
         full = path.read_bytes()
         path.write_bytes(full[: 4 + 16 + 5])  # mid-matrix
+        with pytest.raises(TruncatedFile):
+            read_matrix(path)
+        # A header claiming 10**12 rows must not try to allocate them.
+        path.write_bytes(full[:12] + struct.pack("<Q", 10**12) + full[20:])
         with pytest.raises(TruncatedFile):
             read_matrix(path)
 
