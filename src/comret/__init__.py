@@ -10,16 +10,11 @@ The package is pure Python on NumPy, with one scoring path.
 
 from .core import (
     MODES,
-    Corpus,
     FusionConfig,
-    PageEntry,
     QueryRecord,
     RankedEntry,
     RankedResult,
-    ScoreVector,
-    ValidationReport,
     as_embedding,
-    validate_corpus,
 )
 from .errors import ComretError
 from .fusion import (
@@ -38,16 +33,12 @@ __version__ = "0.1.0"
 __all__ = [
     "MODES",
     "ComretError",
-    "Corpus",
     "FusionConfig",
     "IndexDirectory",
     "PackedMatrix",
-    "PageEntry",
     "QueryRecord",
     "RankedEntry",
     "RankedResult",
-    "ScoreVector",
-    "ValidationReport",
     "as_embedding",
     "blend",
     "build_index",
@@ -62,7 +53,6 @@ __all__ = [
     "run_queries",
     "save_index",
     "sigmoid_normalize",
-    "validate_corpus",
     "zscore_normalize",
     "__version__",
 ]

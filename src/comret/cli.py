@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -37,8 +38,8 @@ def _read_lines(path: str) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.readlines()
-    except OSError as exc:
-        raise ComretError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ComretError(f"cannot read {path}: not valid UTF-8")
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -81,6 +82,8 @@ def _parse_sweep(spec: str) -> list[float]:
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ComretError(f"--beta-sweep expects LO:HI:STEP, got {spec!r}")
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ComretError(f"bad sweep {spec!r}: LO, HI and STEP must be finite")
     if step <= 0 or hi < lo:
         raise ComretError(f"bad sweep {spec!r}: need step > 0 and HI >= LO")
     values = []
@@ -104,6 +107,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         raise ComretError("query file contains no queries")
     qrels = metrics.read_qrels(_read_lines(args.qrels))
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise ComretError("--modes needs at least one fusion mode")
     for mode in modes:
         if mode not in MODES:
             raise ComretError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -238,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ComretError as exc:
+    except (ComretError, OSError) as exc:  # OSError: a missing, unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,11 +16,39 @@ from .errors import ComretError, NonFiniteValue
 
 EMBEDDING_DTYPE = np.float32
 
-#: Recognized fusion modes, in the order they appear in comparison tables.
-MODES = ("image-only", "text-only", "raw-linear", "ucmr", "ensemble-ucmr")
-
 IMAGE_CHANNEL = "image-query"
 TEXT_CHANNEL = "text-query"
+
+
+@dataclass(frozen=True)
+class ModeSpec:
+    """What one fusion mode sweeps and how it combines the sweeps.
+
+    modalities: the page matrices scored, image before text.
+    strict: each sweep needs its modality's own query channel; otherwise
+        ``QueryRecord.vector_for_sweep`` falls back to the other channel.
+    normalize: logistic squash plus per-query z-score of each sweep.
+    weight: the FusionConfig field weighting text in the blend, or None
+        when a single modality is ranked as is.
+    """
+
+    modalities: tuple[str, ...]
+    strict: bool
+    normalize: bool
+    weight: str | None
+
+
+#: Every fusion mode, in the order they appear in comparison tables.
+MODE_SPECS = {
+    "image-only": ModeSpec(("image",), strict=False, normalize=False, weight=None),
+    "text-only": ModeSpec(("text",), strict=False, normalize=False, weight=None),
+    "raw-linear": ModeSpec(("image", "text"), strict=False, normalize=False, weight="alpha"),
+    "ucmr": ModeSpec(("image", "text"), strict=False, normalize=True, weight="beta"),
+    # The query is encoded twice, once per channel (dual-encoder ensemble).
+    "ensemble-ucmr": ModeSpec(("image", "text"), strict=True, normalize=True, weight="beta"),
+}
+
+MODES = tuple(MODE_SPECS)
 
 
 def as_embedding(values: Sequence[float] | np.ndarray, where: str = "embedding") -> np.ndarray:
@@ -37,38 +65,6 @@ def as_embedding(values: Sequence[float] | np.ndarray, where: str = "embedding")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class PageEntry:
-    """One document page: its identity plus image- and text-channel embeddings."""
-
-    page_id: str
-    doc_id: str
-    image_emb: np.ndarray
-    text_emb: np.ndarray
-
-
-@dataclass(frozen=True)
-class Corpus:
-    """An ordered collection of pages sharing one embedding dimension.
-
-    Page order is the ingestion order; it is observable and stable because
-    ranking ties are broken by ascending ingestion index.
-    """
-
-    pages: tuple[PageEntry, ...]
-    dim: int
-
-    @classmethod
-    def from_pages(cls, pages: Sequence[PageEntry]) -> "Corpus":
-        if not pages:
-            raise ComretError("a corpus needs at least one page")
-        return cls(pages=tuple(pages), dim=int(pages[0].image_emb.shape[0]))
-
-    @property
-    def size(self) -> int:
-        return len(self.pages)
 
 
 @dataclass(frozen=True)
@@ -126,24 +122,6 @@ class FusionConfig:
 
 
 @dataclass(frozen=True)
-class ScoreVector:
-    """One modality's scores for a single query across all pages.
-
-    Holds the raw inner products, their logistic squash, the z-scored
-    values, and the population statistics that produced them. sigma is
-    recorded as 0.0 when the scores were constant and the z-scored values
-    fell back to zeros.
-    """
-
-    modality: str
-    raw: np.ndarray
-    sigmoid: np.ndarray
-    zscored: np.ndarray
-    mu: float
-    sigma: float
-
-
-@dataclass(frozen=True)
 class RankedEntry:
     rank: int
     page_id: str
@@ -166,52 +144,3 @@ class RankedResult:
 
     def page_ids(self) -> tuple[str, ...]:
         return tuple(e.page_id for e in self.entries)
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Check every corpus invariant; failures are reported, not raised."""
-    problems: list[Violation] = []
-    if corpus.size < 1:
-        problems.append(Violation("empty-corpus", "corpus has no pages"))
-    seen: set[str] = set()
-    for idx, page in enumerate(corpus.pages):
-        if page.page_id in seen:
-            problems.append(Violation("duplicate-id", f"page_id {page.page_id!r} occurs more than once"))
-        seen.add(page.page_id)
-        for name, emb in (("image_emb", page.image_emb), ("text_emb", page.text_emb)):
-            if emb.ndim != 1:
-                problems.append(Violation("bad-shape", f"page {page.page_id!r} {name} is not 1-d"))
-                continue
-            if emb.shape[0] != corpus.dim:
-                problems.append(
-                    Violation(
-                        "dim-mismatch",
-                        f"page {page.page_id!r} {name} has dim {emb.shape[0]}, corpus dim is {corpus.dim}",
-                    )
-                )
-            if not np.isfinite(emb).all():
-                problems.append(Violation("non-finite", f"page {page.page_id!r} {name} contains NaN/Inf"))
-        if page.image_emb.ndim == 1 and page.text_emb.ndim == 1 and page.image_emb.shape != page.text_emb.shape:
-            problems.append(
-                Violation(
-                    "dim-mismatch",
-                    f"page {page.page_id!r} image/text dims differ: "
-                    f"{page.image_emb.shape[0]} vs {page.text_emb.shape[0]}",
-                )
-            )
-    return ValidationReport(violations=tuple(problems))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import QueryRecord
 from .errors import BadRange, BinMismatch, EmptyInput, MissingChannel
-from .fusion import modality_scores
+from .fusion import modality_scores, population_mean_std
 from .store import IndexDirectory
 
 #: Additive mass per bin before normalization; keeps every bin positive so
@@ -33,8 +33,7 @@ def score_stats(values: np.ndarray) -> tuple[float, float, float, float]:
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise EmptyInput("score_stats needs at least one value")
-    mu = float(x.mean())
-    sigma = math.sqrt(float(np.mean((x - mu) ** 2)))
+    mu, sigma = population_mean_std(x)
     return mu, sigma, float(x.min()), float(x.max())
 
 
@@ -125,9 +124,7 @@ def modality_divergence_report(
         vec_t = query.vector_for_sweep("text")
         if vec_i is None or vec_t is None:
             raise MissingChannel("diagnostics", "image-query or text-query")
-        sv_i = modality_scores(vec_i, index.images, "image")
-        sv_t = modality_scores(vec_t, index.texts, "text")
-        return query.query_id, sv_i, sv_t
+        return query.query_id, modality_scores(vec_i, index.images), modality_scores(vec_t, index.texts)
 
     if threads > 1 and len(queries) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -136,13 +133,13 @@ def modality_divergence_report(
         per_query = [one(q) for q in queries]
     per_query.sort(key=lambda item: item[0])
 
-    pooled_i = np.concatenate([sv_i.zscored for _, sv_i, _ in per_query])
-    pooled_t = np.concatenate([sv_t.zscored for _, _, sv_t in per_query])
+    pooled_i = np.concatenate([z_i.values for _, z_i, _ in per_query])
+    pooled_t = np.concatenate([z_t.values for _, _, z_t in per_query])
     flags = []
-    for qid, sv_i, sv_t in per_query:
-        if sv_i.sigma == 0.0:
+    for qid, z_i, z_t in per_query:
+        if z_i.sigma == 0.0:
             flags.append((qid, "image"))
-        if sv_t.sigma == 0.0:
+        if z_t.sigma == 0.0:
             flags.append((qid, "text"))
 
     lo = float(min(pooled_i.min(), pooled_t.min()))

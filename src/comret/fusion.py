@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import _kernels
-from .core import FusionConfig, QueryRecord, RankedEntry, RankedResult, ScoreVector
+from .core import MODE_SPECS, FusionConfig, ModeSpec, QueryRecord, RankedEntry, RankedResult
 from .errors import DimMismatch, LengthMismatch, MalformedRunLine, MissingChannel
 from .store import IndexDirectory, PackedMatrix
 
@@ -51,27 +51,28 @@ class ZScored(NamedTuple):
     sigma: float
 
 
+def population_mean_std(x: np.ndarray) -> tuple[float, float]:
+    """Mean and population standard deviation (divides by M, not M-1)."""
+    mu = float(x.mean())
+    return mu, math.sqrt(float(np.mean((x - mu) ** 2)))
+
+
 def zscore_normalize(values: np.ndarray) -> ZScored:
     """Center and scale by the population mean and standard deviation.
 
-    Divides by M (not M-1). If sigma is 0 within SIGMA_EPS the input
-    carried no ranking information; the output is all zeros and sigma is
-    recorded as 0.
+    If sigma is 0 within SIGMA_EPS the input carried no ranking
+    information; the output is all zeros and sigma is recorded as 0.
     """
     x = np.asarray(values, dtype=np.float64)
-    mu = float(x.mean())
-    sigma = math.sqrt(float(np.mean((x - mu) ** 2)))
+    mu, sigma = population_mean_std(x)
     if sigma <= SIGMA_EPS:
         return ZScored(np.zeros_like(x), mu, 0.0)
     return ZScored((x - mu) / sigma, mu, sigma)
 
 
-def modality_scores(query: np.ndarray, matrix: PackedMatrix, modality: str) -> ScoreVector:
+def modality_scores(query: np.ndarray, matrix: PackedMatrix) -> ZScored:
     """Full raw -> sigmoid -> z-score pipeline for one modality."""
-    raw = inner_product_scores(query, matrix)
-    squashed = sigmoid_normalize(raw)
-    zscored, mu, sigma = zscore_normalize(squashed)
-    return ScoreVector(modality=modality, raw=raw, sigmoid=squashed, zscored=zscored, mu=mu, sigma=sigma)
+    return zscore_normalize(sigmoid_normalize(inner_product_scores(query, matrix)))
 
 
 def blend(text: np.ndarray, image: np.ndarray, weight: float) -> np.ndarray:
@@ -99,63 +100,36 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
-def _sweep_vector(query: QueryRecord, modality: str, mode: str) -> np.ndarray:
-    vec = query.vector_for_sweep(modality)
-    if vec is None:
-        raise MissingChannel(mode, f"{modality}-query")
-    return vec
-
-
-def _channel_vector(query: QueryRecord, channel: str, mode: str) -> np.ndarray:
-    vec = query.channel(channel)
+def _sweep(query: QueryRecord, index: IndexDirectory, modality: str, spec: ModeSpec, mode: str) -> np.ndarray:
+    """One modality's per-page scores for ``query`` under ``spec``."""
+    channel = f"{modality}-query"
+    vec = query.channel(channel) if spec.strict else query.vector_for_sweep(modality)
     if vec is None:
         raise MissingChannel(mode, channel)
-    return vec
+    matrix = index.images if modality == "image" else index.texts
+    return modality_scores(vec, matrix).values if spec.normalize else inner_product_scores(vec, matrix)
 
 
 def retrieve(query: QueryRecord, index: IndexDirectory, cfg: FusionConfig) -> RankedResult:
     """Score, fuse and rank one query against the index.
 
-    Mode dispatch:
-      image-only / text-only  rank one modality's raw scores
-      raw-linear              alpha-blend of both raw score sweeps
-      ucmr                    sigmoid + z-score each modality, beta-blend
-      ensemble-ucmr           like ucmr, but the text sweep uses the
-                              "text-query" channel and the image sweep the
-                              "image-query" channel (query encoded twice)
+    ``MODE_SPECS[cfg.mode]`` says which modalities are swept, whether each
+    sweep is squashed and z-scored, and which weight blends text with
+    image; a single-modality mode ranks its one sweep as is.
 
     The per-entry breakdown carries raw scores for the raw modes and
     z-scored values for the normalized modes; a modality the mode never
     scores is reported as 0.0.
     """
-    mode = cfg.mode
-    zeros = None
-
-    if mode == "image-only":
-        raw_i = inner_product_scores(_sweep_vector(query, "image", mode), index.images)
-        fused, image_col, text_col = raw_i, raw_i, None
-    elif mode == "text-only":
-        raw_t = inner_product_scores(_sweep_vector(query, "text", mode), index.texts)
-        fused, image_col, text_col = raw_t, None, raw_t
-    elif mode == "raw-linear":
-        raw_i = inner_product_scores(_sweep_vector(query, "image", mode), index.images)
-        raw_t = inner_product_scores(_sweep_vector(query, "text", mode), index.texts)
-        fused, image_col, text_col = blend(raw_t, raw_i, cfg.alpha), raw_i, raw_t
-    elif mode == "ucmr":
-        sv_i = modality_scores(_sweep_vector(query, "image", mode), index.images, "image")
-        sv_t = modality_scores(_sweep_vector(query, "text", mode), index.texts, "text")
-        fused = blend(sv_t.zscored, sv_i.zscored, cfg.beta)
-        image_col, text_col = sv_i.zscored, sv_t.zscored
-    else:  # ensemble-ucmr
-        sv_i = modality_scores(_channel_vector(query, "image-query", mode), index.images, "image")
-        sv_t = modality_scores(_channel_vector(query, "text-query", mode), index.texts, "text")
-        fused = blend(sv_t.zscored, sv_i.zscored, cfg.beta)
-        image_col, text_col = sv_i.zscored, sv_t.zscored
-
-    if image_col is None or text_col is None:
+    spec = MODE_SPECS[cfg.mode]
+    scores = {m: _sweep(query, index, m, spec, cfg.mode) for m in spec.modalities}
+    if spec.weight is None:
+        (fused,) = scores.values()
         zeros = np.zeros_like(fused)
-        image_col = zeros if image_col is None else image_col
-        text_col = zeros if text_col is None else text_col
+        scores = {"image": zeros, "text": zeros, **scores}
+    else:
+        fused = blend(scores["text"], scores["image"], getattr(cfg, spec.weight))
+    image_col, text_col = scores["image"], scores["text"]
 
     order = _top_k(fused, cfg.top_k)
     entries = tuple(

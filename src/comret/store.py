@@ -65,9 +65,6 @@ class PackedMatrix:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
 
 @dataclass(frozen=True)
 class IndexDirectory:
@@ -88,6 +85,20 @@ class IndexDirectory:
     @property
     def ids(self) -> tuple[str, ...]:
         return self.images.ids
+
+
+def _check_id(value: object, key: str, line_no: int) -> str:
+    """An id must be a non-empty string that fits in one field of a TSV
+    line (run files and qrels) and in the UTF-8 footer of a .cmeb file."""
+    if not isinstance(value, str) or not value:
+        raise MalformedLine(line_no, f'missing or non-string "{key}"')
+    if any(c in value for c in "\t\r\n"):
+        raise MalformedLine(line_no, f'"{key}" contains a tab or a line break')
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedLine(line_no, f'"{key}" contains an unpaired surrogate')
+    return value
 
 
 def parse_embedding_jsonl(stream: TextIO | BinaryIO | Iterable[str]) -> list[Record]:
@@ -113,10 +124,8 @@ def parse_embedding_jsonl(stream: TextIO | BinaryIO | Iterable[str]) -> list[Rec
             raise MalformedLine(line_no, f"invalid JSON ({exc.msg})")
         if not isinstance(obj, dict):
             raise MalformedLine(line_no, "expected a JSON object")
-        rec_id = obj.get("id")
+        rec_id = _check_id(obj.get("id"), "id", line_no)
         emb = obj.get("embedding")
-        if not isinstance(rec_id, str) or not rec_id:
-            raise MalformedLine(line_no, 'missing or non-string "id"')
         if not isinstance(emb, list) or not emb:
             raise MalformedLine(line_no, 'missing or empty "embedding" array')
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in emb):
@@ -150,9 +159,7 @@ def parse_query_jsonl(stream: TextIO | Iterable[str]) -> list["QueryRecord"]:
             raise MalformedLine(line_no, f"invalid JSON ({exc.msg})")
         if not isinstance(obj, dict):
             raise MalformedLine(line_no, "expected a JSON object")
-        query_id = obj.get("query_id")
-        if not isinstance(query_id, str) or not query_id:
-            raise MalformedLine(line_no, 'missing or non-string "query_id"')
+        query_id = _check_id(obj.get("query_id"), "query_id", line_no)
         if query_id in seen_ids:
             raise DuplicateId(query_id)
         seen_ids.add(query_id)
@@ -271,9 +278,12 @@ def read_matrix(path: str | Path) -> PackedMatrix:
         payload = _read_exact(fh, payload_bytes, "matrix payload")
         data = np.frombuffer(payload, dtype="<f4").astype(EMBEDDING_DTYPE).reshape(count, dim)
         ids = []
-        for _ in range(count):
+        for row in range(count):
             (length,) = struct.unpack("<I", _read_exact(fh, 4, "id length"))
-            ids.append(_read_exact(fh, length, "id bytes").decode("utf-8"))
+            try:
+                ids.append(_read_exact(fh, length, "id bytes").decode("utf-8"))
+            except UnicodeDecodeError:
+                raise ComretError(f"{path}: id of row {row} is not valid UTF-8")
     data = np.ascontiguousarray(data)
     data.flags.writeable = False
     return PackedMatrix(ids=tuple(ids), data=data)
@@ -291,11 +301,22 @@ def save_index(index: IndexDirectory, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> IndexDirectory:
+    """Read an index directory and check that its three files agree."""
     root = Path(path)
     images = read_matrix(root / IMAGES_FILE)
     texts = read_matrix(root / TEXTS_FILE)
-    with open(root / MANIFEST_FILE, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest_path = root / MANIFEST_FILE
+    with open(manifest_path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise ComretError(f"{manifest_path}: unreadable manifest ({exc})")
     if images.ids != texts.ids:
         raise IdSetMismatch(set(images.ids).symmetric_difference(texts.ids))
+    if texts.dim != images.dim:
+        raise DimMismatch(images.dim, texts.dim, where="texts vs images")
+    if not isinstance(manifest, dict) or (manifest.get("dim"), manifest.get("M")) != (images.dim, images.count):
+        raise ComretError(
+            f"{manifest_path}: dim/M do not match the matrices (dim {images.dim}, M {images.count})"
+        )
     return IndexDirectory(images=images, texts=texts, manifest=manifest)

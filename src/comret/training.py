@@ -94,12 +94,8 @@ class ToyEncoders:
         return batch.query @ self.w_query, batch.image @ self.w_image, batch.text @ self.w_text
 
 
-def pair_indicator(i: int, j: int) -> int:
-    """+1 for the matched (diagonal) pair, -1 otherwise."""
-    return 1 if i == j else -1
-
-
 def _pair_signs(b: int) -> np.ndarray:
+    """b x b pair labels: +1 for the matched (diagonal) pair, -1 otherwise."""
     signs = -np.ones((b, b))
     np.fill_diagonal(signs, 1.0)
     return signs

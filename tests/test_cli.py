@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from comret.cli import main
 
@@ -182,6 +188,67 @@ class TestEval:
         assert json.loads(capsys.readouterr().out)["macro"]["mrr@10"] == 0.75
 
 
+class TestIOFailures:
+    @pytest.mark.parametrize(
+        "case", ["missing-index", "out-dir-missing", "footer-not-utf8", "manifest-not-json", "queries-not-utf8"]
+    )
+    def test_exits_one_with_error(self, built_index, capsys, case):
+        root, idx, queries, _ = built_index
+        out = root / "run.tsv"
+        if case == "missing-index":
+            idx = root / "no-such-index"
+        elif case == "out-dir-missing":
+            out = root / "no-such-dir" / "run.tsv"
+        elif case == "footer-not-utf8":
+            path = idx / "images.cmeb"
+            path.write_bytes(path.read_bytes()[:-1] + b"\xff")  # last byte of the last id
+        elif case == "manifest-not-json":
+            (idx / "manifest.json").write_text("{not json")
+        else:
+            queries.write_bytes(b"\xff\xfe")
+        assert run_cli("retrieve", "--index", idx, "--queries", queries, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def run_quiet(*argv):
+    """run_cli with stdout captured and stderr dropped: (exit code, stdout)."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(*argv)
+    return code, out.getvalue()
+
+
+# Every code point, unpaired surrogates included: JSON can escape them.
+id_text = st.text(st.characters(exclude_categories=()), min_size=1, max_size=6)
+page_ids = st.lists(id_text, min_size=2, max_size=2, unique=True)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ids=page_ids, query_id=id_text)
+def test_accepted_ids_survive_ingest_retrieve_eval(ids, query_id):
+    """Any page and query id that ingest and retrieve accept comes back
+    intact from eval; any other id is refused with exit code 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        rows = [[1.0, 0.0], [0.0, 1.0]]
+        images = write_jsonl(root / "i.jsonl", [embedding_obj(p, r) for p, r in zip(ids, rows)])
+        texts = write_jsonl(root / "t.jsonl", [embedding_obj(p, r) for p, r in zip(ids, rows)])
+        queries = write_jsonl(root / "q.jsonl", [query_obj(query_id, rows[0])])
+        code, _ = run_quiet("ingest", "--images", images, "--texts", texts, "--out", root / "idx")
+        if code == 0:
+            code, _ = run_quiet(
+                "retrieve", "--index", root / "idx", "--queries", queries, "--k", "2", "--out", root / "run.tsv"
+            )
+        if code != 0:
+            assert code == 1
+            return
+        (root / "qrels.tsv").write_text(f"{query_id}\t{ids[0]}\t1\n", encoding="utf-8")
+        code, out = run_quiet("eval", "--run", root / "run.tsv", "--qrels", root / "qrels.tsv", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["missing_queries"] == []
+    assert report["per_query"][query_id]["mrr@10"] == 1.0
+
+
 class TestAblate:
     def test_mode_comparison_table(self, built_index, capsys):
         root, idx, queries, qrels = built_index
@@ -209,6 +276,20 @@ class TestAblate:
     def test_unknown_mode_exits_one(self, built_index, capsys):
         root, idx, queries, qrels = built_index
         assert run_cli("ablate", "--index", idx, "--queries", queries, "--qrels", qrels, "--modes", "bm25") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--modes", ","],
+            ["--modes", "ucmr", "--beta-sweep", "nan:1:0.1"],
+            ["--modes", "ucmr", "--beta-sweep", "0:inf:0.1"],
+            ["--modes", "ucmr", "--beta-sweep", "0:1:inf"],
+        ],
+    )
+    def test_no_mode_or_non_finite_sweep_exits_one(self, built_index, capsys, args):
+        root, idx, queries, qrels = built_index
+        assert run_cli("ablate", "--index", idx, "--queries", queries, "--qrels", qrels, *args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDiagnose:

@@ -1,26 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from comret.core import (
-    Corpus,
-    FusionConfig,
-    PageEntry,
-    QueryRecord,
-    as_embedding,
-    validate_corpus,
-)
+from comret.core import FusionConfig, QueryRecord, as_embedding
 from comret.errors import ComretError, NonFiniteValue
-
-
-def page(pid, image, text, doc="d1"):
-    return PageEntry(
-        page_id=pid,
-        doc_id=doc,
-        image_emb=np.asarray(image, dtype=np.float32),
-        text_emb=np.asarray(text, dtype=np.float32),
-    )
 
 
 class TestAsEmbedding:
@@ -36,55 +18,6 @@ class TestAsEmbedding:
     def test_rejects_empty(self):
         with pytest.raises(ComretError):
             as_embedding([])
-
-
-class TestValidateCorpus:
-    def test_well_formed_corpus_passes(self):
-        corpus = Corpus.from_pages(
-            [page("p1", [1, 0], [0, 1]), page("p2", [0, 1], [1, 0]), page("p3", [1, 1], [1, 1])]
-        )
-        assert validate_corpus(corpus).ok
-
-    def test_duplicate_page_id_reported(self):
-        corpus = Corpus.from_pages([page("p1", [1, 0], [0, 1]), page("p1", [0, 1], [1, 0])])
-        report = validate_corpus(corpus)
-        assert not report.ok
-        assert any(v.kind == "duplicate-id" for v in report.violations)
-
-    def test_dim_mismatch_reported(self):
-        corpus = Corpus.from_pages([page("p1", [1, 0, 0, 0], [1, 0, 0, 0, 0])])
-        report = validate_corpus(corpus)
-        assert any(v.kind == "dim-mismatch" for v in report.violations)
-
-    def test_non_finite_reported(self):
-        bad = PageEntry(
-            page_id="p1",
-            doc_id="d1",
-            image_emb=np.array([np.inf, 0.0], dtype=np.float32),
-            text_emb=np.array([0.0, 1.0], dtype=np.float32),
-        )
-        report = validate_corpus(Corpus.from_pages([bad]))
-        assert any(v.kind == "non-finite" for v in report.violations)
-
-    @given(
-        pages=st.integers(min_value=1, max_value=8),
-        dim=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_generated_corpora_validate(self, pages, dim, seed):
-        rng = np.random.default_rng(seed)
-        corpus = Corpus.from_pages(
-            [
-                page(f"p{i}", rng.standard_normal(dim).tolist(), rng.standard_normal(dim).tolist())
-                for i in range(pages)
-            ]
-        )
-        assert validate_corpus(corpus).ok
-
-    def test_page_order_is_stable(self):
-        pages = [page(f"p{i}", [i, 0], [0, i]) for i in range(5)]
-        corpus = Corpus.from_pages(pages)
-        assert [p.page_id for p in corpus.pages] == [f"p{i}" for i in range(5)]
 
 
 class TestFusionConfig:

@@ -300,8 +300,8 @@ class TestRunFile:
 class TestScoreVector:
     def test_pipeline_fields_consistent(self, rng):
         idx = random_index(rng, pages=15, dim=6)
-        sv = modality_scores(rng.standard_normal(6), idx.images, "image")
-        assert sv.modality == "image"
-        assert len(sv.raw) == len(sv.sigmoid) == len(sv.zscored) == 15
-        assert ((sv.sigmoid > 0) & (sv.sigmoid < 1)).all()
-        np.testing.assert_allclose(sv.zscored * sv.sigma + sv.mu, sv.sigmoid, atol=1e-12)
+        q = rng.standard_normal(6)
+        got = modality_scores(q, idx.images)
+        want = zscore_normalize(sigmoid_normalize(inner_product_scores(q, idx.images)))
+        np.testing.assert_array_equal(got.values, want.values)
+        assert (got.mu, got.sigma) == (want.mu, want.sigma)

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from comret.errors import (
     BadMagic,
+    ComretError,
     DimMismatch,
     DuplicateId,
     IdSetMismatch,
@@ -60,6 +62,20 @@ class TestParseEmbeddingJsonl:
         assert [r[0] for r in records] == [f"p{i}" for i in range(5)]
 
 
+class TestIdsAreTsvSafe:
+    @pytest.mark.parametrize("bad", ["p\t1", "p\n1", "p\r1", "p\ud8001"])
+    def test_page_id_rejected(self, bad):
+        line = json.dumps({"id": bad, "embedding": [1.0]}) + "\n"
+        with pytest.raises(MalformedLine):
+            parse_embedding_jsonl([line])
+
+    @pytest.mark.parametrize("bad", ["q\t1", "q\n1", "q\r1", "q\ud8001"])
+    def test_query_id_rejected(self, bad):
+        line = json.dumps({"query_id": bad, "embeddings": {"image-query": [1.0]}}) + "\n"
+        with pytest.raises(MalformedLine):
+            parse_query_jsonl([line])
+
+
 class TestBuildIndex:
     def test_aligned_by_image_order(self):
         idx = make_index([[1, 0], [0, 1]], [[0, 1], [1, 0]])
@@ -70,11 +86,11 @@ class TestBuildIndex:
         images = [("a", np.array([1, 0], np.float32)), ("b", np.array([0, 1], np.float32))]
         texts = [("b", np.array([2, 2], np.float32)), ("a", np.array([3, 3], np.float32))]
         idx = build_index(images, texts)
-        np.testing.assert_array_equal(idx.texts.row(0), np.array([3, 3], np.float32))
+        np.testing.assert_array_equal(idx.texts.data[0], np.array([3, 3], np.float32))
 
     def test_normalize_scales_to_unit_norm(self):
         idx = make_index([[3.0, 4.0]], [[1.0, 0.0]], normalize=True)
-        np.testing.assert_allclose(idx.images.row(0), [0.6, 0.8], rtol=1e-6)
+        np.testing.assert_allclose(idx.images.data[0], [0.6, 0.8], rtol=1e-6)
 
     def test_id_set_mismatch(self):
         images = [("p1", np.ones(2, np.float32)), ("p7", np.ones(2, np.float32))]
@@ -173,6 +189,30 @@ class TestMatrixRoundTrip:
         idx = make_index([[1.0]], [[1.0]], ids=["página-β"])
         write_matrix(idx.images, tmp_path / "u.cmeb")
         assert read_matrix(tmp_path / "u.cmeb").ids == ("página-β",)
+
+
+class TestLoadIndexChecks:
+    def test_modality_dims_must_agree(self, tmp_path):
+        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
+        write_matrix(make_index([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]]).texts, tmp_path / "texts.cmeb")
+        with pytest.raises(DimMismatch):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("key", ["dim", "M"])
+    def test_manifest_must_match_matrices(self, tmp_path, key):
+        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] += 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ComretError, match="dim/M"):
+            load_index(tmp_path)
+
+    def test_manifest_must_be_an_object(self, tmp_path):
+        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
+        (tmp_path / "manifest.json").write_text("[2, 1]")
+        with pytest.raises(ComretError, match="dim/M"):
+            load_index(tmp_path)
 
 
 class TestParseQueryJsonl:

@@ -10,11 +10,11 @@ from comret.training import (
     ToyEncoders,
     TrainConfig,
     TripletBatch,
+    _pair_signs,
     combined_loss,
     init_encoders,
     load_triplets,
     loss_gradients,
-    pair_indicator,
     pairwise_sigmoid_loss,
     self_retrieval_mrr_at_1,
     train_toy,
@@ -44,13 +44,14 @@ def random_batch(rng, b, d):
 
 class TestPairIndicator:
     def test_diagonal_is_positive(self):
-        assert pair_indicator(3, 3) == 1
+        assert (np.diag(_pair_signs(4)) == 1).all()
 
     def test_off_diagonal_is_negative(self):
-        assert pair_indicator(1, 2) == -1
+        signs = _pair_signs(4)
+        assert (signs[~np.eye(4, dtype=bool)] == -1).all()
 
     def test_single_pair_batch(self):
-        assert pair_indicator(1, 1) == 1
+        assert _pair_signs(1).tolist() == [[1.0]]
 
 
 class TestPairwiseSigmoidLoss:

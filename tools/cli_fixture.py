@@ -1,0 +1,131 @@
+"""Run every CLI subcommand on a fixed, seeded fixture and hash the outputs.
+
+    python3 tools/cli_fixture.py --src src --out /tmp/fixture
+
+prints one ``sha256  path`` line per output file (stdout, stderr and exit
+code of each command, plus every file the commands write), sorted by path,
+then the sha256 of that listing. Run it on two checkouts to show that a
+change leaves every CLI output byte-identical. Wall-clock fields
+(``elapsed=`` in ingest's summary, ``created_utc`` in manifests) are
+removed before hashing.
+
+The fixture: 300 pages x 16 dims, a text channel on another scale, two
+exact-duplicate pages (ties), texts in reverse order; 20 queries with
+distinct image/text channels and qrels, plus the same queries with the
+image channel only (fallback and the ensemble-ucmr error).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+MODES = ("image-only", "text-only", "raw-linear", "ucmr", "ensemble-ucmr")
+
+
+def write_jsonl(path: Path, objects) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj) + "\n")
+
+
+def make_inputs(out: Path) -> None:
+    rng = np.random.default_rng(7)
+    pages, dim = 300, 16
+    ids = [f"p{i:03d}" for i in range(pages)]
+    image = rng.standard_normal((pages, dim))
+    text = rng.standard_normal((pages, dim)) * 3.0
+    image[5], text[5] = image[4], text[4]
+    write_jsonl(out / "images.jsonl", [{"id": p, "embedding": image[i].tolist()} for i, p in enumerate(ids)])
+    write_jsonl(out / "texts.jsonl", [{"id": ids[i], "embedding": text[i].tolist()} for i in reversed(range(pages))])
+    queries, image_only, qrels = [], [], []
+    for j in range(20):
+        gold = int(rng.integers(pages))
+        q_image = image[gold] + 0.5 * rng.standard_normal(dim)
+        q_text = text[gold] / 3.0 + 0.5 * rng.standard_normal(dim)
+        qid = f"q{j:02d}"
+        queries.append({"query_id": qid, "text": f"q {j}", "gold": [ids[gold]],
+                        "embeddings": {"image-query": q_image.tolist(), "text-query": q_text.tolist()}})
+        image_only.append({"query_id": qid, "text": "", "embeddings": {"image-query": q_image.tolist()}})
+        qrels.append(f"{qid}\t{ids[gold]}\t1\n")
+        if j % 3 == 0:
+            qrels.append(f"{qid}\t{ids[(gold + 1) % pages]}\t1\n")
+    write_jsonl(out / "queries.jsonl", queries)
+    write_jsonl(out / "queries_image.jsonl", image_only)
+    (out / "qrels.tsv").write_text("".join(qrels), encoding="utf-8")
+    write_jsonl(out / "triplets.jsonl", [{key: rng.standard_normal(6).tolist() for key in "qit"} for _ in range(12)])
+
+
+def commands(o: Path) -> list[tuple[str, list[str]]]:
+    idx, idxn, q, q1, qrels = o / "idx", o / "idxn", o / "queries.jsonl", o / "queries_image.jsonl", o / "qrels.tsv"
+    cmds = [
+        ("ingest", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts.jsonl", "--out", idx]),
+        ("ingest-normalize", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts.jsonl",
+                              "--normalize", "--out", idxn]),
+    ]
+    for m in MODES:
+        cmds += [
+            (f"retrieve-{m}", ["retrieve", "--index", idx, "--queries", q, "--mode", m, "--k", "7",
+                               "--out", o / f"run-{m}.tsv"]),
+            (f"retrieve-weights-{m}", ["retrieve", "--index", idxn, "--queries", q, "--mode", m, "--alpha", "0.3",
+                                       "--beta", "0.35", "--threads", "3", "--k", "5",
+                                       "--out", o / f"run-weights-{m}.tsv"]),
+            (f"retrieve-image-channel-{m}", ["retrieve", "--index", idx, "--queries", q1, "--mode", m,
+                                             "--out", o / f"run-image-channel-{m}.tsv"]),
+        ]
+    cmds += [
+        ("eval", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", qrels, "--metrics", "recall@5,ndcg@5,mrr@10,hit@3"]),
+        ("eval-json", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", qrels, "--json"]),
+        ("ablate", ["ablate", "--index", idx, "--queries", q, "--qrels", qrels, "--modes", ",".join(MODES),
+                    "--beta-sweep", "0:1:0.25", "--metrics", "mrr@10,ndcg@5"]),
+        ("diagnose", ["diagnose", "--index", idx, "--queries", q, "--bins", "20", "--threads", "2",
+                      "--out", o / "diag"]),
+        ("train-toy", ["train-toy", "--triplets", o / "triplets.jsonl", "--steps", "30", "--seed", "3",
+                       "--out", o / "train"]),
+    ]
+    return [(name, [str(a) for a in argv]) for name, argv in cmds]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", default="src", help="directory holding the comret package")
+    parser.add_argument("--out", required=True, help="scratch directory, emptied first")
+    args = parser.parse_args()
+    out = Path(args.out).resolve()
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir(parents=True)
+    make_inputs(out)
+    inputs = {p.name for p in out.iterdir()}
+    env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve())}
+    env.pop("CMRAG_THREADS", None)
+    for name, argv in commands(out):
+        proc = subprocess.run([sys.executable, "-m", "comret.cli", *argv], env=env, capture_output=True, text=True)
+        stdout = re.sub(r" elapsed=[0-9.]+s", "", proc.stdout) if name.startswith("ingest") else proc.stdout
+        (out / f"{name}.stdout").write_text(stdout, encoding="utf-8")
+        (out / f"{name}.stderr").write_text(proc.stderr, encoding="utf-8")
+        (out / f"{name}.code").write_text(f"{proc.returncode}\n", encoding="utf-8")
+    for manifest in out.glob("*/manifest.json"):
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        data.pop("created_utc", None)
+        manifest.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    listing = "".join(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out)}\n"
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.relative_to(out).as_posix() not in inputs
+    )
+    sys.stdout.write(listing)
+    print(f"listing sha256 {hashlib.sha256(listing.encode()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
