@@ -3,8 +3,9 @@
 
 Exit code 0 on success, 1 on any domain error (messages go to stderr).
 Data goes to stdout or the --out target. Query scoring honors --threads,
-falling back to the CMRAG_THREADS environment variable, then to 1; output
-ordering is canonical (sorted by query_id) regardless of thread count.
+falling back to the CMRAG_THREADS environment variable, then to 1: the
+threads split each sweep's page rows, and no output byte depends on their
+number.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Most values one --beta-sweep may expand to (a 0.001 step over [0, 1]);
+#: each is one blend-and-rank pass per mode and query.
+MAX_SWEEP_VALUES = 1001
+
+
 def _parse_sweep(spec: str) -> list[float]:
     try:
         lo, hi, step = (float(v) for v in spec.split(":"))
@@ -86,14 +92,17 @@ def _parse_sweep(spec: str) -> list[float]:
         raise ComretError(f"bad sweep {spec!r}: LO, HI and STEP must be finite")
     if step <= 0 or hi < lo:
         raise ComretError(f"bad sweep {spec!r}: need step > 0 and HI >= LO")
+    # Count the values before building them (int(steps) + 1, and one more
+    # the rounding below may admit); the division may overflow to inf.
+    steps = (hi - lo + 1e-12) / step
+    if steps >= MAX_SWEEP_VALUES:
+        raise ComretError(f"bad sweep {spec!r}: more than {MAX_SWEEP_VALUES} values")
     values = []
-    i = 0
-    while True:
+    for i in range(int(steps) + 2):
         v = round(lo + i * step, 12)
         if v > hi + 1e-12:
             break
         values.append(min(v, hi))
-        i += 1
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ComretError(f"sweep value {v} outside [0,1]")
@@ -116,14 +125,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     specs = [s.strip() for s in args.metrics.split(",")]
     threads = _threads(args.threads)
 
-    rows = []
-    for mode in modes:
-        for beta in betas:
-            cfg = FusionConfig(mode=mode, alpha=args.alpha, beta=beta, top_k=args.k)
-            results = fusion.run_queries(index, queries, cfg, threads=threads)
-            run = {r.query_id: list(r.page_ids()) for r in results}
-            report = metrics.evaluate_run(run, qrels, specs)
-            rows.append((mode, beta, report))
+    # Every (mode, beta) is ranked from the same sweeps: each modality is
+    # swept once per block of queries, not once per row of the table.
+    cfgs = [FusionConfig(mode=mode, alpha=args.alpha, beta=beta, top_k=args.k) for mode in modes for beta in betas]
+    runs: list[dict[str, list[str]]] = [{} for _ in cfgs]
+    for ranked in fusion.rank_queries(index, queries, cfgs, threads=threads):
+        for run, result in zip(runs, ranked):
+            run[result.query_id] = list(result.page_ids())
+    rows = [(cfg.mode, cfg.beta, metrics.evaluate_run(run, qrels, specs)) for cfg, run in zip(cfgs, runs)]
 
     print("\t".join(["mode", "beta", *rows[0][2].specs]))
     for mode, beta, report in rows:

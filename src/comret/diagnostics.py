@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .core import QueryRecord
 from .errors import BadRange, BinMismatch, EmptyInput, MissingChannel
-from .fusion import modality_scores, population_mean_std
+from .fusion import population_mean_std, score_queries
 from .store import IndexDirectory
 
 #: Additive mass per bin before normalization; keeps every bin positive so
@@ -113,24 +112,24 @@ def modality_divergence_report(
     threads: int = 1,
 ) -> DivergenceReport:
     """Pool per-(query, page) z-scored scores for both modalities and
-    compare their empirical distributions."""
+    compare their empirical distributions.
+
+    Both modalities are swept once per block of queries (``score_queries``);
+    ``threads`` split each sweep's page rows.
+    """
     if not queries:
         raise EmptyInput("need at least one query")
     if num_bins < 1:
         raise BadRange(f"num_bins must be >= 1, got {num_bins}")
 
-    def one(query: QueryRecord):
-        vec_i = query.vector_for_sweep("image")
-        vec_t = query.vector_for_sweep("text")
-        if vec_i is None or vec_t is None:
+    for query in queries:
+        if query.vector_for_sweep("image") is None or query.vector_for_sweep("text") is None:
             raise MissingChannel("diagnostics", "image-query or text-query")
-        return query.query_id, modality_scores(vec_i, index.images), modality_scores(vec_t, index.texts)
-
-    if threads > 1 and len(queries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_query = list(pool.map(one, queries))
-    else:
-        per_query = [one(q) for q in queries]
+    both = ("image", "text")
+    per_query = [
+        (s.query.query_id, s.zscored["image"], s.zscored["text"])
+        for s in score_queries(index, queries, both, both, threads)
+    ]
     per_query.sort(key=lambda item: item[0])
 
     pooled_i = np.concatenate([z_i.values for _, z_i, _ in per_query])

@@ -11,13 +11,16 @@ A constant-score modality (sigma == 0) z-scores to all zeros, so it
 contributes nothing to the blend and leaves the other modality's ranking
 intact. All statistics are computed per query on the fly; the extra cost
 over single-modality retrieval is one more O(M*d) sweep.
+
+Queries are scored in blocks: each modality's matrix is swept once per
+block of QUERY_BLOCK queries (one matrix product), and every fusion mode
+and weight asked for blends and ranks from those same scores.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -29,15 +32,22 @@ from .store import IndexDirectory, PackedMatrix
 #: sigma at or below this is treated as a constant-score modality.
 SIGMA_EPS = 1e-12
 
+#: Queries per sweep: 32 columns share each upcast; 100k pages x 32 float64 scores is 26 MB.
+QUERY_BLOCK = 32
+
 RUN_COLUMNS = ("query_id", "page_id", "rank", "fused_score", "image_score", "text_score", "mode")
 
 
-def inner_product_scores(query: np.ndarray, matrix: PackedMatrix) -> np.ndarray:
-    """Raw scores: one float64-accumulated inner product per page."""
+def inner_product_scores(query: np.ndarray, matrix: PackedMatrix, threads: int = 1) -> np.ndarray:
+    """Raw scores: one float64-accumulated inner product per page.
+
+    query is one (dim,) vector, giving (M,) scores, or a (dim, Q) block of
+    Q queries, giving (M, Q). ``threads`` split the sweep's page rows.
+    """
     q = np.asarray(query, dtype=np.float64)
-    if q.shape != (matrix.dim,):
-        raise DimMismatch(matrix.dim, q.shape[0] if q.ndim == 1 else -1, where="query")
-    return _kernels.inner_products(matrix.data, q)
+    if q.ndim not in (1, 2) or q.shape[0] != matrix.dim:
+        raise DimMismatch(matrix.dim, q.shape[0] if q.ndim in (1, 2) else -1, where="query")
+    return _kernels.inner_products(matrix.data, q, threads=threads)
 
 
 def sigmoid_normalize(raw: np.ndarray) -> np.ndarray:
@@ -70,11 +80,6 @@ def zscore_normalize(values: np.ndarray) -> ZScored:
     return ZScored((x - mu) / sigma, mu, sigma)
 
 
-def modality_scores(query: np.ndarray, matrix: PackedMatrix) -> ZScored:
-    """Full raw -> sigmoid -> z-score pipeline for one modality."""
-    return zscore_normalize(sigmoid_normalize(inner_product_scores(query, matrix)))
-
-
 def blend(text: np.ndarray, image: np.ndarray, weight: float) -> np.ndarray:
     """Weighted blend of two score channels: weight*text + (1-weight)*image."""
     if len(text) != len(image):
@@ -100,49 +105,123 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
-def _sweep(query: QueryRecord, index: IndexDirectory, modality: str, spec: ModeSpec, mode: str) -> np.ndarray:
-    """One modality's per-page scores for ``query`` under ``spec``."""
-    channel = f"{modality}-query"
-    vec = query.channel(channel) if spec.strict else query.vector_for_sweep(modality)
-    if vec is None:
-        raise MissingChannel(mode, channel)
+class QueryScores(NamedTuple):
+    """One query's per-page scores: raw inner products for each modality
+    swept, and the z-scored logistic of those asked to be normalized."""
+
+    query: QueryRecord
+    raw: dict[str, np.ndarray]
+    zscored: dict[str, ZScored]
+
+
+def score_queries(
+    index: IndexDirectory,
+    queries: Sequence[QueryRecord],
+    modalities: Sequence[str],
+    normalized: Sequence[str] = (),
+    threads: int = 1,
+) -> Iterator[QueryScores]:
+    """Per-page scores of every query, in input order.
+
+    Each modality is swept once per block of QUERY_BLOCK queries, with
+    each query's ``vector_for_sweep`` vector (callers check that it
+    exists). A block of one query is swept with its vector, the
+    matrix-vector product ``retrieve`` has always used. ``threads`` split
+    each sweep's page rows; no score depends on their number.
+    """
+    for lo in range(0, len(queries), QUERY_BLOCK):
+        block = queries[lo : lo + QUERY_BLOCK]
+        raw = {m: _sweep_block(block, index, m, threads) for m in modalities}
+        squashed = {m: sigmoid_normalize(raw[m]) for m in normalized}
+        for j, query in enumerate(block):
+            yield QueryScores(
+                query,
+                {m: scores[j] for m, scores in raw.items()},
+                {m: zscore_normalize(scores[j]) for m, scores in squashed.items()},
+            )
+        del raw, squashed  # not alive while the next block is swept
+
+
+def _sweep_block(block: Sequence[QueryRecord], index: IndexDirectory, modality: str, threads: int) -> np.ndarray:
+    """(len(block), M) raw scores of one modality, one contiguous row per query."""
     matrix = index.images if modality == "image" else index.texts
-    return modality_scores(vec, matrix).values if spec.normalize else inner_product_scores(vec, matrix)
+    vectors = [q.vector_for_sweep(modality) for q in block]
+    for vec in vectors:
+        if vec.shape != (matrix.dim,):
+            raise DimMismatch(matrix.dim, vec.shape[0], where="query")
+    if len(vectors) == 1:
+        return inner_product_scores(vectors[0], matrix, threads)[None, :]
+    return np.ascontiguousarray(inner_product_scores(np.stack(vectors, axis=1), matrix, threads).T)
 
 
-def retrieve(query: QueryRecord, index: IndexDirectory, cfg: FusionConfig) -> RankedResult:
-    """Score, fuse and rank one query against the index.
+def rank_queries(
+    index: IndexDirectory,
+    queries: Sequence[QueryRecord],
+    cfgs: Sequence[FusionConfig],
+    threads: int = 1,
+) -> Iterator[tuple[RankedResult, ...]]:
+    """Rank every query under every config; yields, per query in input
+    order, one result per config.
 
-    ``MODE_SPECS[cfg.mode]`` says which modalities are swept, whether each
-    sweep is squashed and z-scored, and which weight blends text with
-    image; a single-modality mode ranks its one sweep as is.
+    The modalities the configs need are swept once per block of queries
+    and shared: each config only blends and ranks. ``MODE_SPECS`` says
+    which modalities a mode sweeps, whether each sweep is squashed and
+    z-scored, and which weight blends text with image; a single-modality
+    mode ranks its one sweep as is.
 
     The per-entry breakdown carries raw scores for the raw modes and
     z-scored values for the normalized modes; a modality the mode never
     scores is reported as 0.0.
     """
-    spec = MODE_SPECS[cfg.mode]
-    scores = {m: _sweep(query, index, m, spec, cfg.mode) for m in spec.modalities}
+    for mode in dict.fromkeys(cfg.mode for cfg in cfgs):
+        _check_channels(queries, mode)
+    specs = [MODE_SPECS[cfg.mode] for cfg in cfgs]
+    modalities = [m for m in ("image", "text") if any(m in s.modalities for s in specs)]
+    normalized = [m for m in modalities if any(s.normalize and m in s.modalities for s in specs)]
+    for scores in score_queries(index, queries, modalities, normalized, threads):
+        yield tuple(_rank(scores, index.ids, cfg, spec) for cfg, spec in zip(cfgs, specs))
+
+
+def _check_channels(queries: Sequence[QueryRecord], mode: str) -> None:
+    """Raise MissingChannel for the first query lacking a vector ``mode`` sweeps."""
+    spec = MODE_SPECS[mode]
+    for query in queries:
+        for modality in spec.modalities:
+            channel = f"{modality}-query"
+            vec = query.channel(channel) if spec.strict else query.vector_for_sweep(modality)
+            if vec is None:
+                raise MissingChannel(mode, channel)
+
+
+def _rank(scores: QueryScores, ids: Sequence[str], cfg: FusionConfig, spec: ModeSpec) -> RankedResult:
+    """Blend (or pass through) one query's channels and take the top k."""
+    channels = {m: scores.zscored[m].values if spec.normalize else scores.raw[m] for m in spec.modalities}
     if spec.weight is None:
-        (fused,) = scores.values()
+        (fused,) = channels.values()
         zeros = np.zeros_like(fused)
-        scores = {"image": zeros, "text": zeros, **scores}
+        channels = {"image": zeros, "text": zeros, **channels}
     else:
-        fused = blend(scores["text"], scores["image"], getattr(cfg, spec.weight))
-    image_col, text_col = scores["image"], scores["text"]
+        fused = blend(channels["text"], channels["image"], getattr(cfg, spec.weight))
+    image_col, text_col = channels["image"], channels["text"]
 
     order = _top_k(fused, cfg.top_k)
     entries = tuple(
         RankedEntry(
             rank=rank,
-            page_id=index.ids[i],
+            page_id=ids[i],
             fused_score=float(fused[i]),
             image_score=float(image_col[i]),
             text_score=float(text_col[i]),
         )
         for rank, i in enumerate(order, start=1)
     )
-    return RankedResult(query_id=query.query_id, entries=entries)
+    return RankedResult(query_id=scores.query.query_id, entries=entries)
+
+
+def retrieve(query: QueryRecord, index: IndexDirectory, cfg: FusionConfig) -> RankedResult:
+    """Score, fuse and rank one query against the index (see ``rank_queries``)."""
+    ((result,),) = rank_queries(index, [query], [cfg])
+    return result
 
 
 def run_queries(
@@ -151,12 +230,9 @@ def run_queries(
     cfg: FusionConfig,
     threads: int = 1,
 ) -> list[RankedResult]:
-    """Retrieve every query, in parallel if asked, output sorted by query_id."""
-    if threads > 1 and len(queries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda q: retrieve(q, index, cfg), queries))
-    else:
-        results = [retrieve(q, index, cfg) for q in queries]
+    """Retrieve every query, output sorted by query_id; ``threads`` split
+    each sweep's page rows."""
+    results = [result for (result,) in rank_queries(index, queries, [cfg], threads)]
     results.sort(key=lambda r: r.query_id)
     return results
 

@@ -312,6 +312,8 @@ def load_index(path: str | Path) -> IndexDirectory:
         except ValueError as exc:  # invalid JSON or invalid UTF-8
             raise ComretError(f"{manifest_path}: unreadable manifest ({exc})")
     if images.ids != texts.ids:
+        if sorted(images.ids) == sorted(texts.ids):
+            raise ComretError(f"{root}: {TEXTS_FILE} holds the ids of {IMAGES_FILE} in a different row order")
         raise IdSetMismatch(set(images.ids).symmetric_difference(texts.ids))
     if texts.dim != images.dim:
         raise DimMismatch(images.dim, texts.dim, where="texts vs images")

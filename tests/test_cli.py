@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from comret import fusion, metrics, store
 from comret.cli import main
+from comret.core import FusionConfig
 
 from conftest import write_jsonl
 
@@ -50,6 +53,24 @@ def workspace(tmp_path, rng):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+class TimeLimitExceeded(Exception):
+    """Not an OSError, so ``main`` cannot turn it into exit code 1."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestIngest:
@@ -290,6 +311,70 @@ class TestAblate:
         root, idx, queries, qrels = built_index
         assert run_cli("ablate", "--index", idx, "--queries", queries, "--qrels", qrels, *args) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("sweep", ["0:1:1e-6", "0:1:1e-9", "0:0:1e-300", "0:1:5e-324"])
+    def test_oversized_sweep_exits_one(self, built_index, capsys, sweep):
+        # Counted before any value is built: at 1e-9 a list of 10**9 betas
+        # would not finish.
+        root, idx, queries, qrels = built_index
+        with time_limit(10):
+            code = run_cli("ablate", "--index", idx, "--queries", queries, "--qrels", qrels,
+                           "--modes", "ucmr", "--beta-sweep", sweep)
+        assert code == 1
+        assert "more than 1001 values" in capsys.readouterr().err
+
+
+@pytest.fixture
+def ablate_workspace(tmp_path, rng):
+    """300 pages x 1152 dims (a 44-row tail block), 37 queries with
+    distinct channels (two query blocks) and qrels."""
+    pages, dim = 300, 1152
+    ids = [f"p{i:03d}" for i in range(pages)]
+    image = rng.standard_normal((pages, dim)).astype(np.float32)
+    text = rng.standard_normal((pages, dim)).astype(np.float32)
+    store.save_index(store.build_index(list(zip(ids, image)), list(zip(ids, text))), tmp_path / "idx")
+    queries, qrels = [], []
+    for j in range(37):
+        gold = int(rng.integers(pages))
+        q_image = (image[gold] + rng.standard_normal(dim)).tolist()
+        q_text = (text[gold] + rng.standard_normal(dim)).tolist()
+        queries.append(query_obj(f"q{j:02d}", q_image, text_vec=q_text))
+        qrels.append(f"q{j:02d}\t{ids[gold]}\t1\n")
+    (tmp_path / "qrels.tsv").write_text("".join(qrels))
+    return tmp_path / "idx", write_jsonl(tmp_path / "q.jsonl", queries), tmp_path / "qrels.tsv"
+
+
+class TestAblateEngine:
+    MODES = "image-only,text-only,raw-linear,ucmr,ensemble-ucmr"
+
+    def ablate(self, idx, queries, qrels, *extra):
+        code, out = run_quiet("ablate", "--index", idx, "--queries", queries, "--qrels", qrels, "--modes", self.MODES,
+                              "--beta-sweep", "0:1:0.25", "--alpha", "0.3", "--k", "10", "--metrics", "mrr@10,ndcg@5",
+                              *extra)
+        assert code == 0
+        return out
+
+    def test_table_equals_one_run_per_mode_and_beta(self, ablate_workspace):
+        # The oracle ranks every (mode, beta) with its own run_queries call.
+        idx, queries, qrels = ablate_workspace
+        index = store.load_index(idx)
+        records = store.parse_query_jsonl(queries.read_text().splitlines())
+        qrel_map = metrics.read_qrels(qrels.read_text().splitlines())
+        specs = ["mrr@10", "ndcg@5"]
+        lines = ["\t".join(["mode", "beta", *specs])]
+        for mode in self.MODES.split(","):
+            for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
+                cfg = FusionConfig(mode=mode, alpha=0.3, beta=beta, top_k=10)
+                run = {r.query_id: list(r.page_ids()) for r in fusion.run_queries(index, records, cfg)}
+                report = metrics.evaluate_run(run, qrel_map, specs)
+                lines.append("\t".join([mode, f"{beta:g}", *(f"{report.macro[s]:.6f}" for s in specs)]))
+        assert self.ablate(idx, queries, qrels) == "\n".join(lines) + "\n"
+
+    def test_thread_count_changes_no_byte(self, ablate_workspace):
+        idx, queries, qrels = ablate_workspace
+        serial = self.ablate(idx, queries, qrels, "--threads", "1")
+        assert self.ablate(idx, queries, qrels, "--threads", "2") == serial
+        assert self.ablate(idx, queries, qrels, "--threads", "3") == serial
 
 
 class TestDiagnose:

@@ -143,3 +143,16 @@ class TestDivergenceReport:
         threaded = modality_divergence_report(index, queries, threads=4)
         assert serial.kl_nats == threaded.kl_nats
         np.testing.assert_array_equal(serial.image_hist.densities, threaded.image_hist.densities)
+
+    def test_thread_count_changes_no_bit(self, rng):
+        # Two full 128-row blocks and a 44-row tail; 37 queries make two
+        # query blocks.
+        index = random_index(rng, pages=300, dim=1152)
+        queries = [unified_query(f"q{i:02d}", rng.standard_normal(1152).tolist()) for i in range(37)]
+        serial = modality_divergence_report(index, queries, threads=1)
+        for threads in (2, 3):
+            report = modality_divergence_report(index, queries, threads=threads)
+            assert report.summary() == serial.summary()
+            for got, want in ((report.image_hist, serial.image_hist), (report.text_hist, serial.text_hist)):
+                np.testing.assert_array_equal(got.bin_edges, want.bin_edges)
+                np.testing.assert_array_equal(got.densities, want.densities)

@@ -1,21 +1,24 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comret.core import FusionConfig
+from comret.core import MODES, FusionConfig
 from comret.errors import DimMismatch, LengthMismatch, MalformedRunLine, MissingChannel
 from comret.fusion import (
+    QUERY_BLOCK,
     _top_k,
     blend,
     inner_product_scores,
-    modality_scores,
+    rank_queries,
     read_run,
     retrieve,
     run_queries,
+    score_queries,
     sigmoid_normalize,
     write_run,
     zscore_normalize,
@@ -301,7 +304,108 @@ class TestScoreVector:
     def test_pipeline_fields_consistent(self, rng):
         idx = random_index(rng, pages=15, dim=6)
         q = rng.standard_normal(6)
-        got = modality_scores(q, idx.images)
-        want = zscore_normalize(sigmoid_normalize(inner_product_scores(q, idx.images)))
+        (scores,) = score_queries(idx, [unified_query("q", q)], ["image"], ["image"])
+        got = scores.zscored["image"]
+        want = zscore_normalize(sigmoid_normalize(inner_product_scores(q.astype(np.float32), idx.images)))
+        np.testing.assert_array_equal(scores.raw["image"], inner_product_scores(q.astype(np.float32), idx.images))
         np.testing.assert_array_equal(got.values, want.values)
         assert (got.mu, got.sigma) == (want.mu, want.sigma)
+
+
+def two_channel_queries(rng, count, dim):
+    return [
+        make_query(f"q{j:03d}", rng.standard_normal(dim).tolist(), rng.standard_normal(dim).tolist())
+        for j in range(count)
+    ]
+
+
+class TestQueryEngine:
+    @pytest.mark.parametrize("count", [1, 7, 33, 2 * QUERY_BLOCK + 3])
+    def test_batched_scores_match_brute_force(self, rng, count):
+        idx = random_index(rng, pages=150, dim=6)
+        queries = two_channel_queries(rng, count, 6)
+        got = list(score_queries(idx, queries, ["image", "text"]))
+        assert [s.query for s in got] == queries
+        for s in got:
+            for modality, matrix in (("image", idx.images), ("text", idx.texts)):
+                vec = s.query.vector_for_sweep(modality)
+                want = [reference.inner(vec, row) for row in matrix.data]
+                np.testing.assert_allclose(s.raw[modality], want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rankings_match_per_query_oracle(self, rng, mode):
+        pages, dim = 150, 6
+        idx = random_index(rng, pages=pages, dim=dim)
+        queries = two_channel_queries(rng, 2 * QUERY_BLOCK + 3, dim)
+        cfg = FusionConfig(mode=mode, alpha=0.3, beta=0.35, top_k=pages)
+        results = run_queries(idx, queries, cfg)
+        assert [r.query_id for r in results] == sorted(q.query_id for q in queries)
+        stored_i, stored_t = idx.images.data.tolist(), idx.texts.data.tolist()
+        for query, result in zip(sorted(queries, key=lambda q: q.query_id), results):
+            vec_i, vec_t = query.channel("image-query").tolist(), query.channel("text-query").tolist()
+            if cfg.mode in ("ucmr", "ensemble-ucmr"):
+                order, _ = reference.normalized_fusion_ranking(vec_i, vec_t, stored_i, stored_t, cfg.beta)
+            else:
+                raw_i = [reference.inner(vec_i, row) for row in stored_i]
+                raw_t = [reference.inner(vec_t, row) for row in stored_t]
+                fused = {
+                    "image-only": raw_i,
+                    "text-only": raw_t,
+                    "raw-linear": [cfg.alpha * t + (1 - cfg.alpha) * i for i, t in zip(raw_i, raw_t)],
+                }[cfg.mode]
+                order = reference.raw_ranking(fused)
+            assert result.page_ids() == tuple(f"p{i + 1}" for i in order)
+            alone = retrieve(query, idx, cfg)
+            assert alone.page_ids() == result.page_ids()
+            for a, b in zip(alone.entries, result.entries):
+                for field in ("fused_score", "image_score", "text_score"):
+                    assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-12, abs=1e-12)
+
+    def test_thread_count_changes_no_bit(self, rng):
+        # 300 pages: two full row blocks and a 44-row tail to share out, at
+        # a dimension where a matrix product's summation order shows.
+        idx = random_index(rng, pages=300, dim=1152)
+        queries = two_channel_queries(rng, QUERY_BLOCK + 5, 1152)
+        for mode in MODES:
+            cfg = FusionConfig(mode=mode, top_k=10)
+            serial = run_queries(idx, queries, cfg, threads=1)
+            for threads in (2, 3):
+                assert run_queries(idx, queries, cfg, threads=threads) == serial
+
+    def test_configs_share_one_sweep_per_block(self, rng, monkeypatch):
+        from comret import _kernels
+
+        idx = random_index(rng, pages=40, dim=4)
+        queries = two_channel_queries(rng, QUERY_BLOCK + 1, 4)
+        cfgs = [FusionConfig(mode=m, beta=b) for m in MODES for b in (0.0, 0.5, 1.0)]
+        sweep, calls = _kernels.inner_products, []
+        monkeypatch.setattr(_kernels, "inner_products", lambda *a, **kw: calls.append(1) or sweep(*a, **kw))
+        ranked = list(rank_queries(idx, queries, cfgs))
+        assert len(calls) == 4  # two blocks of queries x two modalities
+        monkeypatch.undo()
+        for j, cfg in enumerate(cfgs):
+            assert [r[j] for r in ranked] == [r for (r,) in rank_queries(idx, queries, [cfg])]
+
+    def test_missing_channel_named_for_strict_mode(self):
+        idx = make_index([[1, 0]], [[1, 0]])
+        queries = [unified_query("q1", [1.0, 0.0]), make_query("q2", image_vec=[1.0, 0.0])]
+        cfgs = [FusionConfig(mode="ucmr"), FusionConfig(mode="ensemble-ucmr")]
+        with pytest.raises(MissingChannel, match="ensemble-ucmr") as err:
+            list(rank_queries(idx, queries, cfgs))
+        assert err.value.channel == "text-query"
+
+    def test_memory_bounded_by_query_block(self, rng):
+        # Scores are held one block of queries at a time: the peak grows
+        # with pages x QUERY_BLOCK, not pages x queries. Holding all 512
+        # query columns would need 2 x 16 MB for the raw sweeps alone.
+        pages, dim = 4000, 8
+        idx = random_index(rng, pages=pages, dim=dim)
+        queries = [unified_query(f"q{j:03d}", rng.standard_normal(dim).tolist()) for j in range(512)]
+        assert len(queries) >= 4 * QUERY_BLOCK
+        tracemalloc.start()
+        try:
+            run_queries(idx, queries, FusionConfig(mode="ucmr", top_k=3), threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * pages * QUERY_BLOCK * 8

@@ -1,6 +1,7 @@
 import threading
 
 import numpy as np
+import pytest
 
 from comret import _kernels
 
@@ -68,6 +69,47 @@ class TestInnerProducts:
             assert not t.is_alive()
         for got, want in zip(results, serial):
             np.testing.assert_array_equal(got, want)
+
+
+class TestQueryBlock:
+    @pytest.mark.parametrize("q", [1, 7, 33])
+    def test_matches_naive_reference(self, rng, q):
+        matrix = rng.standard_normal((300, 12)).astype(np.float32)
+        block = rng.standard_normal((12, q))
+        got = _kernels.inner_products(matrix, block)
+        assert got.shape == (300, q)
+        want = [[reference.inner(block[:, j], row) for j in range(q)] for row in matrix]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [7, 8, 33])
+    def test_duplicate_rows_score_identically(self, rng, q):
+        # 300 rows: two full 128-row blocks and a 44-row tail. Copies sit
+        # at other offsets of a full block and inside the tail; handed to
+        # BLAS as a short block, the tail scores them differently in the
+        # last bit.
+        matrix = rng.standard_normal((300, 1152)).astype(np.float32)
+        pairs = [(3, 130), (5, 299), (6, 256), (255, 298)]
+        for src, dst in pairs:
+            matrix[dst] = matrix[src]
+        block = rng.standard_normal((1152, q))
+        serial = _kernels.inner_products(matrix, block)
+        for threads in (1, 2, 3):
+            got = _kernels.inner_products(matrix, block, threads=threads)
+            np.testing.assert_array_equal(got, serial)
+            for src, dst in pairs:
+                np.testing.assert_array_equal(got[dst], got[src])
+
+    def test_vector_sweep_unchanged_by_threads(self, rng):
+        matrix = rng.standard_normal((1000, 48)).astype(np.float32)
+        query = rng.standard_normal(48)
+        serial = _kernels.inner_products(matrix, query)
+        for threads in (2, 3, 16):
+            np.testing.assert_array_equal(_kernels.inner_products(matrix, query, threads=threads), serial)
+
+    def test_empty_matrix(self):
+        matrix = np.empty((0, 4), dtype=np.float32)
+        assert _kernels.inner_products(matrix, np.ones((4, 3)), threads=2).shape == (0, 3)
+        assert _kernels.inner_products(matrix, np.ones(4)).shape == (0,)
 
 
 class TestLogistic:

@@ -17,6 +17,7 @@ from comret.errors import (
     ZeroVectorOnNormalize,
 )
 from comret.store import (
+    PackedMatrix,
     build_index,
     load_index,
     parse_embedding_jsonl,
@@ -207,6 +208,15 @@ class TestLoadIndexChecks:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ComretError, match="dim/M"):
             load_index(tmp_path)
+
+    def test_reordered_rows_named_as_such(self, tmp_path):
+        index = make_index([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+        save_index(index, tmp_path)
+        texts = index.texts
+        write_matrix(PackedMatrix(ids=texts.ids[::-1], data=texts.data[::-1]), tmp_path / "texts.cmeb")
+        with pytest.raises(ComretError, match="different row order") as err:
+            load_index(tmp_path)
+        assert not isinstance(err.value, IdSetMismatch)
 
     def test_manifest_must_be_an_object(self, tmp_path):
         save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)

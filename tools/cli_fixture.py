@@ -10,9 +10,12 @@ change leaves every CLI output byte-identical. Wall-clock fields
 removed before hashing.
 
 The fixture: 300 pages x 16 dims, a text channel on another scale, two
-exact-duplicate pages (ties), texts in reverse order; 20 queries with
-distinct image/text channels and qrels, plus the same queries with the
-image channel only (fallback and the ensemble-ucmr error).
+exact-duplicate pairs (ties; one copy sits in the last, partial 128-row
+block of the sweep), texts in reverse order; 21 queries with distinct
+image/text channels and qrels, the last aimed at the tail duplicate, plus
+the same queries with the image channel only (fallback and the
+ensemble-ucmr error). ``ablate`` and ``diagnose`` also run with several
+threads, whose outputs must equal the single-threaded ones.
 """
 
 from __future__ import annotations
@@ -45,11 +48,12 @@ def make_inputs(out: Path) -> None:
     image = rng.standard_normal((pages, dim))
     text = rng.standard_normal((pages, dim)) * 3.0
     image[5], text[5] = image[4], text[4]
+    image[290], text[290] = image[10], text[10]  # a copy in the tail block (rows 256-299)
     write_jsonl(out / "images.jsonl", [{"id": p, "embedding": image[i].tolist()} for i, p in enumerate(ids)])
     write_jsonl(out / "texts.jsonl", [{"id": ids[i], "embedding": text[i].tolist()} for i in reversed(range(pages))])
     queries, image_only, qrels = [], [], []
-    for j in range(20):
-        gold = int(rng.integers(pages))
+    for j in range(21):
+        gold = 10 if j == 20 else int(rng.integers(pages))
         q_image = image[gold] + 0.5 * rng.standard_normal(dim)
         q_text = text[gold] / 3.0 + 0.5 * rng.standard_normal(dim)
         qid = f"q{j:02d}"
@@ -87,8 +91,12 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
         ("eval-json", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", qrels, "--json"]),
         ("ablate", ["ablate", "--index", idx, "--queries", q, "--qrels", qrels, "--modes", ",".join(MODES),
                     "--beta-sweep", "0:1:0.25", "--metrics", "mrr@10,ndcg@5"]),
+        ("ablate-threads", ["ablate", "--index", idx, "--queries", q, "--qrels", qrels, "--modes", ",".join(MODES),
+                            "--beta-sweep", "0:1:0.25", "--metrics", "mrr@10,ndcg@5", "--threads", "2"]),
         ("diagnose", ["diagnose", "--index", idx, "--queries", q, "--bins", "20", "--threads", "2",
                       "--out", o / "diag"]),
+        ("diagnose-threads", ["diagnose", "--index", idx, "--queries", q, "--bins", "20", "--threads", "3",
+                              "--out", o / "diag-threads"]),
         ("train-toy", ["train-toy", "--triplets", o / "triplets.jsonl", "--steps", "30", "--seed", "3",
                        "--out", o / "train"]),
     ]
