@@ -17,12 +17,15 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, Iterable, TypeVar
 
 from . import __version__, diagnostics, fusion, metrics, store, training
 from .core import MODES, FusionConfig
 from .errors import ComretError
 
 DEFAULT_METRICS = "recall@5,ndcg@5,mrr@10"
+
+T = TypeVar("T")
 
 
 def _threads(value: int | None) -> int:
@@ -35,18 +38,19 @@ def _threads(value: int | None) -> int:
         raise ComretError(f"CMRAG_THREADS must be an integer, got {env!r}")
 
 
-def _read_lines(path: str) -> list[str]:
+def _parse(path: str, parser: Callable[[Iterable[str]], T]) -> T:
+    """Run ``parser`` over the lines of a UTF-8 file as they are read."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
+            return parser(fh)
     except UnicodeDecodeError:
         raise ComretError(f"cannot read {path}: not valid UTF-8")
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    images = store.parse_embedding_jsonl(_read_lines(args.images))
-    texts = store.parse_embedding_jsonl(_read_lines(args.texts))
+    images = _parse(args.images, store.parse_embedding_jsonl)
+    texts = _parse(args.texts, store.parse_embedding_jsonl)
     index = store.build_index(images, texts, normalize=args.normalize)
     store.save_index(index, args.out)
     elapsed = time.perf_counter() - started
@@ -57,7 +61,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = FusionConfig(mode=args.mode, alpha=args.alpha, beta=args.beta, top_k=args.k)
     index = store.load_index(args.index)
-    queries = store.parse_query_jsonl(_read_lines(args.queries))
+    queries = _parse(args.queries, store.parse_query_jsonl)
     if not queries:
         raise ComretError("query file contains no queries")
     results = fusion.run_queries(index, queries, cfg, threads=_threads(args.threads))
@@ -67,10 +71,10 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    run = fusion.read_run(_read_lines(args.run))
+    run = _parse(args.run, fusion.read_run)
     if not run:
         raise ComretError("run file is empty")
-    qrels = metrics.read_qrels(_read_lines(args.qrels))
+    qrels = _parse(args.qrels, metrics.read_qrels)
     report = metrics.evaluate_run(run, qrels, args.metrics.split(","))
     metrics.write_report(report, sys.stdout, as_json=args.json)
     if report.missing:
@@ -111,10 +115,10 @@ def _parse_sweep(spec: str) -> list[float]:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     index = store.load_index(args.index)
-    queries = store.parse_query_jsonl(_read_lines(args.queries))
+    queries = _parse(args.queries, store.parse_query_jsonl)
     if not queries:
         raise ComretError("query file contains no queries")
-    qrels = metrics.read_qrels(_read_lines(args.qrels))
+    qrels = _parse(args.qrels, metrics.read_qrels)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes:
         raise ComretError("--modes needs at least one fusion mode")
@@ -142,7 +146,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     index = store.load_index(args.index)
-    queries = store.parse_query_jsonl(_read_lines(args.queries))
+    queries = _parse(args.queries, store.parse_query_jsonl)
     if not queries:
         raise ComretError("query file contains no queries")
     report = diagnostics.modality_divergence_report(
@@ -167,7 +171,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         momentum=args.momentum,
         seed=args.seed,
     )
-    batch = training.load_triplets(_read_lines(args.triplets))
+    batch = _parse(args.triplets, training.load_triplets)
     result = training.train_toy(batch, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

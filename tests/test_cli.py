@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import signal
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +90,21 @@ class TestIngest:
         extra.write_text(images.read_text() + '{"id":"p99","embedding":[0.1,0.2,0.3,0.4]}\n')
         assert run_cli("ingest", "--images", extra, "--texts", texts, "--out", root / "idx2") == 1
         assert "p99" in capsys.readouterr().err
+
+    def test_peak_memory_below_input_size(self, tmp_path, rng):
+        """Lines are parsed as they are read: the whole file is never held."""
+        ids = [f"page-{i}" for i in range(200)]
+        rows = rng.standard_normal((2, len(ids), 1152))
+        images = write_jsonl(tmp_path / "i.jsonl", [embedding_obj(p, r.tolist()) for p, r in zip(ids, rows[0])])
+        texts = write_jsonl(tmp_path / "t.jsonl", [embedding_obj(p, r.tolist()) for p, r in zip(ids, rows[1])])
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli("ingest", "--images", images, "--texts", texts, "--out", tmp_path / "idx") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < max(images.stat().st_size, texts.stat().st_size)
 
     def test_normalize_zero_vector_exits_one(self, tmp_path, capsys):
         images = write_jsonl(tmp_path / "i.jsonl", [embedding_obj("p1", [0.0, 0.0])])
@@ -211,7 +228,8 @@ class TestEval:
 
 class TestIOFailures:
     @pytest.mark.parametrize(
-        "case", ["missing-index", "out-dir-missing", "footer-not-utf8", "manifest-not-json", "queries-not-utf8"]
+        "case",
+        ["missing-index", "out-dir-missing", "footer-not-utf8", "manifest-not-json", "header-row-count", "queries-not-utf8"],
     )
     def test_exits_one_with_error(self, built_index, capsys, case):
         root, idx, queries, _ = built_index
@@ -225,10 +243,22 @@ class TestIOFailures:
             path.write_bytes(path.read_bytes()[:-1] + b"\xff")  # last byte of the last id
         elif case == "manifest-not-json":
             (idx / "manifest.json").write_text("{not json")
+        elif case == "header-row-count":
+            (idx / "images.cmeb").write_bytes(b"CMEB" + struct.pack("<IIQ", 1, 0, 2**64 - 1))
         else:
             queries.write_bytes(b"\xff\xfe")
         assert run_cli("retrieve", "--index", idx, "--queries", queries, "--out", out) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("which", ["images", "texts"])
+    def test_ingest_non_utf8_mid_file(self, workspace, capsys, which):
+        root, images, texts, _, _ = workspace
+        bad = images if which == "images" else texts
+        lines = bad.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"id"', b'"\xff"', 1)  # line 3
+        bad.write_bytes(b"".join(lines))
+        assert run_cli("ingest", "--images", images, "--texts", texts, "--out", root / "idx") == 1
+        assert capsys.readouterr().err == f"error: cannot read {bad}: not valid UTF-8\n"
 
 
 def run_quiet(*argv):

@@ -1,8 +1,11 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from comret.errors import (
     BadMagic,
@@ -17,6 +20,7 @@ from comret.errors import (
     ZeroVectorOnNormalize,
 )
 from comret.store import (
+    MAGIC,
     PackedMatrix,
     build_index,
     load_index,
@@ -27,7 +31,7 @@ from comret.store import (
     write_matrix,
 )
 
-from conftest import make_index
+from conftest import make_index, random_index
 
 
 class TestParseEmbeddingJsonl:
@@ -61,6 +65,52 @@ class TestParseEmbeddingJsonl:
         lines = [f'{{"id":"p{i}","embedding":[{i}.0]}}\n' for i in range(5)]
         records = parse_embedding_jsonl(lines)
         assert [r[0] for r in records] == [f"p{i}" for i in range(5)]
+
+    def test_integers_and_floats_accepted(self):
+        ((_, vec),) = parse_embedding_jsonl(['{"id":"p1","embedding":[1, 2.5]}\n'])
+        assert vec.dtype == np.float32
+        assert vec.tobytes() == np.array([1.0, 2.5], dtype=np.float32).tobytes()
+
+    @pytest.mark.parametrize("entries", ["[1.0, true]", "[false]", "[1.0, null]", '["1.0"]', "[[1.0]]", "[{}]"])
+    def test_non_number_entry_names_its_line(self, entries):
+        lines = ['{"id":"p1","embedding":[1.0, 2.0]}\n', f'{{"id":"p2","embedding":{entries}}}\n']
+        with pytest.raises(MalformedLine, match="non-numeric") as err:
+            parse_embedding_jsonl(lines)
+        assert err.value.line_no == 2
+
+    def test_integer_beyond_float_range_is_non_finite(self):
+        with pytest.raises(NonFiniteValue, match="line 1"):
+            parse_embedding_jsonl(['{"id":"p1","embedding":[1' + "0" * 400 + "]}\n"])
+
+
+def isinstance_row_check(emb):
+    """The per-element predicate the row check replaced: the oracle."""
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in emb)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(json_values, min_size=1, max_size=6))
+def test_row_check_accepts_what_isinstance_accepted(entries):
+    """Through json.dumps and json.loads, so the entries have the exact
+    types a JSONL line yields."""
+    line = json.dumps({"id": "p1", "embedding": entries}) + "\n"
+    emb = json.loads(line)["embedding"]
+    try:
+        parse_embedding_jsonl([line])
+        accepted = True
+    except MalformedLine as exc:
+        assert "non-numeric" in str(exc)
+        accepted = False
+    except NonFiniteValue:  # NaN, an infinity or a float32 overflow: past the row check
+        accepted = True
+    assert accepted == isinstance_row_check(emb)
 
 
 class TestIdsAreTsvSafe:
@@ -177,6 +227,13 @@ class TestMatrixRoundTrip:
         with pytest.raises(TruncatedFile):
             read_matrix(path)
 
+    def test_row_count_beyond_footer(self, tmp_path):
+        # dim 0: no payload, but 2**64 - 1 rows cannot fit their id lengths.
+        path = tmp_path / "rows.cmeb"
+        path.write_bytes(MAGIC + struct.pack("<IIQ", 1, 0, 2**64 - 1))
+        with pytest.raises(TruncatedFile):
+            read_matrix(path)
+
     def test_truncated_footer(self, tmp_path):
         idx = make_index([[1.0]], [[1.0]], ids=["a-long-page-id"])
         path = tmp_path / "trunc2.cmeb"
@@ -190,6 +247,48 @@ class TestMatrixRoundTrip:
         idx = make_index([[1.0]], [[1.0]], ids=["página-β"])
         write_matrix(idx.images, tmp_path / "u.cmeb")
         assert read_matrix(tmp_path / "u.cmeb").ids == ("página-β",)
+
+
+def valid_cmeb(rows, dim, ids):
+    return (
+        MAGIC
+        + struct.pack("<IIQ", 1, dim, rows)
+        + np.arange(rows * dim, dtype="<f4").tobytes()
+        + b"".join(struct.pack("<I", len(raw)) + raw for raw in (i.encode() for i in ids))
+    )
+
+
+@st.composite
+def damaged_cmeb(draw):
+    """A valid file, then truncated, with a flipped header or footer byte,
+    or with extra bytes at the end."""
+    rows, dim = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    ids = draw(st.lists(st.text(max_size=3), min_size=rows, max_size=rows))
+    raw = bytearray(valid_cmeb(rows, dim, ids))
+    damage = draw(st.sampled_from(["none", "truncate", "flip-header", "flip-footer", "extend"]))
+    if damage == "truncate":
+        del raw[draw(st.integers(0, len(raw) - 1)) :]
+    elif damage == "flip-header":
+        raw[draw(st.integers(0, 19))] ^= draw(st.integers(1, 255))
+    elif damage == "flip-footer" and len(raw) > 20 + rows * dim * 4:
+        raw[draw(st.integers(20 + rows * dim * 4, len(raw) - 1))] ^= draw(st.integers(1, 255))
+    elif damage == "extend":
+        raw += draw(st.binary(min_size=1, max_size=8))
+    return bytes(raw)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=64) | damaged_cmeb())
+@example(raw=MAGIC + struct.pack("<IIQ", 1, 0, 2**64 - 1))
+def test_fuzzed_cmeb_reads_or_raises_comret_error(tmp_path, raw):
+    path = tmp_path / "fuzz.cmeb"
+    path.write_bytes(raw)
+    try:
+        matrix = read_matrix(path)
+    except ComretError:
+        return
+    assert matrix.data.shape[0] == len(matrix.ids)
+    assert matrix.data.dtype == np.float32 and not matrix.data.flags.writeable
 
 
 class TestLoadIndexChecks:
@@ -247,3 +346,18 @@ class TestParseQueryJsonl:
         line = '{"query_id":"q1","embeddings":{"image-query":[1.0]}}\n'
         with pytest.raises(DuplicateId):
             parse_query_jsonl([line, line])
+
+
+def test_load_index_peak_memory_near_matrix_bytes(tmp_path, rng):
+    """Each payload is read once, into its final array."""
+    pages, dim = 1000, 1024
+    save_index(random_index(rng, pages, dim), tmp_path)
+    tracemalloc.start()
+    try:
+        index = load_index(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = index.images.data.nbytes + index.texts.data.nbytes
+    assert matrix_bytes == 2 * pages * dim * 4
+    assert peak <= 1.1 * matrix_bytes

@@ -15,7 +15,11 @@ block of the sweep), texts in reverse order; 21 queries with distinct
 image/text channels and qrels, the last aimed at the tail duplicate, plus
 the same queries with the image channel only (fallback and the
 ensemble-ucmr error). ``ablate`` and ``diagnose`` also run with several
-threads, whose outputs must equal the single-threaded ones.
+threads, whose outputs must equal the single-threaded ones. Three inputs
+must fail with exit code 1: an images file whose second embedding holds
+``true``, one with a non-UTF-8 byte on line 151, and an index whose
+``images.cmeb`` header claims 2**64 - 1 rows of dim 0. The ``--out``
+directory is written as ``OUT`` in stdout and stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -49,7 +54,14 @@ def make_inputs(out: Path) -> None:
     text = rng.standard_normal((pages, dim)) * 3.0
     image[5], text[5] = image[4], text[4]
     image[290], text[290] = image[10], text[10]  # a copy in the tail block (rows 256-299)
-    write_jsonl(out / "images.jsonl", [{"id": p, "embedding": image[i].tolist()} for i, p in enumerate(ids)])
+    images = [{"id": p, "embedding": image[i].tolist()} for i, p in enumerate(ids)]
+    write_jsonl(out / "images.jsonl", images)
+    write_jsonl(out / "images_bool.jsonl", images[:1] + [{"id": ids[1], "embedding": [True, *image[1][1:]]}] + images[2:])
+    lines = (out / "images.jsonl").read_bytes().splitlines(keepends=True)
+    lines[150] = lines[150].replace(b'"id"', b'"\xffid"', 1)  # past the first read chunk
+    (out / "images_not_utf8.jsonl").write_bytes(b"".join(lines))
+    (out / "idx-corrupt").mkdir()
+    (out / "idx-corrupt" / "images.cmeb").write_bytes(b"CMEB" + struct.pack("<IIQ", 1, 0, 2**64 - 1))
     write_jsonl(out / "texts.jsonl", [{"id": ids[i], "embedding": text[i].tolist()} for i in reversed(range(pages))])
     queries, image_only, qrels = [], [], []
     for j in range(21):
@@ -75,6 +87,12 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
         ("ingest", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts.jsonl", "--out", idx]),
         ("ingest-normalize", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts.jsonl",
                               "--normalize", "--out", idxn]),
+        ("ingest-bool", ["ingest", "--images", o / "images_bool.jsonl", "--texts", o / "texts.jsonl",
+                         "--out", o / "idx-bool"]),
+        ("ingest-not-utf8", ["ingest", "--images", o / "images_not_utf8.jsonl", "--texts", o / "texts.jsonl",
+                             "--out", o / "idx-not-utf8"]),
+        ("retrieve-corrupt-header", ["retrieve", "--index", o / "idx-corrupt", "--queries", q,
+                                     "--out", o / "run-corrupt-header.tsv"]),
     ]
     for m in MODES:
         cmds += [
@@ -118,8 +136,8 @@ def main() -> int:
     for name, argv in commands(out):
         proc = subprocess.run([sys.executable, "-m", "comret.cli", *argv], env=env, capture_output=True, text=True)
         stdout = re.sub(r" elapsed=[0-9.]+s", "", proc.stdout) if name.startswith("ingest") else proc.stdout
-        (out / f"{name}.stdout").write_text(stdout, encoding="utf-8")
-        (out / f"{name}.stderr").write_text(proc.stderr, encoding="utf-8")
+        (out / f"{name}.stdout").write_text(stdout.replace(str(out), "OUT"), encoding="utf-8")
+        (out / f"{name}.stderr").write_text(proc.stderr.replace(str(out), "OUT"), encoding="utf-8")
         (out / f"{name}.code").write_text(f"{proc.returncode}\n", encoding="utf-8")
     for manifest in out.glob("*/manifest.json"):
         data = json.loads(manifest.read_text(encoding="utf-8"))
