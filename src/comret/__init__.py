@@ -6,8 +6,11 @@ normalized per query (logistic squash then population z-score) and
 blended, and the ranking is evaluated with standard retrieval metrics.
 A toy trainer for the pairwise sigmoid alignment objective is included.
 The package is pure Python on NumPy, with one scoring path.
+``KERNEL_BACKEND`` names it: ``"numpy+blas-cap"`` when multi-threaded
+sweeps can hold NumPy's bundled OpenBLAS at one thread, else ``"numpy"``.
 """
 
+from . import _kernels
 from .core import (
     MODES,
     FusionConfig,
@@ -56,3 +59,10 @@ __all__ = [
     "zscore_normalize",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> str:
+    # Looked up on first use, so importing the package opens no library.
+    if name == "KERNEL_BACKEND":
+        return "numpy" if _kernels.blas_cap() is None else "numpy+blas-cap"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,11 +6,24 @@ rows. The sweep upcasts a few rows at a time into a float64 block small
 enough to stay in cache and hands each block to BLAS together with every
 query of the batch, so the float64 copy of the matrix is never
 materialized and each upcast is shared by all the queries.
+
+This module owns the sweep's thread count: ``threads=None`` means every
+core this process may run on (``default_threads``). While a sweep runs on
+more than one thread, NumPy's bundled OpenBLAS is held at one thread of
+its own (``blas_cap``), so the two kinds of threads do not compete for
+the cores; no score depends on either count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +38,66 @@ SIGMOID_CEIL = 0.9999999999999999
 _BLOCK_ROWS = 128
 
 
-def inner_products(matrix: np.ndarray, query: np.ndarray, threads: int = 1) -> np.ndarray:
+def default_threads() -> int:
+    """The sweep's thread count when none is given: the usable cores."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class BlasCap:
+    """Holds a BLAS library at one thread while any capped sweep runs.
+
+    The library's thread count is process-wide, so overlapping sweeps
+    share one cap: the first to enter saves the count and sets 1, the
+    last to leave restores the saved count.
+    """
+
+    def __init__(self, get_threads: Callable[[], int], set_threads: Callable[[int], None]):
+        self.get_threads = get_threads
+        self.set_threads = set_threads
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._saved = self.get_threads()
+                self.set_threads(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                self.set_threads(self._saved)
+
+
+@functools.cache
+def blas_cap() -> BlasCap | None:
+    """The cap on NumPy's bundled OpenBLAS, found on first use.
+
+    None when the wheel carries no OpenBLAS with these thread-count
+    functions; sweeps then run uncapped, slower but with the same bits.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # already loaded by NumPy: the same handle
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return BlasCap(get, set_)
+    return None
+
+
+def inner_products(matrix: np.ndarray, query: np.ndarray, threads: int | None = None) -> np.ndarray:
     """Inner product of each query with every row of ``matrix``.
 
     matrix is (count, dim) float32; query is one (dim,) float64 vector or
@@ -36,9 +108,10 @@ def inner_products(matrix: np.ndarray, query: np.ndarray, threads: int = 1) -> n
     is computed as the last full block, overlapping the one before it.
     A matrix product may sum a short block in another order, so without
     this two equal rows could score differently in the last bit. With
-    ``threads`` > 1 the blocks are shared out between that many threads;
-    each block is computed the same way, so the result does not depend on
-    the thread count.
+    ``threads`` > 1 (None: ``default_threads()``) the blocks are shared
+    out between that many threads, with BLAS capped at one thread; each
+    block is computed the same way, so the result does not depend on
+    either thread count.
     """
     count = matrix.shape[0]
     out = np.empty((count, *query.shape[1:]), dtype=np.float64)
@@ -60,13 +133,15 @@ def inner_products(matrix: np.ndarray, query: np.ndarray, threads: int = 1) -> n
             else:
                 np.dot(block, query, out=out[lo : lo + rows])
 
+    if threads is None:
+        threads = default_threads()
     workers = max(1, min(threads, len(starts)))
     if workers == 1:
         sweep(starts)
     else:
         # Contiguous runs of blocks, one per worker.
         bounds = [len(starts) * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with blas_cap() or contextlib.nullcontext(), ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(sweep, [starts[a:b] for a, b in zip(bounds, bounds[1:])]))
     return out
 

@@ -2,10 +2,10 @@
 -> train-toy.
 
 Exit code 0 on success, 1 on any domain error (messages go to stderr).
-Data goes to stdout or the --out target. Query scoring honors --threads,
-falling back to the CMRAG_THREADS environment variable, then to 1: the
-threads split each sweep's page rows, and no output byte depends on their
-number.
+Data goes to stdout or the --out target. Query scoring (retrieve, ablate,
+diagnose) splits each sweep's page rows between --threads N threads,
+every core the process may run on by default; no output byte depends on
+their number.
 """
 
 from __future__ import annotations
@@ -13,29 +13,24 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-from . import __version__, diagnostics, fusion, metrics, store, training
+from . import __version__, _kernels, diagnostics, fusion, metrics, store, training
 from .core import MODES, FusionConfig
 from .errors import ComretError
 
 DEFAULT_METRICS = "recall@5,ndcg@5,mrr@10"
+THREADS_HELP = "threads per sweep (default: the usable cores); no output depends on it"
 
 T = TypeVar("T")
 
 
 def _threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("CMRAG_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        raise ComretError(f"CMRAG_THREADS must be an integer, got {env!r}")
+    """--threads, or the usable cores when it is not given."""
+    return _kernels.default_threads() if value is None else max(1, value)
 
 
 def _parse(path: str, parser: Callable[[Iterable[str]], T]) -> T:
@@ -206,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5, help="text weight for raw-linear")
     p.add_argument("--beta", type=float, default=0.1, help="text weight for normalized fusion")
     p.add_argument("--k", type=int, default=3, help="ranking depth")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p.add_argument("--out", required=True, help="run TSV output path")
     p.set_defaults(fn=cmd_retrieve)
 
@@ -227,14 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--metrics", default="mrr@10")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("diagnose", help="pooled score-distribution report for both modalities")
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--bins", type=int, default=diagnostics.DEFAULT_BINS)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_diagnose)
 

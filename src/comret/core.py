@@ -54,10 +54,15 @@ MODES = tuple(MODE_SPECS)
 def as_embedding(values: Sequence[float] | np.ndarray, where: str = "embedding") -> np.ndarray:
     """Convert ``values`` to a validated, read-only float32 vector.
 
-    Raises NonFiniteValue if any entry is NaN or infinite, ComretError if
-    the vector is empty or not one-dimensional.
+    Raises NonFiniteValue if any entry is NaN, infinite or beyond float32
+    range, ComretError if the vector is empty or not one-dimensional.
     """
-    arr = np.asarray(values, dtype=EMBEDDING_DTYPE)
+    try:
+        # A value beyond float32 becomes inf, rejected below, not a warning.
+        with np.errstate(over="ignore"):
+            arr = np.asarray(values, dtype=EMBEDDING_DTYPE)
+    except OverflowError:  # an integer beyond float64
+        raise NonFiniteValue(where)
     if arr.ndim != 1 or arr.size == 0:
         raise ComretError(f"{where}: expected a non-empty 1-d vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():

@@ -109,13 +109,13 @@ def modality_divergence_report(
     index: IndexDirectory,
     queries: Sequence[QueryRecord],
     num_bins: int = DEFAULT_BINS,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> DivergenceReport:
     """Pool per-(query, page) z-scored scores for both modalities and
     compare their empirical distributions.
 
     Both modalities are swept once per block of queries (``score_queries``);
-    ``threads`` split each sweep's page rows.
+    ``threads`` split each sweep's page rows (None: every usable core).
     """
     if not queries:
         raise EmptyInput("need at least one query")

@@ -38,11 +38,12 @@ QUERY_BLOCK = 32
 RUN_COLUMNS = ("query_id", "page_id", "rank", "fused_score", "image_score", "text_score", "mode")
 
 
-def inner_product_scores(query: np.ndarray, matrix: PackedMatrix, threads: int = 1) -> np.ndarray:
+def inner_product_scores(query: np.ndarray, matrix: PackedMatrix, threads: int | None = None) -> np.ndarray:
     """Raw scores: one float64-accumulated inner product per page.
 
     query is one (dim,) vector, giving (M,) scores, or a (dim, Q) block of
-    Q queries, giving (M, Q). ``threads`` split the sweep's page rows.
+    Q queries, giving (M, Q). ``threads`` split the sweep's page rows
+    (None: every usable core, see ``_kernels.default_threads``).
     """
     q = np.asarray(query, dtype=np.float64)
     if q.ndim not in (1, 2) or q.shape[0] != matrix.dim:
@@ -119,7 +120,7 @@ def score_queries(
     queries: Sequence[QueryRecord],
     modalities: Sequence[str],
     normalized: Sequence[str] = (),
-    threads: int = 1,
+    threads: int | None = None,
 ) -> Iterator[QueryScores]:
     """Per-page scores of every query, in input order.
 
@@ -127,7 +128,8 @@ def score_queries(
     each query's ``vector_for_sweep`` vector (callers check that it
     exists). A block of one query is swept with its vector, the
     matrix-vector product ``retrieve`` has always used. ``threads`` split
-    each sweep's page rows; no score depends on their number.
+    each sweep's page rows (None: every usable core); no score depends on
+    their number.
     """
     for lo in range(0, len(queries), QUERY_BLOCK):
         block = queries[lo : lo + QUERY_BLOCK]
@@ -142,7 +144,9 @@ def score_queries(
         del raw, squashed  # not alive while the next block is swept
 
 
-def _sweep_block(block: Sequence[QueryRecord], index: IndexDirectory, modality: str, threads: int) -> np.ndarray:
+def _sweep_block(
+    block: Sequence[QueryRecord], index: IndexDirectory, modality: str, threads: int | None
+) -> np.ndarray:
     """(len(block), M) raw scores of one modality, one contiguous row per query."""
     matrix = index.images if modality == "image" else index.texts
     vectors = [q.vector_for_sweep(modality) for q in block]
@@ -158,7 +162,7 @@ def rank_queries(
     index: IndexDirectory,
     queries: Sequence[QueryRecord],
     cfgs: Sequence[FusionConfig],
-    threads: int = 1,
+    threads: int | None = None,
 ) -> Iterator[tuple[RankedResult, ...]]:
     """Rank every query under every config; yields, per query in input
     order, one result per config.
@@ -228,10 +232,10 @@ def run_queries(
     index: IndexDirectory,
     queries: Sequence[QueryRecord],
     cfg: FusionConfig,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> list[RankedResult]:
     """Retrieve every query, output sorted by query_id; ``threads`` split
-    each sweep's page rows."""
+    each sweep's page rows (None: every usable core)."""
     results = [result for (result,) in rank_queries(index, queries, [cfg], threads)]
     results.sort(key=lambda r: r.query_id)
     return results

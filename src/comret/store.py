@@ -20,10 +20,11 @@ import json
 import os
 import struct
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, Iterable, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -105,7 +106,7 @@ def _check_id(value: object, key: str, line_no: int) -> str:
     return value
 
 
-def parse_embedding_jsonl(stream: TextIO | BinaryIO | Iterable[str]) -> list[Record]:
+def parse_embedding_jsonl(stream: TextIO | Iterable[str]) -> list[Record]:
     """Parse an embedding JSONL stream, rejecting the whole file on any bad line.
 
     Returns (id, float32 vector) records in file order. Blank lines are
@@ -115,11 +116,6 @@ def parse_embedding_jsonl(stream: TextIO | BinaryIO | Iterable[str]) -> list[Rec
     records: list[Record] = []
     expected_dim: int | None = None
     for line_no, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                raise MalformedLine(line_no, "not valid UTF-8")
         if not line.strip():
             continue
         try:
@@ -136,7 +132,9 @@ def parse_embedding_jsonl(stream: TextIO | BinaryIO | Iterable[str]) -> list[Rec
         if not set(map(type, emb)) <= _NUMBER_TYPES:
             raise MalformedLine(line_no, '"embedding" contains a non-numeric entry')
         try:
-            vec = np.asarray(emb, dtype=EMBEDDING_DTYPE)
+            # A value beyond float32 becomes inf, rejected below, not a warning.
+            with np.errstate(over="ignore"):
+                vec = np.asarray(emb, dtype=EMBEDDING_DTYPE)
         except OverflowError:  # an integer literal beyond float64
             raise NonFiniteValue(f"line {line_no}")
         if expected_dim is None:
@@ -315,10 +313,15 @@ def save_index(index: IndexDirectory, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> IndexDirectory:
-    """Read an index directory and check that its three files agree."""
+    """Read an index directory and check that its three files agree.
+
+    The two matrix files are read at once, on two threads (``readinto``
+    releases the GIL); if both are bad, the images file's error is raised.
+    """
     root = Path(path)
-    images = read_matrix(root / IMAGES_FILE)
-    texts = read_matrix(root / TEXTS_FILE)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        reads = [pool.submit(read_matrix, root / name) for name in (IMAGES_FILE, TEXTS_FILE)]
+    images, texts = (read.result() for read in reads)
     manifest_path = root / MANIFEST_FILE
     with open(manifest_path, encoding="utf-8") as fh:
         try:

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .errors import ComretError, DimMismatch, MalformedLine
+from .errors import ComretError, DimMismatch, MalformedLine, NonFiniteValue
 
 
 class NonDecreasingLossWarning(UserWarning):
@@ -194,7 +194,13 @@ def load_triplets(lines: Iterable[str]) -> TripletBatch:
                 raise MalformedLine(line_no, f'"{key}" must be a non-empty numeric array')
             if rows and len(rows[0]) != len(vec):
                 raise DimMismatch(len(rows[0]), len(vec), where=f'line {line_no} "{key}"')
-            rows.append(vec)
+            try:
+                row = np.asarray(vec, dtype=np.float64)
+            except OverflowError:  # an integer beyond float64
+                raise NonFiniteValue(f'line {line_no} "{key}"')
+            if not np.isfinite(row).all():
+                raise NonFiniteValue(f'line {line_no} "{key}"')
+            rows.append(row)
     if not rows_q:
         raise ComretError("triplet file contains no records")
     return TripletBatch(

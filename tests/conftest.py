@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from comret import _kernels
 from comret.core import QueryRecord, as_embedding
 from comret.store import IndexDirectory, build_index
 
@@ -47,3 +50,18 @@ def write_jsonl(path, objects):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Three usable cores; lists the worker count of every sweep's thread pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    sizes = []
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", SpyPool)
+    return sizes

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import signal
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -155,10 +158,19 @@ class TestRetrieve:
         assert code == 1
         assert "text-query" in capsys.readouterr().err
 
-    def test_env_thread_fallback(self, built_index, monkeypatch):
-        root, idx, queries, _ = built_index
-        monkeypatch.setenv("CMRAG_THREADS", "2")
-        assert run_cli("retrieve", "--index", idx, "--queries", queries, "--out", root / "env.tsv") == 0
+    def test_default_threads_write_the_bytes_of_one(self, tmp_path, rng, pool_sizes):
+        # 400 pages: four sweep blocks, so the default's three threads each get some.
+        pages = [f"p{i}" for i in range(400)]
+        images = write_jsonl(tmp_path / "i.jsonl", [embedding_obj(p, rng.standard_normal(4).tolist()) for p in pages])
+        texts = write_jsonl(tmp_path / "t.jsonl", [embedding_obj(p, rng.standard_normal(4).tolist()) for p in pages])
+        queries = write_jsonl(tmp_path / "q.jsonl", [query_obj(f"q{i}", rng.standard_normal(4).tolist()) for i in range(5)])
+        assert run_cli("ingest", "--images", images, "--texts", texts, "--out", tmp_path / "idx") == 0
+        default, one = tmp_path / "default.tsv", tmp_path / "one.tsv"
+        assert run_cli("retrieve", "--index", tmp_path / "idx", "--queries", queries, "--out", default) == 0
+        assert pool_sizes == [3, 3]
+        assert run_cli("retrieve", "--index", tmp_path / "idx", "--queries", queries, "--threads", "1", "--out", one) == 0
+        assert pool_sizes == [3, 3]
+        assert default.read_bytes() == one.read_bytes()
 
     def test_four_page_fixture_top_page(self, tmp_path):
         # Image scores [0, 1, 0.5, 0], constant text channel: p2 must rank
@@ -259,6 +271,55 @@ class TestIOFailures:
         bad.write_bytes(b"".join(lines))
         assert run_cli("ingest", "--images", images, "--texts", texts, "--out", root / "idx") == 1
         assert capsys.readouterr().err == f"error: cannot read {bad}: not valid UTF-8\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Numbers beyond float32 or float64, as JSON text.
+BIG_INT = pytest.param("1" + "0" * 400, id="int-beyond-float64")
+OUT_OF_RANGE = [BIG_INT, pytest.param("1e39", id="beyond-float32"), pytest.param("1e400", id="beyond-float64")]
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so stderr is what a user sees:
+    (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "comret.cli", *map(str, argv)], env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestOutOfRangeNumbers:
+    """A number no embedding can hold is a one-line error, with no
+    traceback or NumPy warning ahead of it."""
+
+    @pytest.mark.parametrize("number", OUT_OF_RANGE)
+    def test_ingest(self, workspace, number):
+        root, images, texts, _, _ = workspace
+        lines = images.read_text().splitlines(keepends=True)
+        lines[1] = f'{{"id": "p2", "embedding": [{number}, 0.0, 0.0, 0.0]}}\n'
+        images.write_text("".join(lines))
+        code, out, err = run_process("ingest", "--images", images, "--texts", texts, "--out", root / "idx")
+        assert (code, out) == (1, "")
+        assert err == "error: non-finite value in line 2\n"
+
+    @pytest.mark.parametrize("number", OUT_OF_RANGE)
+    def test_retrieve_query(self, built_index, number):
+        root, idx, _, _ = built_index
+        queries = root / "bad-queries.jsonl"
+        queries.write_text(f'{{"query_id": "q1", "embeddings": {{"image-query": [{number}, 1.0, 0.0, 0.0]}}}}\n')
+        code, out, err = run_process("retrieve", "--index", idx, "--queries", queries, "--out", root / "run.tsv")
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: non-finite value in line 1 channel 'image-query'\n"
+
+    @pytest.mark.parametrize("number", [BIG_INT, pytest.param("1e400", id="beyond-float64")])
+    def test_train_toy_triplets(self, tmp_path, number):
+        triplets = tmp_path / "triplets.jsonl"
+        triplets.write_text('{"q": [1.0], "i": [1.0], "t": [1.0]}\n' f'{{"q": [1.0], "i": [{number}], "t": [1.0]}}\n')
+        code, out, err = run_process("train-toy", "--triplets", triplets, "--out", tmp_path / "train")
+        assert (code, out) == (1, "")
+        assert err == 'error: non-finite value in line 2 "i"\n'
 
 
 def run_quiet(*argv):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,13 @@ class TestAsEmbedding:
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteValue):
             as_embedding([1.0, float("nan")])
+
+    @pytest.mark.parametrize("value", [10**400, 1e39, float("inf")])
+    def test_rejects_values_beyond_float32_without_a_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue):
+                as_embedding([value, 1.0])
 
     def test_rejects_empty(self):
         with pytest.raises(ComretError):

@@ -1,11 +1,17 @@
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import comret
 from comret import _kernels
+from comret.core import FusionConfig
+from comret.diagnostics import modality_divergence_report
+from comret.fusion import retrieve
 
 import reference
+from conftest import random_index, unified_query
 
 
 class TestInnerProducts:
@@ -110,6 +116,141 @@ class TestQueryBlock:
         matrix = np.empty((0, 4), dtype=np.float32)
         assert _kernels.inner_products(matrix, np.ones((4, 3)), threads=2).shape == (0, 3)
         assert _kernels.inner_products(matrix, np.ones(4)).shape == (0,)
+
+
+class TestDefaultThreads:
+    """With no thread count given, every entry point sweeps on the usable
+    cores (three here, by ``pool_sizes``); 400 pages are four blocks."""
+
+    def test_usable_cores(self, pool_sizes):
+        assert _kernels.default_threads() == 3
+
+    def test_retrieve(self, rng, pool_sizes):
+        index = random_index(rng, pages=400, dim=4)
+        retrieve(unified_query("q", rng.standard_normal(4).tolist()), index, FusionConfig(mode="ucmr"))
+        assert pool_sizes == [3, 3]
+
+    def test_divergence_report(self, rng, pool_sizes):
+        index = random_index(rng, pages=400, dim=4)
+        queries = [unified_query(f"q{i}", rng.standard_normal(4).tolist()) for i in range(2)]
+        modality_divergence_report(index, queries)
+        assert pool_sizes == [3, 3]
+
+
+class FakeBlas:
+    """A BLAS thread count behind get/set functions that log every set."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.sets = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.sets.append(n)
+        self.threads = n
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    blas = FakeBlas(threads=4)
+    cap = _kernels.BlasCap(blas.get, blas.set)
+    monkeypatch.setattr(_kernels, "blas_cap", lambda: cap)
+    return blas
+
+
+class TestBlasCap:
+    def test_multi_threaded_sweep_caps_then_restores(self, rng, fake_blas):
+        matrix = rng.standard_normal((1000, 8)).astype(np.float32)
+        _kernels.inner_products(matrix, rng.standard_normal(8), threads=2)
+        assert fake_blas.sets == [1, 4]
+
+    def test_single_threaded_sweep_leaves_blas_alone(self, rng, fake_blas):
+        matrix = rng.standard_normal((1000, 8)).astype(np.float32)
+        _kernels.inner_products(matrix, rng.standard_normal(8), threads=1)
+        assert fake_blas.sets == []
+
+    def test_restored_after_a_sweep_that_raises(self, rng, fake_blas):
+        matrix = rng.standard_normal((1000, 8)).astype(np.float32)
+        with pytest.raises(ValueError):
+            _kernels.inner_products(matrix, rng.standard_normal(9), threads=2)
+        assert fake_blas.sets == [1, 4]
+        _kernels.inner_products(matrix, rng.standard_normal(8), threads=2)
+        assert fake_blas.sets == [1, 4, 1, 4]
+
+    def test_overlapping_holds_restore_once(self):
+        blas = FakeBlas(threads=3)
+        cap = _kernels.BlasCap(blas.get, blas.set)
+        with cap:
+            with cap:
+                assert blas.threads == 1
+            assert blas.threads == 1
+        assert blas.sets == [1, 3]
+
+    def test_many_threads_never_lose_the_count(self):
+        # More holders than cores and a short switch interval, so a lost
+        # update of the hold count would leave BLAS capped or restore early.
+        blas = FakeBlas(threads=2)
+        cap = _kernels.BlasCap(blas.get, blas.set)
+        capped = []
+
+        def hold():
+            for _ in range(300):
+                with cap:
+                    capped.append(blas.threads == 1)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hold) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(capped) == 8 * 300 and all(capped)
+        assert blas.threads == 2 and blas.sets.count(2) == blas.sets.count(1)
+
+    def test_real_library_count_restored(self, rng):
+        cap = _kernels.blas_cap()
+        if cap is None:
+            pytest.skip("NumPy's BLAS exposes no thread-count functions")
+        before = cap.get_threads()
+        matrix = rng.standard_normal((1000, 8)).astype(np.float32)
+        try:
+            cap.set_threads(2)
+            _kernels.inner_products(matrix, rng.standard_normal((8, 4)), threads=2)
+            assert cap.get_threads() == 2
+            with pytest.raises(ValueError):
+                _kernels.inner_products(matrix, rng.standard_normal((9, 4)), threads=2)
+            assert cap.get_threads() == 2
+        finally:
+            cap.set_threads(before)
+
+    @pytest.mark.parametrize("q", [1, 8, 17, 32])
+    def test_capped_uncapped_and_absent_give_identical_bits(self, rng, monkeypatch, q):
+        matrix = rng.standard_normal((2000, 96)).astype(np.float32)
+        query = rng.standard_normal(96) if q == 1 else rng.standard_normal((96, q))
+        want = _kernels.inner_products(matrix, query, threads=1)
+        cap = _kernels.blas_cap()
+        if cap is not None:
+            before = cap.get_threads()
+            try:
+                for blas_threads in (1, 2):
+                    cap.set_threads(blas_threads)
+                    for threads in (1, 2):
+                        np.testing.assert_array_equal(_kernels.inner_products(matrix, query, threads=threads), want)
+            finally:
+                cap.set_threads(before)
+        monkeypatch.setattr(_kernels, "blas_cap", lambda: None)
+        np.testing.assert_array_equal(_kernels.inner_products(matrix, query, threads=2), want)
+
+    def test_backend_says_whether_the_cap_attached(self):
+        want = "numpy" if _kernels.blas_cap() is None else "numpy+blas-cap"
+        assert comret.KERNEL_BACKEND == want
 
 
 class TestLogistic:

@@ -1,5 +1,6 @@
 import json
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from comret import store
 from comret.errors import (
     BadMagic,
     ComretError,
@@ -292,6 +294,34 @@ def test_fuzzed_cmeb_reads_or_raises_comret_error(tmp_path, raw):
 
 
 class TestLoadIndexChecks:
+    def test_both_matrices_bad_reports_images(self, tmp_path):
+        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
+        (tmp_path / "images.cmeb").write_bytes(b"NOPE" + b"\x00" * 32)
+        (tmp_path / "texts.cmeb").write_bytes(b"CMEB")
+        with pytest.raises(BadMagic):
+            load_index(tmp_path)
+
+    def test_images_error_wins_when_texts_fails_first(self, tmp_path, monkeypatch):
+        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
+        texts_failed = threading.Event()
+
+        def read_matrix_texts_first(path):
+            if path.name == "texts.cmeb":
+                texts_failed.set()
+                raise TruncatedFile("texts")
+            assert texts_failed.wait(timeout=10)
+            raise BadMagic("images")
+
+        monkeypatch.setattr(store, "read_matrix", read_matrix_texts_first)
+        with pytest.raises(BadMagic, match="images"):
+            load_index(tmp_path)
+
+    def test_only_texts_bad_reports_texts(self, tmp_path):
+        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
+        (tmp_path / "texts.cmeb").write_bytes(b"CMEB")
+        with pytest.raises(TruncatedFile):
+            load_index(tmp_path)
+
     def test_modality_dims_must_agree(self, tmp_path):
         save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
         write_matrix(make_index([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]]).texts, tmp_path / "texts.cmeb")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from comret.errors import ComretError, MalformedLine
+from comret.errors import ComretError, MalformedLine, NonFiniteValue
 from comret.training import (
     NonDecreasingLossWarning,
     ToyEncoders,
@@ -277,3 +277,9 @@ class TestLoadTriplets:
     def test_empty_file_rejected(self):
         with pytest.raises(ComretError):
             load_triplets([])
+
+    @pytest.mark.parametrize("number", ["1" + "0" * 400, "1e400", "NaN"])
+    def test_non_finite_value_names_line_and_key(self, number):
+        lines = ['{"q":[1.0],"i":[1.0],"t":[1.0]}\n', f'{{"q":[1.0],"i":[1.0],"t":[{number}]}}\n']
+        with pytest.raises(NonFiniteValue, match='line 2 "t"'):
+            load_triplets(lines)
