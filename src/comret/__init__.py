@@ -17,7 +17,6 @@ from .core import (
     QueryRecord,
     RankedEntry,
     RankedResult,
-    as_embedding,
 )
 from .errors import ComretError
 from .fusion import (
@@ -42,7 +41,6 @@ __all__ = [
     "QueryRecord",
     "RankedEntry",
     "RankedResult",
-    "as_embedding",
     "blend",
     "build_index",
     "evaluate_run",

@@ -7,12 +7,12 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .errors import ComretError, NonFiniteValue
+from .errors import ComretError
 
 EMBEDDING_DTYPE = np.float32
 
@@ -51,30 +51,9 @@ MODE_SPECS = {
 MODES = tuple(MODE_SPECS)
 
 
-def as_embedding(values: Sequence[float] | np.ndarray, where: str = "embedding") -> np.ndarray:
-    """Convert ``values`` to a validated, read-only float32 vector.
-
-    Raises NonFiniteValue if any entry is NaN, infinite or beyond float32
-    range, ComretError if the vector is empty or not one-dimensional.
-    """
-    try:
-        # A value beyond float32 becomes inf, rejected below, not a warning.
-        with np.errstate(over="ignore"):
-            arr = np.asarray(values, dtype=EMBEDDING_DTYPE)
-    except OverflowError:  # an integer beyond float64
-        raise NonFiniteValue(where)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ComretError(f"{where}: expected a non-empty 1-d vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue(where)
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class QueryRecord:
-    """A query with one embedding per channel and optional gold page ids.
+    """A query with one embedding per channel.
 
     With a unified encoder both channels hold the same vector; the two
     channels only differ in the dual-encoder ensemble setup where the
@@ -82,9 +61,7 @@ class QueryRecord:
     """
 
     query_id: str
-    text: str
     channel_embs: Mapping[str, np.ndarray]
-    gold_page_ids: frozenset[str] = field(default_factory=frozenset)
 
     def channel(self, name: str) -> np.ndarray | None:
         return self.channel_embs.get(name)

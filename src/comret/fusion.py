@@ -126,10 +126,8 @@ def score_queries(
 
     Each modality is swept once per block of QUERY_BLOCK queries, with
     each query's ``vector_for_sweep`` vector (callers check that it
-    exists). A block of one query is swept with its vector, the
-    matrix-vector product ``retrieve`` has always used. ``threads`` split
-    each sweep's page rows (None: every usable core); no score depends on
-    their number.
+    exists). ``threads`` split each sweep's page rows (None: every usable
+    core); no score depends on their number.
     """
     for lo in range(0, len(queries), QUERY_BLOCK):
         block = queries[lo : lo + QUERY_BLOCK]
@@ -153,8 +151,6 @@ def _sweep_block(
     for vec in vectors:
         if vec.shape != (matrix.dim,):
             raise DimMismatch(matrix.dim, vec.shape[0], where="query")
-    if len(vectors) == 1:
-        return inner_product_scores(vectors[0], matrix, threads)[None, :]
     return np.ascontiguousarray(inner_product_scores(np.stack(vectors, axis=1), matrix, threads).T)
 
 

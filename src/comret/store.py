@@ -1,8 +1,10 @@
-"""Offline index construction and persistence.
+"""Offline index construction and persistence, and the JSONL readers.
 
 Embeddings arrive as JSONL (one ``{"id": ..., "embedding": [...]}`` object
 per line) and are packed into two aligned row-major float32 matrices, one
 per modality, so the online scoring pass is a single sequential sweep.
+Page, query and triplet files share one line reader (``json_objects``)
+and one rule for number arrays (``finite_vector``).
 
 Packed matrix file layout (all integers little-endian):
 
@@ -24,11 +26,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .core import EMBEDDING_DTYPE
+from .core import EMBEDDING_DTYPE, IMAGE_CHANNEL, TEXT_CHANNEL, QueryRecord
 from .errors import (
     BadMagic,
     ComretError,
@@ -106,6 +108,47 @@ def _check_id(value: object, key: str, line_no: int) -> str:
     return value
 
 
+def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSONL stream.
+
+    Raises MalformedLine for invalid JSON or a value that is not an object.
+    """
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(line_no, f"invalid JSON ({exc.msg})")
+        if not isinstance(obj, dict):
+            raise MalformedLine(line_no, "expected a JSON object")
+        yield line_no, obj
+
+
+def finite_vector(values: object, dtype: type, line_no: int, field: str, where: str) -> np.ndarray:
+    """A JSON array of numbers as a read-only, finite 1-d ``dtype`` vector.
+
+    Raises MalformedLine naming ``field`` unless ``values`` is a non-empty
+    array of numbers, and NonFiniteValue naming ``where`` for NaN, an
+    infinity or a number beyond ``dtype``.
+    """
+    if not isinstance(values, list) or not values:
+        raise MalformedLine(line_no, f"missing or empty {field} array")
+    # json.loads yields exact types only, and bool is its own type.
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        raise MalformedLine(line_no, f"{field} contains a non-numeric entry")
+    try:
+        # A value beyond the dtype becomes inf, rejected below, not a warning.
+        with np.errstate(over="ignore"):
+            vec = np.asarray(values, dtype=dtype)
+    except OverflowError:  # an integer literal beyond float64
+        raise NonFiniteValue(where)
+    if not np.isfinite(vec).all():
+        raise NonFiniteValue(where)
+    vec.flags.writeable = False
+    return vec
+
+
 def parse_embedding_jsonl(stream: TextIO | Iterable[str]) -> list[Record]:
     """Parse an embedding JSONL stream, rejecting the whole file on any bad line.
 
@@ -115,56 +158,28 @@ def parse_embedding_jsonl(stream: TextIO | Iterable[str]) -> list[Record]:
     """
     records: list[Record] = []
     expected_dim: int | None = None
-    for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_no, f"invalid JSON ({exc.msg})")
-        if not isinstance(obj, dict):
-            raise MalformedLine(line_no, "expected a JSON object")
+    for line_no, obj in json_objects(stream):
         rec_id = _check_id(obj.get("id"), "id", line_no)
-        emb = obj.get("embedding")
-        if not isinstance(emb, list) or not emb:
-            raise MalformedLine(line_no, 'missing or empty "embedding" array')
-        # json.loads yields exact types only, and bool is its own type.
-        if not set(map(type, emb)) <= _NUMBER_TYPES:
-            raise MalformedLine(line_no, '"embedding" contains a non-numeric entry')
-        try:
-            # A value beyond float32 becomes inf, rejected below, not a warning.
-            with np.errstate(over="ignore"):
-                vec = np.asarray(emb, dtype=EMBEDDING_DTYPE)
-        except OverflowError:  # an integer literal beyond float64
-            raise NonFiniteValue(f"line {line_no}")
+        vec = finite_vector(obj.get("embedding"), EMBEDDING_DTYPE, line_no, '"embedding"', f"line {line_no}")
         if expected_dim is None:
             expected_dim = vec.shape[0]
         elif vec.shape[0] != expected_dim:
             raise DimMismatch(expected_dim, vec.shape[0], where=f"line {line_no}")
-        if not np.isfinite(vec).all():
-            raise NonFiniteValue(f"line {line_no}")
         records.append((rec_id, vec))
     return records
 
 
-def parse_query_jsonl(stream: TextIO | Iterable[str]) -> list["QueryRecord"]:
-    """Parse query JSONL: {"query_id", "text", "embeddings": {channel: [...]},
-    optional "gold": [page_id...]} per line, channels limited to
-    "image-query" / "text-query"."""
-    from .core import IMAGE_CHANNEL, TEXT_CHANNEL, QueryRecord, as_embedding
+def parse_query_jsonl(stream: TextIO | Iterable[str]) -> list[QueryRecord]:
+    """Parse query JSONL: {"query_id", "embeddings": {channel: [...]}} per
+    line, channels limited to "image-query" / "text-query".
 
+    An optional "text" string and "gold" array of page ids are checked but
+    not kept: qrels, not the query file, say which pages are relevant.
+    """
     known = (IMAGE_CHANNEL, TEXT_CHANNEL)
     queries: list[QueryRecord] = []
     seen_ids: set[str] = set()
-    for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_no, f"invalid JSON ({exc.msg})")
-        if not isinstance(obj, dict):
-            raise MalformedLine(line_no, "expected a JSON object")
+    for line_no, obj in json_objects(stream):
         query_id = _check_id(obj.get("query_id"), "query_id", line_no)
         if query_id in seen_ids:
             raise DuplicateId(query_id)
@@ -173,27 +188,20 @@ def parse_query_jsonl(stream: TextIO | Iterable[str]) -> list["QueryRecord"]:
         if not isinstance(embeddings, dict) or not embeddings:
             raise MalformedLine(line_no, 'missing or empty "embeddings" object')
         channels = {}
-        for name, vec in embeddings.items():
+        for name, values in embeddings.items():
             if name not in known:
                 raise MalformedLine(line_no, f"unknown channel {name!r}; expected one of {known}")
+            field = f"channel {name!r}"
             try:
-                channels[name] = as_embedding(vec, where=f"line {line_no} channel {name!r}")
-            except ComretError as exc:
+                channels[name] = finite_vector(values, EMBEDDING_DTYPE, line_no, field, f"line {line_no} {field}")
+            except NonFiniteValue as exc:
                 raise MalformedLine(line_no, str(exc))
         gold = obj.get("gold", [])
         if not isinstance(gold, list) or not all(isinstance(g, str) for g in gold):
             raise MalformedLine(line_no, '"gold" must be an array of page ids')
-        text = obj.get("text", "")
-        if not isinstance(text, str):
+        if not isinstance(obj.get("text", ""), str):
             raise MalformedLine(line_no, '"text" must be a string')
-        queries.append(
-            QueryRecord(
-                query_id=query_id,
-                text=text,
-                channel_embs=channels,
-                gold_page_ids=frozenset(gold),
-            )
-        )
+        queries.append(QueryRecord(query_id, channels))
     return queries
 
 

@@ -17,7 +17,6 @@ training log(tau).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +24,8 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .errors import ComretError, DimMismatch, MalformedLine, NonFiniteValue
+from .errors import ComretError, DimMismatch
+from .store import finite_vector, json_objects
 
 
 class NonDecreasingLossWarning(UserWarning):
@@ -176,38 +176,17 @@ def loss_gradients(
 
 def load_triplets(lines: Iterable[str]) -> TripletBatch:
     """Parse triplet JSONL: one {"q": [...], "i": [...], "t": [...]} per line."""
-    rows_q, rows_i, rows_t = [], [], []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_no, f"invalid JSON ({exc.msg})")
-        if not isinstance(obj, dict) or not all(k in obj for k in ("q", "i", "t")):
-            raise MalformedLine(line_no, 'expected keys "q", "i", "t"')
-        for key, rows in (("q", rows_q), ("i", rows_i), ("t", rows_t)):
-            vec = obj[key]
-            if not isinstance(vec, list) or not vec or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in vec
-            ):
-                raise MalformedLine(line_no, f'"{key}" must be a non-empty numeric array')
-            if rows and len(rows[0]) != len(vec):
-                raise DimMismatch(len(rows[0]), len(vec), where=f'line {line_no} "{key}"')
-            try:
-                row = np.asarray(vec, dtype=np.float64)
-            except OverflowError:  # an integer beyond float64
-                raise NonFiniteValue(f'line {line_no} "{key}"')
-            if not np.isfinite(row).all():
-                raise NonFiniteValue(f'line {line_no} "{key}"')
-            rows.append(row)
-    if not rows_q:
+    rows: dict[str, list[np.ndarray]] = {"q": [], "i": [], "t": []}
+    for line_no, obj in json_objects(lines):
+        for key, column in rows.items():
+            where = f'line {line_no} "{key}"'
+            vec = finite_vector(obj.get(key), np.float64, line_no, f'"{key}"', where)
+            if column and column[0].shape != vec.shape:
+                raise DimMismatch(column[0].shape[0], vec.shape[0], where=where)
+            column.append(vec)
+    if not rows["q"]:
         raise ComretError("triplet file contains no records")
-    return TripletBatch(
-        np.asarray(rows_q, dtype=np.float64),
-        np.asarray(rows_i, dtype=np.float64),
-        np.asarray(rows_t, dtype=np.float64),
-    )
+    return TripletBatch(np.asarray(rows["q"]), np.asarray(rows["i"]), np.asarray(rows["t"]))
 
 
 def init_encoders(batch: TripletBatch, seed: int = 0) -> ToyEncoders:

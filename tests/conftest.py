@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from comret import _kernels
-from comret.core import QueryRecord, as_embedding
+from comret.core import QueryRecord
 from comret.store import IndexDirectory, build_index
 
 
@@ -20,17 +20,17 @@ def make_index(image_rows, text_rows, ids=None, normalize=False) -> IndexDirecto
     return build_index(images, texts, normalize=normalize)
 
 
-def make_query(query_id, image_vec=None, text_vec=None, gold=()) -> QueryRecord:
+def make_query(query_id, image_vec=None, text_vec=None) -> QueryRecord:
     channels = {}
     if image_vec is not None:
-        channels["image-query"] = as_embedding(image_vec)
+        channels["image-query"] = np.asarray(image_vec, dtype=np.float32)
     if text_vec is not None:
-        channels["text-query"] = as_embedding(text_vec)
-    return QueryRecord(query_id=query_id, text="", channel_embs=channels, gold_page_ids=frozenset(gold))
+        channels["text-query"] = np.asarray(text_vec, dtype=np.float32)
+    return QueryRecord(query_id=query_id, channel_embs=channels)
 
 
-def unified_query(query_id, vec, gold=()) -> QueryRecord:
-    return make_query(query_id, image_vec=vec, text_vec=vec, gold=gold)
+def unified_query(query_id, vec) -> QueryRecord:
+    return make_query(query_id, image_vec=vec, text_vec=vec)
 
 
 def random_index(rng, pages, dim) -> IndexDirectory:

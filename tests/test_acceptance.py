@@ -229,7 +229,7 @@ def test_08_directional_normalization_gain():
             )
         index = make_index(image_rows, text_rows, ids=[f"p{p}" for p in range(pages)])
         queries = [
-            unified_query(qid, np.eye(n_queries)[j].tolist(), gold=[gold[qid]])
+            unified_query(qid, np.eye(n_queries)[j].tolist())
             for j, qid in enumerate(qids)
         ]
         qrels = {qid: frozenset({page}) for qid, page in gold.items()}

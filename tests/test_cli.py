@@ -291,8 +291,9 @@ def run_process(*argv):
 
 
 class TestOutOfRangeNumbers:
-    """A number no embedding can hold is a one-line error, with no
-    traceback or NumPy warning ahead of it."""
+    """A number no embedding can hold, or a query entry that is not a
+    number, is a one-line error, with no traceback or NumPy warning ahead
+    of it."""
 
     @pytest.mark.parametrize("number", OUT_OF_RANGE)
     def test_ingest(self, workspace, number):
@@ -304,14 +305,28 @@ class TestOutOfRangeNumbers:
         assert (code, out) == (1, "")
         assert err == "error: non-finite value in line 2\n"
 
-    @pytest.mark.parametrize("number", OUT_OF_RANGE)
-    def test_retrieve_query(self, built_index, number):
+    NON_NUMERIC = "channel 'image-query' contains a non-numeric entry"
+
+    @pytest.mark.parametrize(
+        ("embedding", "reason"),
+        [
+            pytest.param(f"[{p.values[0]}, 1.0, 0.0, 0.0]", "non-finite value in line 1 channel 'image-query'", id=p.id)
+            for p in OUT_OF_RANGE
+        ]
+        + [
+            pytest.param("[{}]", NON_NUMERIC, id="object"),
+            pytest.param("[1.0, [2.0]]", NON_NUMERIC, id="nested-array"),
+            pytest.param('["1.0"]', NON_NUMERIC, id="string"),
+            pytest.param("[true]", NON_NUMERIC, id="bool"),
+        ],
+    )
+    def test_retrieve_query(self, built_index, embedding, reason):
         root, idx, _, _ = built_index
         queries = root / "bad-queries.jsonl"
-        queries.write_text(f'{{"query_id": "q1", "embeddings": {{"image-query": [{number}, 1.0, 0.0, 0.0]}}}}\n')
+        queries.write_text(f'{{"query_id": "q1", "embeddings": {{"image-query": {embedding}}}}}\n')
         code, out, err = run_process("retrieve", "--index", idx, "--queries", queries, "--out", root / "run.tsv")
         assert (code, out) == (1, "")
-        assert err == "error: line 1: non-finite value in line 1 channel 'image-query'\n"
+        assert err == f"error: line 1: {reason}\n"
 
     @pytest.mark.parametrize("number", [BIG_INT, pytest.param("1e400", id="beyond-float64")])
     def test_train_toy_triplets(self, tmp_path, number):

@@ -1,32 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from comret.core import FusionConfig, QueryRecord, as_embedding
-from comret.errors import ComretError, NonFiniteValue
-
-
-class TestAsEmbedding:
-    def test_returns_readonly_float32(self):
-        emb = as_embedding([1.0, 2.0, 3.0])
-        assert emb.dtype == np.float32
-        assert not emb.flags.writeable
-
-    def test_rejects_nan(self):
-        with pytest.raises(NonFiniteValue):
-            as_embedding([1.0, float("nan")])
-
-    @pytest.mark.parametrize("value", [10**400, 1e39, float("inf")])
-    def test_rejects_values_beyond_float32_without_a_warning(self, value):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteValue):
-                as_embedding([value, 1.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ComretError):
-            as_embedding([])
+from comret.core import FusionConfig, QueryRecord
+from comret.errors import ComretError
 
 
 class TestFusionConfig:
@@ -42,17 +18,17 @@ class TestFusionConfig:
 
 class TestQueryRecord:
     def test_sweep_vector_prefers_natural_channel(self):
-        img = as_embedding([1.0, 0.0])
-        txt = as_embedding([0.0, 1.0])
-        q = QueryRecord("q1", "", {"image-query": img, "text-query": txt})
+        img = np.array([1.0, 0.0], dtype=np.float32)
+        txt = np.array([0.0, 1.0], dtype=np.float32)
+        q = QueryRecord("q1", {"image-query": img, "text-query": txt})
         assert q.vector_for_sweep("image") is img
         assert q.vector_for_sweep("text") is txt
 
     def test_sweep_vector_falls_back_to_shared_embedding(self):
-        vec = as_embedding([1.0, 0.0])
-        q = QueryRecord("q1", "", {"image-query": vec})
+        vec = np.array([1.0, 0.0], dtype=np.float32)
+        q = QueryRecord("q1", {"image-query": vec})
         assert q.vector_for_sweep("text") is vec
 
     def test_missing_channels_return_none(self):
-        q = QueryRecord("q1", "", {})
+        q = QueryRecord("q1", {})
         assert q.vector_for_sweep("image") is None

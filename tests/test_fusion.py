@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comret import _kernels
 from comret.core import MODES, FusionConfig
 from comret.errors import DimMismatch, LengthMismatch, MalformedRunLine, MissingChannel
 from comret.fusion import (
@@ -372,9 +373,16 @@ class TestQueryEngine:
             for threads in (2, 3):
                 assert run_queries(idx, queries, cfg, threads=threads) == serial
 
-    def test_configs_share_one_sweep_per_block(self, rng, monkeypatch):
-        from comret import _kernels
+    def test_one_query_is_swept_as_a_matrix_vector_product(self, rng):
+        # 129 pages: one full row block and an overlapping one-row tail.
+        idx = random_index(rng, pages=129, dim=1152)
+        (query,) = two_channel_queries(rng, 1, 1152)
+        (scores,) = score_queries(idx, [query], ["image", "text"])
+        for modality, matrix in (("image", idx.images), ("text", idx.texts)):
+            vec = query.vector_for_sweep(modality).astype(np.float64)
+            assert scores.raw[modality].tobytes() == _kernels.inner_products(matrix.data, vec).tobytes()
 
+    def test_configs_share_one_sweep_per_block(self, rng, monkeypatch):
         idx = random_index(rng, pages=40, dim=4)
         queries = two_channel_queries(rng, QUERY_BLOCK + 1, 4)
         cfgs = [FusionConfig(mode=m, beta=b) for m in MODES for b in (0.0, 0.5, 1.0)]

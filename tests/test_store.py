@@ -2,6 +2,7 @@ import json
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from comret.store import (
     save_index,
     write_matrix,
 )
+from comret.training import load_triplets
 
 from conftest import make_index, random_index
 
@@ -97,22 +99,33 @@ json_values = st.recursive(
 )
 
 
+def passes_row_check(parse, obj) -> bool:
+    """Whether one line holding ``obj`` gets past the row check: it is
+    parsed, or rejected only for a non-finite value (NaN, an infinity or
+    an overflow), which a query file reports as a MalformedLine."""
+    try:
+        parse([json.dumps(obj) + "\n"])
+    except NonFiniteValue:
+        return True
+    except MalformedLine as exc:
+        if "non-finite" in str(exc):
+            return True
+        assert "non-numeric" in str(exc)
+        return False
+    return True
+
+
 @settings(max_examples=300, deadline=None)
 @given(entries=st.lists(json_values, min_size=1, max_size=6))
 def test_row_check_accepts_what_isinstance_accepted(entries):
     """Through json.dumps and json.loads, so the entries have the exact
-    types a JSONL line yields."""
-    line = json.dumps({"id": "p1", "embedding": entries}) + "\n"
-    emb = json.loads(line)["embedding"]
-    try:
-        parse_embedding_jsonl([line])
-        accepted = True
-    except MalformedLine as exc:
-        assert "non-numeric" in str(exc)
-        accepted = False
-    except NonFiniteValue:  # NaN, an infinity or a float32 overflow: past the row check
-        accepted = True
-    assert accepted == isinstance_row_check(emb)
+    types a JSONL line yields; the same for a page, a query channel and a
+    triplet field."""
+    emb = json.loads(json.dumps(entries))
+    want = isinstance_row_check(emb)
+    assert passes_row_check(parse_embedding_jsonl, {"id": "p1", "embedding": entries}) == want
+    assert passes_row_check(parse_query_jsonl, {"query_id": "q1", "embeddings": {"text-query": entries}}) == want
+    assert passes_row_check(load_triplets, {"q": [1.0], "i": entries, "t": [1.0]}) == want
 
 
 class TestIdsAreTsvSafe:
@@ -361,8 +374,43 @@ class TestParseQueryJsonl:
             '"embeddings":{"image-query":[1.0,0.0],"text-query":[0.0,1.0]},"gold":["p1"]}\n'
         )
         (q,) = parse_query_jsonl([line])
-        assert q.query_id == "q1" and q.gold_page_ids == {"p1"}
+        assert q.query_id == "q1"
         assert q.channel("image-query") is not None
+
+    def test_returns_readonly_float32(self):
+        (q,) = parse_query_jsonl(['{"query_id":"q1","embeddings":{"image-query":[1, 2.5, 3.0]}}\n'])
+        vec = q.channel("image-query")
+        assert vec.dtype == np.float32 and not vec.flags.writeable
+        assert vec.tobytes() == np.array([1.0, 2.5, 3.0], dtype=np.float32).tobytes()
+
+    def test_rejects_nan(self):
+        with pytest.raises(MalformedLine, match="non-finite value in line 1 channel 'image-query'"):
+            parse_query_jsonl(['{"query_id":"q1","embeddings":{"image-query":[1.0,NaN]}}\n'])
+
+    @pytest.mark.parametrize("value", [pytest.param(10**400, id="big-int"), 1e39, float("inf")])
+    def test_rejects_values_beyond_float32_without_a_warning(self, value):
+        line = json.dumps({"query_id": "q1", "embeddings": {"image-query": [value, 1.0]}}) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedLine, match="non-finite"):
+                parse_query_jsonl([line])
+
+    def test_rejects_empty(self):
+        with pytest.raises(MalformedLine, match="empty"):
+            parse_query_jsonl(['{"query_id":"q1","embeddings":{"image-query":[]}}\n'])
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param({"gold": "p1"}, id="gold-not-a-list"),
+            pytest.param({"gold": ["p1", 2]}, id="gold-id-not-a-string"),
+            pytest.param({"text": 3}, id="text-not-a-string"),
+        ],
+    )
+    def test_invalid_text_or_gold_rejected(self, extra):
+        line = json.dumps({"query_id": "q1", "embeddings": {"image-query": [1.0]}, **extra}) + "\n"
+        with pytest.raises(MalformedLine):
+            parse_query_jsonl([line])
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(MalformedLine):

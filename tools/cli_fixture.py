@@ -15,11 +15,12 @@ block of the sweep), texts in reverse order; 21 queries with distinct
 image/text channels and qrels, the last aimed at the tail duplicate, plus
 the same queries with the image channel only (fallback and the
 ensemble-ucmr error). ``ablate`` and ``diagnose`` also run with several
-threads, whose outputs must equal the single-threaded ones. Three inputs
+threads, whose outputs must equal the single-threaded ones. Four inputs
 must fail with exit code 1: an images file whose second embedding holds
-``true``, one with a non-UTF-8 byte on line 151, and an index whose
-``images.cmeb`` header claims 2**64 - 1 rows of dim 0. The ``--out``
-directory is written as ``OUT`` in stdout and stderr.
+``true``, one with a non-UTF-8 byte on line 151, an index whose
+``images.cmeb`` header claims 2**64 - 1 rows of dim 0, and a query file
+whose second image channel is ``[{}]``. The ``--out`` directory is written
+as ``OUT`` in stdout and stderr.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ def make_inputs(out: Path) -> None:
             qrels.append(f"{qid}\t{ids[(gold + 1) % pages]}\t1\n")
     write_jsonl(out / "queries.jsonl", queries)
     write_jsonl(out / "queries_image.jsonl", image_only)
+    write_jsonl(out / "queries_dict.jsonl", queries[:1] + [{**queries[1], "embeddings": {"image-query": [{}]}}] + queries[2:])
     (out / "qrels.tsv").write_text("".join(qrels), encoding="utf-8")
     write_jsonl(out / "triplets.jsonl", [{key: rng.standard_normal(6).tolist() for key in "qit"} for _ in range(12)])
 
@@ -93,6 +95,8 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                              "--out", o / "idx-not-utf8"]),
         ("retrieve-corrupt-header", ["retrieve", "--index", o / "idx-corrupt", "--queries", q,
                                      "--out", o / "run-corrupt-header.tsv"]),
+        ("retrieve-query-dict", ["retrieve", "--index", idx, "--queries", o / "queries_dict.jsonl",
+                                 "--out", o / "run-query-dict.tsv"]),
     ]
     for m in MODES:
         cmds += [
