@@ -5,7 +5,8 @@ Exit code 0 on success, 1 on any domain error (messages go to stderr).
 Data goes to stdout or the --out target. Query scoring (retrieve, ablate,
 diagnose) splits each sweep's page rows between --threads N threads,
 every core the process may run on by default; no output byte depends on
-their number.
+their number. With more than one usable core, ingest parses its two
+embedding files at once, the texts file in a forked worker process.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -42,10 +46,32 @@ def _parse(path: str, parser: Callable[[Iterable[str]], T]) -> T:
         raise ComretError(f"cannot read {path}: not valid UTF-8")
 
 
+def _parse_pages(images: str, texts: str) -> tuple[list[store.Record], list[store.Record]]:
+    """Both embedding files' records: the texts file parsed in a forked
+    worker process while this one parses the images file.
+
+    Parsing holds the GIL, so only a second process overlaps the two.
+    With one usable core, or no ``fork``, both are parsed here, one after
+    the other. Either way the same function parses each file; if both are
+    bad, the images file's error is raised, and no worker outlives the call.
+    """
+    if _kernels.default_threads() == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return _parse(images, store.parse_embedding_jsonl), _parse(texts, store.parse_embedding_jsonl)
+    # fork, not spawn: the worker starts without a fresh import of NumPy.
+    # No thread of comret's runs here, and OpenBLAS quiesces its own
+    # threads at fork.
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork")) as pool:
+        text_records = pool.submit(_parse, texts, store.parse_embedding_jsonl)
+        image_records = _parse(images, store.parse_embedding_jsonl)
+        try:
+            return image_records, text_records.result()
+        except BrokenProcessPool:
+            raise ComretError(f"cannot parse {texts}: the worker process parsing it died")
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    images = _parse(args.images, store.parse_embedding_jsonl)
-    texts = _parse(args.texts, store.parse_embedding_jsonl)
+    images, texts = _parse_pages(args.images, args.texts)
     index = store.build_index(images, texts, normalize=args.normalize)
     store.save_index(index, args.out)
     elapsed = time.perf_counter() - started

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Every error raised on a user-facing path derives from ComretError so the
-CLI can map any failure to a nonzero exit with a one-line message.
+CLI can map any failure to a nonzero exit with a one-line message. Every
+one of them pickles, so it can cross a process boundary intact.
 """
 
 from __future__ import annotations
@@ -9,8 +10,19 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 
+def _rebuild(cls: type[ComretError], args: tuple) -> ComretError:
+    """An instance of ``cls`` holding ``args``, made without ``cls.__init__``."""
+    return cls.__new__(cls, *args)
+
+
 class ComretError(Exception):
     """Base class for all comret errors."""
+
+    def __reduce__(self):
+        # Exception's own reduce calls type(self)(*self.args), which a
+        # subclass __init__ that builds its message from other arguments
+        # rejects or wraps a second time.
+        return _rebuild, (type(self), self.args), self.__dict__
 
 
 class MalformedLine(ComretError):

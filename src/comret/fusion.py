@@ -127,8 +127,14 @@ def score_queries(
     Each modality is swept once per block of QUERY_BLOCK queries, with
     each query's ``vector_for_sweep`` vector (callers check that it
     exists). ``threads`` split each sweep's page rows (None: every usable
-    core); no score depends on their number.
+    core); no score depends on their number. Before any sweep, every
+    channel of every query, swept or not, is checked against the index's
+    dimension.
     """
+    for query in queries:
+        for channel, vec in query.channel_embs.items():
+            if vec.shape != (index.dim,):
+                raise DimMismatch(index.dim, vec.shape[0], where=f"query {query.query_id!r} channel {channel!r}")
     for lo in range(0, len(queries), QUERY_BLOCK):
         block = queries[lo : lo + QUERY_BLOCK]
         raw = {m: _sweep_block(block, index, m, threads) for m in modalities}
@@ -148,9 +154,6 @@ def _sweep_block(
     """(len(block), M) raw scores of one modality, one contiguous row per query."""
     matrix = index.images if modality == "image" else index.texts
     vectors = [q.vector_for_sweep(modality) for q in block]
-    for vec in vectors:
-        if vec.shape != (matrix.dim,):
-            raise DimMismatch(matrix.dim, vec.shape[0], where="query")
     return np.ascontiguousarray(inner_product_scores(np.stack(vectors, axis=1), matrix, threads).T)
 
 

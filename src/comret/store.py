@@ -192,10 +192,7 @@ def parse_query_jsonl(stream: TextIO | Iterable[str]) -> list[QueryRecord]:
             if name not in known:
                 raise MalformedLine(line_no, f"unknown channel {name!r}; expected one of {known}")
             field = f"channel {name!r}"
-            try:
-                channels[name] = finite_vector(values, EMBEDDING_DTYPE, line_no, field, f"line {line_no} {field}")
-            except NonFiniteValue as exc:
-                raise MalformedLine(line_no, str(exc))
+            channels[name] = finite_vector(values, EMBEDDING_DTYPE, line_no, field, f"line {line_no} {field}")
         gold = obj.get("gold", [])
         if not isinstance(gold, list) or not all(isinstance(g, str) for g in gold):
             raise MalformedLine(line_no, '"gold" must be an array of page ids')

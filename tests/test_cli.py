@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import signal
 import struct
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from comret import fusion, metrics, store
+from comret import cli, fusion, metrics, store
 from comret.cli import main
 from comret.core import FusionConfig
 
@@ -109,11 +111,140 @@ class TestIngest:
             tracemalloc.stop()
         assert peak < max(images.stat().st_size, texts.stat().st_size)
 
+    def test_texts_parse_peak_memory_below_input_size(self, tmp_path, rng):
+        """What an ingest worker runs on the texts file holds only its lines."""
+        ids = [f"page-{i}" for i in range(200)]
+        rows = rng.standard_normal((len(ids), 1152))
+        texts = write_jsonl(tmp_path / "t.jsonl", [embedding_obj(p, r.tolist()) for p, r in zip(ids, rows)])
+        tracemalloc.start()
+        try:
+            records = cli._parse(str(texts), store.parse_embedding_jsonl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == len(ids)
+        assert peak < texts.stat().st_size
+
     def test_normalize_zero_vector_exits_one(self, tmp_path, capsys):
         images = write_jsonl(tmp_path / "i.jsonl", [embedding_obj("p1", [0.0, 0.0])])
         texts = write_jsonl(tmp_path / "t.jsonl", [embedding_obj("p1", [1.0, 0.0])])
         assert run_cli("ingest", "--images", images, "--texts", texts, "--normalize", "--out", tmp_path / "o") == 1
         assert "p1" in capsys.readouterr().err
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """``cores(n)`` makes n cores usable; lists the worker count of every
+    process pool started from then on."""
+    sizes = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        sizes.clear()
+        return sizes
+
+    return use
+
+
+_parse_embedding_jsonl = store.parse_embedding_jsonl
+
+
+def _dies_on_texts(fh):
+    """parse_embedding_jsonl, except that the process reading a texts
+    file is killed after its first line. At module level, so that the
+    process pool can pickle it by name."""
+    if Path(fh.name).name.startswith("texts"):
+        fh.readline()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _parse_embedding_jsonl(fh)
+
+
+class TestTwoProcessIngest:
+    """With two usable cores the texts file is parsed in a worker process;
+    nothing a user sees depends on it, and no worker outlives the command."""
+
+    @staticmethod
+    def ingest(capsys, images, texts, out):
+        code = run_cli("ingest", "--images", images, "--texts", texts, "--out", out)
+        assert multiprocessing.active_children() == []
+        return code, capsys.readouterr()
+
+    def test_index_bytes_do_not_depend_on_cores(self, tmp_path, rng, cores, capsys):
+        ids = [f"p{i:03d}" for i in range(300)]
+        rows = rng.standard_normal((2, len(ids), 16))
+        images = write_jsonl(tmp_path / "i.jsonl", [embedding_obj(p, r.tolist()) for p, r in zip(ids, rows[0])])
+        pairs = list(zip(ids, rows[1]))[::-1]
+        texts = write_jsonl(tmp_path / "t.jsonl", [embedding_obj(p, r.tolist()) for p, r in pairs])
+        outputs = []
+        for n, pools in ((1, []), (2, [1])):
+            sizes = cores(n)
+            code, out = self.ingest(capsys, images, texts, tmp_path / f"idx{n}")
+            assert (code, sizes) == (0, pools)
+            outputs.append(out.out.split(" elapsed=")[0])
+        for name in ("images.cmeb", "texts.cmeb"):
+            assert (tmp_path / "idx1" / name).read_bytes() == (tmp_path / "idx2" / name).read_bytes()
+        assert outputs[0] == outputs[1] == "pages=300 dim=16 normalize=False"
+
+    @staticmethod
+    def spoil(path, line, text):
+        """Replace line ``line`` (1-based) of a JSONL file with ``text``."""
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = text + "\n"
+        path.write_text("".join(lines))
+
+    @pytest.mark.parametrize(
+        ("case", "message"),
+        [
+            ("bad-line", "line 2: expected a JSON object"),
+            ("non-finite", "non-finite value in line 2"),
+            ("dim-change", "line 2: expected dim 4, got 3"),
+            ("not-utf8", "cannot read {texts}: not valid UTF-8"),
+            ("missing", "[Errno 2] No such file or directory: '{texts}'"),
+        ],
+        ids=["bad-line", "non-finite", "dim-change", "not-utf8", "missing"],
+    )
+    def test_texts_error_reported_as_in_one_process(self, workspace, cores, capsys, case, message):
+        root, images, texts, _, _ = workspace
+        if case == "bad-line":
+            self.spoil(texts, 2, "true")
+        elif case == "non-finite":
+            self.spoil(texts, 2, '{"id": "p2", "embedding": [NaN, 0.0, 0.0, 0.0]}')
+        elif case == "dim-change":
+            self.spoil(texts, 2, '{"id": "p2", "embedding": [0.0, 0.0, 0.0]}')
+        elif case == "not-utf8":
+            texts.write_bytes(texts.read_bytes().replace(b'"p3"', b'"\xff"'))
+        else:
+            texts = root / "no-such-texts.jsonl"
+        want = f"error: {message.format(texts=texts)}\n"
+        for n, pools in ((1, []), (2, [1])):
+            sizes = cores(n)
+            code, out = self.ingest(capsys, images, texts, root / f"idx{n}")
+            assert (code, out.out, out.err, sizes) == (1, "", want, pools)
+
+    def test_images_error_wins_when_both_files_are_bad(self, workspace, cores, capsys):
+        root, images, texts, _, _ = workspace
+        self.spoil(images, 3, "[]")
+        self.spoil(texts, 2, "true")
+        for n, pools in ((1, []), (2, [1])):
+            sizes = cores(n)
+            code, out = self.ingest(capsys, images, texts, root / f"idx{n}")
+            assert (code, out.out, out.err, sizes) == (1, "", "error: line 3: expected a JSON object\n", pools)
+
+    def test_dead_worker_is_one_error_line(self, workspace, cores, capsys, monkeypatch):
+        root, images, texts, _, _ = workspace
+        monkeypatch.setattr(store, "parse_embedding_jsonl", _dies_on_texts)
+        sizes = cores(2)
+        with time_limit(60):
+            code, out = self.ingest(capsys, images, texts, root / "idx")
+        want = f"error: cannot parse {texts}: the worker process parsing it died\n"
+        assert (code, out.out, out.err, sizes) == (1, "", want, [1])
 
 
 @pytest.fixture
@@ -171,6 +302,15 @@ class TestRetrieve:
         assert run_cli("retrieve", "--index", tmp_path / "idx", "--queries", queries, "--threads", "1", "--out", one) == 0
         assert pool_sizes == [3, 3]
         assert default.read_bytes() == one.read_bytes()
+
+    def test_unswept_channel_of_another_dim_exits_one(self, built_index, capsys):
+        root, idx, _, _ = built_index
+        # image-only never sweeps the text channel, which is checked all the same.
+        lines = [query_obj("q1", [1.0, 0.0, 0.0, 0.0]), query_obj("q2", [1.0, 0.0, 0.0, 0.0], text_vec=[1.0])]
+        queries = write_jsonl(root / "dim-queries.jsonl", lines)
+        run = root / "run.tsv"
+        assert run_cli("retrieve", "--index", idx, "--queries", queries, "--mode", "image-only", "--out", run) == 1
+        assert capsys.readouterr().err == "error: query 'q2' channel 'text-query': expected dim 4, got 1\n"
 
     def test_four_page_fixture_top_page(self, tmp_path):
         # Image scores [0, 1, 0.5, 0], constant text channel: p2 must rank
@@ -305,7 +445,7 @@ class TestOutOfRangeNumbers:
         assert (code, out) == (1, "")
         assert err == "error: non-finite value in line 2\n"
 
-    NON_NUMERIC = "channel 'image-query' contains a non-numeric entry"
+    NON_NUMERIC = "line 1: channel 'image-query' contains a non-numeric entry"
 
     @pytest.mark.parametrize(
         ("embedding", "reason"),
@@ -326,7 +466,7 @@ class TestOutOfRangeNumbers:
         queries.write_text(f'{{"query_id": "q1", "embeddings": {{"image-query": {embedding}}}}}\n')
         code, out, err = run_process("retrieve", "--index", idx, "--queries", queries, "--out", root / "run.tsv")
         assert (code, out) == (1, "")
-        assert err == f"error: line 1: {reason}\n"
+        assert err == f"error: {reason}\n"
 
     @pytest.mark.parametrize("number", [BIG_INT, pytest.param("1e400", id="beyond-float64")])
     def test_train_toy_triplets(self, tmp_path, number):

@@ -1,6 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from comret import errors
 from comret.core import FusionConfig, QueryRecord
 from comret.errors import ComretError
 
@@ -32,3 +35,41 @@ class TestQueryRecord:
     def test_missing_channels_return_none(self):
         q = QueryRecord("q1", {})
         assert q.vector_for_sweep("image") is None
+
+
+#: Constructor arguments for every error class.
+ERROR_ARGS = {
+    errors.ComretError: ("cannot read x",),
+    errors.MalformedLine: (3, "invalid JSON"),
+    errors.DimMismatch: (4, 3, "query 'q1' channel 'text-query'"),
+    errors.NonFiniteValue: ("line 2",),
+    errors.DuplicateId: ("p1",),
+    errors.IdSetMismatch: ([f"p{i}" for i in range(7)],),
+    errors.ZeroVectorOnNormalize: ("p1",),
+    errors.BadMagic: ("bad magic b'XXXX'",),
+    errors.UnsupportedVersion: (9,),
+    errors.TruncatedFile: ("file ended while reading header",),
+    errors.LengthMismatch: (2, 3),
+    errors.MissingChannel: ("ensemble-ucmr", "text-query"),
+    errors.EmptyGold: ("q1 has no relevant pages",),
+    errors.UnknownQueryInRun: ("q9",),
+    errors.MalformedRunLine: (5, "non-numeric rank or score"),
+    errors.UnknownMetric: ("map@5",),
+    errors.BadRange: ("num_bins must be >= 1, got 0",),
+    errors.BinMismatch: ("histograms have different bin edges",),
+    errors.EmptyInput: ("need at least one query",),
+}
+
+
+def test_error_args_cover_every_error_class():
+    classes = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, ComretError)}
+    assert classes == set(ERROR_ARGS)
+
+
+@pytest.mark.parametrize("cls", ERROR_ARGS, ids=lambda cls: cls.__name__)
+def test_error_survives_pickle(cls):
+    """An error raised in a worker process reaches the caller whole."""
+    exc = cls(*ERROR_ARGS[cls])
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))

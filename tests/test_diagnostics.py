@@ -11,10 +11,10 @@ from comret.diagnostics import (
     modality_divergence_report,
     score_stats,
 )
-from comret.errors import BadRange, BinMismatch, EmptyInput
+from comret.errors import BadRange, BinMismatch, DimMismatch, EmptyInput
 
 import reference
-from conftest import make_index, random_index, unified_query
+from conftest import make_index, make_query, random_index, unified_query
 
 
 class TestScoreStats:
@@ -119,6 +119,12 @@ class TestDivergenceReport:
         queries = [unified_query(f"q{i}", rng.standard_normal(3).tolist()) for i in range(3)]
         report = modality_divergence_report(index, queries, num_bins=10)
         assert {(qid, mod) for qid, mod in report.sigma_zero} == {(f"q{i}", "text") for i in range(3)}
+
+    def test_wrong_dim_channel_named(self, rng):
+        index = random_index(rng, pages=5, dim=3)
+        queries = [unified_query("q1", [1.0, 0.0, 0.0]), make_query("q2", [1.0, 0.0, 0.0], [1.0, 0.0])]
+        with pytest.raises(DimMismatch, match="^query 'q2' channel 'text-query': expected dim 3, got 2$"):
+            modality_divergence_report(index, queries)
 
     def test_pooled_mean_is_zero(self, rng):
         index = random_index(rng, pages=40, dim=6)

@@ -394,6 +394,19 @@ class TestQueryEngine:
         for j, cfg in enumerate(cfgs):
             assert [r[j] for r in ranked] == [r for (r,) in rank_queries(idx, queries, [cfg])]
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_channel_checked_before_any_sweep(self, rng, monkeypatch, mode):
+        # The bad query sits in the second block, and its text channel is
+        # one that image-only never sweeps.
+        idx = random_index(rng, pages=40, dim=4)
+        queries = two_channel_queries(rng, QUERY_BLOCK + 2, 4)
+        queries[QUERY_BLOCK] = make_query("q-bad", [1.0, 0.0, 0.0, 0.0], [1.0])
+        calls = []
+        monkeypatch.setattr(_kernels, "inner_products", lambda *a, **kw: calls.append(1))
+        with pytest.raises(DimMismatch, match=r"^query 'q-bad' channel 'text-query': expected dim 4, got 1$"):
+            list(rank_queries(idx, queries, [FusionConfig(mode=mode)]))
+        assert calls == []
+
     def test_missing_channel_named_for_strict_mode(self):
         idx = make_index([[1, 0]], [[1, 0]])
         queries = [unified_query("q1", [1.0, 0.0]), make_query("q2", image_vec=[1.0, 0.0])]

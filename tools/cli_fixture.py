@@ -15,11 +15,15 @@ block of the sweep), texts in reverse order; 21 queries with distinct
 image/text channels and qrels, the last aimed at the tail duplicate, plus
 the same queries with the image channel only (fallback and the
 ensemble-ucmr error). ``ablate`` and ``diagnose`` also run with several
-threads, whose outputs must equal the single-threaded ones. Four inputs
+threads, whose outputs must equal the single-threaded ones. Seven inputs
 must fail with exit code 1: an images file whose second embedding holds
-``true``, one with a non-UTF-8 byte on line 151, an index whose
-``images.cmeb`` header claims 2**64 - 1 rows of dim 0, and a query file
-whose second image channel is ``[{}]``. The ``--out`` directory is written
+``true``, one with a non-UTF-8 byte on line 151, a texts file whose second
+embedding holds ``true`` (parsed in ingest's worker process when more than
+one core is usable), that texts file with the non-UTF-8 images file (the
+images error is reported), an index whose ``images.cmeb`` header claims
+2**64 - 1 rows of dim 0, a query file whose second image channel is
+``[{}]``, and an image-only retrieve whose second query carries a 1-dim
+text channel that the mode never sweeps. The ``--out`` directory is written
 as ``OUT`` in stdout and stderr.
 """
 
@@ -63,7 +67,10 @@ def make_inputs(out: Path) -> None:
     (out / "images_not_utf8.jsonl").write_bytes(b"".join(lines))
     (out / "idx-corrupt").mkdir()
     (out / "idx-corrupt" / "images.cmeb").write_bytes(b"CMEB" + struct.pack("<IIQ", 1, 0, 2**64 - 1))
-    write_jsonl(out / "texts.jsonl", [{"id": ids[i], "embedding": text[i].tolist()} for i in reversed(range(pages))])
+    texts = [{"id": ids[i], "embedding": text[i].tolist()} for i in reversed(range(pages))]
+    write_jsonl(out / "texts.jsonl", texts)
+    bad_text = {**texts[1], "embedding": [True, *texts[1]["embedding"][1:]]}
+    write_jsonl(out / "texts_bool.jsonl", texts[:1] + [bad_text] + texts[2:])
     queries, image_only, qrels = [], [], []
     for j in range(21):
         gold = 10 if j == 20 else int(rng.integers(pages))
@@ -79,6 +86,8 @@ def make_inputs(out: Path) -> None:
     write_jsonl(out / "queries.jsonl", queries)
     write_jsonl(out / "queries_image.jsonl", image_only)
     write_jsonl(out / "queries_dict.jsonl", queries[:1] + [{**queries[1], "embeddings": {"image-query": [{}]}}] + queries[2:])
+    dim_channels = {"image-query": queries[1]["embeddings"]["image-query"], "text-query": [1.0]}
+    write_jsonl(out / "queries_dim.jsonl", queries[:1] + [{**queries[1], "embeddings": dim_channels}] + queries[2:])
     (out / "qrels.tsv").write_text("".join(qrels), encoding="utf-8")
     write_jsonl(out / "triplets.jsonl", [{key: rng.standard_normal(6).tolist() for key in "qit"} for _ in range(12)])
 
@@ -93,10 +102,16 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                          "--out", o / "idx-bool"]),
         ("ingest-not-utf8", ["ingest", "--images", o / "images_not_utf8.jsonl", "--texts", o / "texts.jsonl",
                              "--out", o / "idx-not-utf8"]),
+        ("ingest-texts-bad", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts_bool.jsonl",
+                              "--out", o / "idx-texts-bad"]),
+        ("ingest-both-bad", ["ingest", "--images", o / "images_not_utf8.jsonl", "--texts", o / "texts_bool.jsonl",
+                             "--out", o / "idx-both-bad"]),
         ("retrieve-corrupt-header", ["retrieve", "--index", o / "idx-corrupt", "--queries", q,
                                      "--out", o / "run-corrupt-header.tsv"]),
         ("retrieve-query-dict", ["retrieve", "--index", idx, "--queries", o / "queries_dict.jsonl",
                                  "--out", o / "run-query-dict.tsv"]),
+        ("retrieve-query-dim", ["retrieve", "--index", idx, "--queries", o / "queries_dim.jsonl",
+                                "--mode", "image-only", "--out", o / "run-query-dim.tsv"]),
     ]
     for m in MODES:
         cmds += [
