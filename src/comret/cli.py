@@ -32,11 +32,6 @@ THREADS_HELP = "threads per sweep (default: the usable cores); no output depends
 T = TypeVar("T")
 
 
-def _threads(value: int | None) -> int:
-    """--threads, or the usable cores when it is not given."""
-    return _kernels.default_threads() if value is None else max(1, value)
-
-
 def _parse(path: str, parser: Callable[[Iterable[str]], T]) -> T:
     """Run ``parser`` over the lines of a UTF-8 file as they are read."""
     try:
@@ -85,7 +80,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     queries = _parse(args.queries, store.parse_query_jsonl)
     if not queries:
         raise ComretError("query file contains no queries")
-    results = fusion.run_queries(index, queries, cfg, threads=_threads(args.threads))
+    results = fusion.run_queries(index, queries, cfg, threads=args.threads)
     with open(args.out, "w", encoding="utf-8") as fh:
         fusion.write_run(results, cfg.mode, fh)
     return 0
@@ -148,13 +143,12 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             raise ComretError(f"unknown mode {mode!r}; expected one of {MODES}")
     betas = _parse_sweep(args.beta_sweep) if args.beta_sweep else [args.beta]
     specs = [s.strip() for s in args.metrics.split(",")]
-    threads = _threads(args.threads)
 
     # Every (mode, beta) is ranked from the same sweeps: each modality is
     # swept once per block of queries, not once per row of the table.
     cfgs = [FusionConfig(mode=mode, alpha=args.alpha, beta=beta, top_k=args.k) for mode in modes for beta in betas]
     runs: list[dict[str, list[str]]] = [{} for _ in cfgs]
-    for ranked in fusion.rank_queries(index, queries, cfgs, threads=threads):
+    for ranked in fusion.rank_queries(index, queries, cfgs, threads=args.threads):
         for run, result in zip(runs, ranked):
             run[result.query_id] = list(result.page_ids())
     rows = [(cfg.mode, cfg.beta, metrics.evaluate_run(run, qrels, specs)) for cfg, run in zip(cfgs, runs)]
@@ -170,9 +164,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     queries = _parse(args.queries, store.parse_query_jsonl)
     if not queries:
         raise ComretError("query file contains no queries")
-    report = diagnostics.modality_divergence_report(
-        index, queries, num_bins=args.bins, threads=_threads(args.threads)
-    )
+    report = diagnostics.modality_divergence_report(index, queries, num_bins=args.bins, threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "histogram.csv", "w", encoding="utf-8") as fh:

@@ -1,9 +1,13 @@
 """Distribution diagnostics for the two normalized score channels.
 
-Pools z-scored image-channel and text-channel similarity values over all
-(query, page) pairs, bins both over a shared range, and reports their KL
-divergence in nats. Well-aligned modalities produce nearly identical
-pooled distributions and a KL close to zero.
+Pools the z-scored image-channel and text-channel similarity values of
+``ucmr`` over all (query, page) pairs, bins both over a shared range, and
+reports their KL divergence in nats. Well-aligned modalities produce
+nearly identical pooled distributions and a KL close to zero.
+
+Each channel is z-scored per query, so its pool has mean 0 and a standard
+deviation fixed by the share of sigma-zero queries; the report gives
+each pool's range instead.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import QueryRecord
-from .errors import BadRange, BinMismatch, EmptyInput, MissingChannel
-from .fusion import population_mean_std, score_queries
+from .core import MODE_SPECS, QueryRecord
+from .errors import BadRange, BinMismatch, EmptyInput
+from .fusion import _check_channels, score_queries
 from .store import IndexDirectory
 
 #: Additive mass per bin before normalization; keeps every bin positive so
@@ -25,15 +29,6 @@ from .store import IndexDirectory
 SMOOTHING_EPS = 1e-9
 
 DEFAULT_BINS = 50
-
-
-def score_stats(values: np.ndarray) -> tuple[float, float, float, float]:
-    """(mean, population std, min, max) of a non-empty value array."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        raise EmptyInput("score_stats needs at least one value")
-    mu, sigma = population_mean_std(x)
-    return mu, sigma, float(x.min()), float(x.max())
 
 
 @dataclass(frozen=True)
@@ -75,8 +70,8 @@ class DivergenceReport:
     image_hist: Histogram
     text_hist: Histogram
     kl_nats: float
-    image_stats: tuple[float, float, float, float]
-    text_stats: tuple[float, float, float, float]
+    image_range: tuple[float, float]  # (min, max) of the pooled z-scores
+    text_range: tuple[float, float]
     samples_per_modality: int
     sigma_zero: tuple[tuple[str, str], ...]  # (query_id, modality)
 
@@ -90,13 +85,13 @@ class DivergenceReport:
             )
 
     def summary(self) -> dict:
-        keys = ("mean", "std", "min", "max")
+        keys = ("min", "max")
         return {
             "kl_nats": self.kl_nats,
             "bins": len(self.image_hist.densities),
             "samples_per_modality": self.samples_per_modality,
-            "sim_i": dict(zip(keys, self.image_stats)),
-            "sim_t": dict(zip(keys, self.text_stats)),
+            "sim_i": dict(zip(keys, self.image_range)),
+            "sim_t": dict(zip(keys, self.text_range)),
             "sigma_zero": [{"query_id": qid, "modality": mod} for qid, mod in self.sigma_zero],
         }
 
@@ -114,35 +109,33 @@ def modality_divergence_report(
     """Pool per-(query, page) z-scored scores for both modalities and
     compare their empirical distributions.
 
-    Both modalities are swept once per block of queries (``score_queries``);
+    The channels and query vectors are those ``ucmr`` blends. Both
+    modalities are swept once per block of queries (``score_queries``);
     ``threads`` split each sweep's page rows (None: every usable core).
+    Sigma-zero flags are listed by query id, image before text.
     """
     if not queries:
         raise EmptyInput("need at least one query")
     if num_bins < 1:
         raise BadRange(f"num_bins must be >= 1, got {num_bins}")
+    _check_channels(queries, "ucmr")
+    modalities = MODE_SPECS["ucmr"].modalities
 
-    for query in queries:
-        if query.vector_for_sweep("image") is None or query.vector_for_sweep("text") is None:
-            raise MissingChannel("diagnostics", "image-query or text-query")
-    both = ("image", "text")
-    per_query = [
-        (s.query.query_id, s.zscored["image"], s.zscored["text"])
-        for s in score_queries(index, queries, both, both, threads)
-    ]
-    per_query.sort(key=lambda item: item[0])
-
-    pooled_i = np.concatenate([z_i.values for _, z_i, _ in per_query])
-    pooled_t = np.concatenate([z_t.values for _, _, z_t in per_query])
+    # One (Q, M) pool per modality, filled row by row as queries are scored.
+    pools = {m: np.empty((len(queries), index.page_count)) for m in modalities}
     flags = []
-    for qid, z_i, z_t in per_query:
-        if z_i.sigma == 0.0:
-            flags.append((qid, "image"))
-        if z_t.sigma == 0.0:
-            flags.append((qid, "text"))
+    for row, scores in enumerate(score_queries(index, queries, modalities, modalities, threads)):
+        for m, pool in pools.items():
+            zscored = scores.zscored[m]
+            pool[row] = zscored.values
+            if zscored.sigma == 0.0:
+                flags.append((scores.query.query_id, m))
+    flags.sort(key=lambda flag: flag[0])
 
-    lo = float(min(pooled_i.min(), pooled_t.min()))
-    hi = float(max(pooled_i.max(), pooled_t.max()))
+    pooled_i, pooled_t = pools["image"].ravel(), pools["text"].ravel()
+    image_range = float(pooled_i.min()), float(pooled_i.max())
+    text_range = float(pooled_t.min()), float(pooled_t.max())
+    lo, hi = min(image_range[0], text_range[0]), max(image_range[1], text_range[1])
     if lo == hi:
         # Degenerate pools (e.g. every sigma is 0): widen so binning works.
         lo, hi = lo - 0.5, hi + 0.5
@@ -153,8 +146,8 @@ def modality_divergence_report(
         image_hist=hist_i,
         text_hist=hist_t,
         kl_nats=kl_divergence(hist_i, hist_t),
-        image_stats=score_stats(pooled_i),
-        text_stats=score_stats(pooled_t),
+        image_range=image_range,
+        text_range=text_range,
         samples_per_modality=int(pooled_i.size),
         sigma_zero=tuple(flags),
     )

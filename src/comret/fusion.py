@@ -62,20 +62,16 @@ class ZScored(NamedTuple):
     sigma: float
 
 
-def population_mean_std(x: np.ndarray) -> tuple[float, float]:
-    """Mean and population standard deviation (divides by M, not M-1)."""
-    mu = float(x.mean())
-    return mu, math.sqrt(float(np.mean((x - mu) ** 2)))
-
-
 def zscore_normalize(values: np.ndarray) -> ZScored:
-    """Center and scale by the population mean and standard deviation.
+    """Center and scale by the population mean and standard deviation
+    (which divides by M, not M-1).
 
     If sigma is 0 within SIGMA_EPS the input carried no ranking
     information; the output is all zeros and sigma is recorded as 0.
     """
     x = np.asarray(values, dtype=np.float64)
-    mu, sigma = population_mean_std(x)
+    mu = float(x.mean())
+    sigma = math.sqrt(float(np.mean((x - mu) ** 2)))
     if sigma <= SIGMA_EPS:
         return ZScored(np.zeros_like(x), mu, 0.0)
     return ZScored((x - mu) / sigma, mu, sigma)
@@ -96,7 +92,7 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     stored and query vector is validated finite.
     """
     k = min(k, len(scores))
-    if k == 0:  # an index file may hold zero pages
+    if k == 0:
         return np.arange(0)
     neg = -scores
     kth = np.partition(neg, k - 1)[k - 1]

@@ -318,7 +318,8 @@ def save_index(index: IndexDirectory, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> IndexDirectory:
-    """Read an index directory and check that its three files agree.
+    """Read an index directory and check that its three files agree and
+    hold at least one page.
 
     The two matrix files are read at once, on two threads (``readinto``
     releases the GIL); if both are bad, the images file's error is raised.
@@ -343,4 +344,6 @@ def load_index(path: str | Path) -> IndexDirectory:
         raise ComretError(
             f"{manifest_path}: dim/M do not match the matrices (dim {images.dim}, M {images.count})"
         )
+    if images.count == 0:
+        raise ComretError(f"{root}: the index holds no pages")
     return IndexDirectory(images=images, texts=texts, manifest=manifest)

@@ -303,6 +303,13 @@ class TestRetrieve:
         assert pool_sizes == [3, 3]
         assert default.read_bytes() == one.read_bytes()
 
+    def test_threads_zero_writes_the_bytes_of_one(self, built_index):
+        root, idx, queries, _ = built_index
+        zero, one = root / "zero.tsv", root / "one.tsv"
+        assert run_cli("retrieve", "--index", idx, "--queries", queries, "--threads", "0", "--out", zero) == 0
+        assert run_cli("retrieve", "--index", idx, "--queries", queries, "--threads", "1", "--out", one) == 0
+        assert zero.read_bytes() == one.read_bytes()
+
     def test_unswept_channel_of_another_dim_exits_one(self, built_index, capsys):
         root, idx, _, _ = built_index
         # image-only never sweeps the text channel, which is checked all the same.
@@ -401,6 +408,17 @@ class TestIOFailures:
             queries.write_bytes(b"\xff\xfe")
         assert run_cli("retrieve", "--index", idx, "--queries", queries, "--out", out) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["retrieve", "diagnose"])
+    def test_zero_page_index_is_one_error_line(self, built_index, command):
+        root, idx, queries, _ = built_index
+        empty = store.PackedMatrix(ids=(), data=np.empty((0, 4), dtype=np.float32))
+        store.write_matrix(empty, idx / "images.cmeb")
+        store.write_matrix(empty, idx / "texts.cmeb")
+        (idx / "manifest.json").write_text(json.dumps({"dim": 4, "M": 0}))
+        # A fresh interpreter, so stderr is all a user sees, warnings included.
+        result = run_process(command, "--index", idx, "--queries", queries, "--out", root / "out")
+        assert result == (1, "", f"error: {idx}: the index holds no pages\n")
 
     @pytest.mark.parametrize("which", ["images", "texts"])
     def test_ingest_non_utf8_mid_file(self, workspace, capsys, which):

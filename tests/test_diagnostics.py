@@ -1,35 +1,16 @@
 import io
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from comret.diagnostics import (
-    Histogram,
-    build_histogram,
-    kl_divergence,
-    modality_divergence_report,
-    score_stats,
-)
-from comret.errors import BadRange, BinMismatch, DimMismatch, EmptyInput
+from comret.diagnostics import Histogram, build_histogram, kl_divergence, modality_divergence_report
+from comret.errors import BadRange, BinMismatch, DimMismatch, MissingChannel
 
 import reference
 from conftest import make_index, make_query, random_index, unified_query
-
-
-class TestScoreStats:
-    def test_constant(self):
-        assert score_stats(np.array([1.0, 1.0, 1.0])) == (1.0, 0.0, 1.0, 1.0)
-
-    def test_two_point(self):
-        assert score_stats(np.array([0.0, 1.0])) == (0.5, 0.5, 0.0, 1.0)
-
-    def test_symmetric(self):
-        assert score_stats(np.array([-2.0, 2.0])) == (0.0, 2.0, -2.0, 2.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
-            score_stats(np.array([]))
 
 
 class TestBuildHistogram:
@@ -126,12 +107,52 @@ class TestDivergenceReport:
         with pytest.raises(DimMismatch, match="^query 'q2' channel 'text-query': expected dim 3, got 2$"):
             modality_divergence_report(index, queries)
 
-    def test_pooled_mean_is_zero(self, rng):
-        index = random_index(rng, pages=40, dim=6)
-        queries = [unified_query(f"q{i}", rng.standard_normal(6).tolist()) for i in range(10)]
-        report = modality_divergence_report(index, queries)
-        assert abs(report.image_stats[0]) < 1e-9
-        assert abs(report.text_stats[0]) < 1e-9
+    def test_summary_reports_only_measured_statistics(self, rng):
+        # Per-query z-scores pool to mean 0 and a std fixed by the
+        # sigma-zero share, so only each pool's range is reported.
+        index = random_index(rng, pages=20, dim=4)
+        queries = [unified_query(f"q{i}", rng.standard_normal(4).tolist()) for i in range(3)]
+        report = modality_divergence_report(index, queries, num_bins=8)
+        summary = report.summary()
+        assert set(summary) == {"bins", "kl_nats", "samples_per_modality", "sigma_zero", "sim_i", "sim_t"}
+        assert set(summary["sim_i"]) == set(summary["sim_t"]) == {"min", "max"}
+        buf = io.StringIO()
+        report.write_summary(buf)
+        assert json.loads(buf.getvalue()) == summary
+
+    def test_query_order_changes_nothing(self, rng):
+        # Equal text rows: every query's text channel has sigma 0 and is
+        # flagged, and the flags are listed by query id either way.
+        index = make_index(rng.standard_normal((50, 4)).tolist(), [[0.5, -1.0, 2.0, 0.0]] * 50)
+        queries = [make_query(f"q{i:02d}", rng.standard_normal(4).tolist(), rng.standard_normal(4).tolist())
+                   for i in range(40)]
+        forward = modality_divergence_report(index, queries, num_bins=12, threads=1)
+        backward = modality_divergence_report(index, queries[::-1], num_bins=12, threads=1)
+        assert list(forward.sigma_zero) == [(f"q{i:02d}", "text") for i in range(40)]
+        assert backward.summary() == forward.summary()
+        np.testing.assert_array_equal(backward.image_hist.densities, forward.image_hist.densities)
+        np.testing.assert_array_equal(backward.text_hist.densities, forward.text_hist.densities)
+
+    def test_query_without_channels_named_as_ucmr(self, rng):
+        index = random_index(rng, pages=5, dim=3)
+        queries = [unified_query("q1", [1.0, 0.0, 0.0]), make_query("q2")]
+        with pytest.raises(MissingChannel, match="^mode 'ucmr' requires query channel 'image-query'$"):
+            modality_divergence_report(index, queries)
+
+    def test_pools_held_once(self, rng):
+        # One float64 value per (query, page) and modality is 2 x Q x M x 8
+        # bytes; binning adds about as much again, and nothing else may
+        # hold a second copy of the pools.
+        queries_count, pages, dim = 256, 4000, 16
+        index = random_index(rng, pages=pages, dim=dim)
+        queries = [unified_query(f"q{i:03d}", rng.standard_normal(dim).tolist()) for i in range(queries_count)]
+        tracemalloc.start()
+        try:
+            modality_divergence_report(index, queries, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (2 * queries_count * pages * 8)
 
     def test_csv_layout(self, rng):
         index = random_index(rng, pages=10, dim=4)

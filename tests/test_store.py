@@ -364,6 +364,15 @@ class TestLoadIndexChecks:
         with pytest.raises(ComretError, match="dim/M"):
             load_index(tmp_path)
 
+    def test_zero_page_index_refused(self, tmp_path):
+        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
+        empty = PackedMatrix(ids=(), data=np.empty((0, 2), dtype=np.float32))
+        write_matrix(empty, tmp_path / "images.cmeb")
+        write_matrix(empty, tmp_path / "texts.cmeb")
+        (tmp_path / "manifest.json").write_text(json.dumps({"dim": 2, "M": 0}))
+        with pytest.raises(ComretError, match="the index holds no pages$"):
+            load_index(tmp_path)
+
 
 class TestParseQueryJsonl:
     def test_full_record(self):

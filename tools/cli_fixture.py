@@ -15,16 +15,23 @@ block of the sweep), texts in reverse order; 21 queries with distinct
 image/text channels and qrels, the last aimed at the tail duplicate, plus
 the same queries with the image channel only (fallback and the
 ensemble-ucmr error). ``ablate`` and ``diagnose`` also run with several
-threads, whose outputs must equal the single-threaded ones. Seven inputs
-must fail with exit code 1: an images file whose second embedding holds
-``true``, one with a non-UTF-8 byte on line 151, a texts file whose second
-embedding holds ``true`` (parsed in ingest's worker process when more than
-one core is usable), that texts file with the non-UTF-8 images file (the
-images error is reported), an index whose ``images.cmeb`` header claims
-2**64 - 1 rows of dim 0, a query file whose second image channel is
-``[{}]``, and an image-only retrieve whose second query carries a 1-dim
-text channel that the mode never sweeps. The ``--out`` directory is written
-as ``OUT`` in stdout and stderr.
+threads, whose outputs must equal the single-threaded ones. Nine inputs
+must fail with exit code 1:
+- ingest of an images file whose second embedding holds ``true``;
+- ingest of an images file with a non-UTF-8 byte on line 151;
+- ingest of a texts file whose second embedding holds ``true`` (parsed in
+  ingest's worker process when more than one core is usable);
+- ingest of that texts file with the non-UTF-8 images file (the images
+  error is reported);
+- retrieve on an index whose ``images.cmeb`` header claims 2**64 - 1 rows
+  of dim 0;
+- retrieve and diagnose on an index of zero pages (two 0-row ``.cmeb``
+  files and ``M: 0``);
+- retrieve of a query file whose second image channel is ``[{}]``;
+- an image-only retrieve whose second query carries a 1-dim text channel
+  that the mode never sweeps.
+
+The ``--out`` directory is written as ``OUT`` in stdout and stderr.
 """
 
 from __future__ import annotations
@@ -67,6 +74,10 @@ def make_inputs(out: Path) -> None:
     (out / "images_not_utf8.jsonl").write_bytes(b"".join(lines))
     (out / "idx-corrupt").mkdir()
     (out / "idx-corrupt" / "images.cmeb").write_bytes(b"CMEB" + struct.pack("<IIQ", 1, 0, 2**64 - 1))
+    (out / "idx-empty").mkdir()
+    for name in ("images.cmeb", "texts.cmeb"):
+        (out / "idx-empty" / name).write_bytes(b"CMEB" + struct.pack("<IIQ", 1, dim, 0))
+    (out / "idx-empty" / "manifest.json").write_text(json.dumps({"dim": dim, "M": 0}), encoding="utf-8")
     texts = [{"id": ids[i], "embedding": text[i].tolist()} for i in reversed(range(pages))]
     write_jsonl(out / "texts.jsonl", texts)
     bad_text = {**texts[1], "embedding": [True, *texts[1]["embedding"][1:]]}
@@ -108,6 +119,10 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                              "--out", o / "idx-both-bad"]),
         ("retrieve-corrupt-header", ["retrieve", "--index", o / "idx-corrupt", "--queries", q,
                                      "--out", o / "run-corrupt-header.tsv"]),
+        ("retrieve-empty-index", ["retrieve", "--index", o / "idx-empty", "--queries", q,
+                                  "--out", o / "run-empty-index.tsv"]),
+        ("diagnose-empty-index", ["diagnose", "--index", o / "idx-empty", "--queries", q,
+                                  "--out", o / "diag-empty-index"]),
         ("retrieve-query-dict", ["retrieve", "--index", idx, "--queries", o / "queries_dict.jsonl",
                                  "--out", o / "run-query-dict.tsv"]),
         ("retrieve-query-dim", ["retrieve", "--index", idx, "--queries", o / "queries_dim.jsonl",
@@ -151,7 +166,6 @@ def main() -> int:
     make_inputs(out)
     inputs = {p.name for p in out.iterdir()}
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve())}
-    env.pop("CMRAG_THREADS", None)
     for name, argv in commands(out):
         proc = subprocess.run([sys.executable, "-m", "comret.cli", *argv], env=env, capture_output=True, text=True)
         stdout = re.sub(r" elapsed=[0-9.]+s", "", proc.stdout) if name.startswith("ingest") else proc.stdout
