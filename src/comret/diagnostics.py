@@ -30,6 +30,9 @@ SMOOTHING_EPS = 1e-9
 
 DEFAULT_BINS = 50
 
+#: Values binned at a time, so binning's temporaries stay small beside a pool.
+BIN_CHUNK = 65536
+
 
 @dataclass(frozen=True)
 class Histogram:
@@ -49,9 +52,11 @@ def build_histogram(values: np.ndarray, num_bins: int, value_range: tuple[float,
         raise BadRange(f"invalid range [{lo}, {hi}]")
     x = np.asarray(values, dtype=np.float64)
     width = (hi - lo) / num_bins
-    idx = np.floor((x - lo) / width).astype(np.int64)
-    np.clip(idx, 0, num_bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=num_bins).astype(np.float64)
+    counts = np.zeros(num_bins, dtype=np.int64)
+    for start in range(0, x.size, BIN_CHUNK):
+        idx = np.floor((x[start : start + BIN_CHUNK] - lo) / width).astype(np.int64)
+        np.clip(idx, 0, num_bins - 1, out=idx)
+        counts += np.bincount(idx, minlength=num_bins)
     smoothed = counts + SMOOTHING_EPS
     edges = lo + width * np.arange(num_bins + 1, dtype=np.float64)
     edges[-1] = hi

@@ -13,16 +13,16 @@ Packed matrix file layout (all integers little-endian):
     | footer: per row, u32 byte length + UTF-8 id
 
 An index directory holds ``images.cmeb``, ``texts.cmeb`` and
-``manifest.json`` (dim, M, normalize flag, build timestamp).
+``manifest.json`` (dim, M, normalize flag, build timestamp). Loading maps
+the ``.cmeb`` files read-only; saving replaces each by rename.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import struct
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -256,16 +256,28 @@ def build_index(images: list[Record], texts: list[Record], normalize: bool = Fal
 
 
 def write_matrix(matrix: PackedMatrix, path: str | Path) -> None:
+    """Write a temporary sibling, then rename it over ``path``: truncating
+    a mapped file in place would fault every process that has it loaded."""
     data = np.ascontiguousarray(matrix.data, dtype="<f4")
     encoded = [rid.encode("utf-8") for rid in matrix.ids]
     footer = b"".join(_ID_LENGTH.pack(len(raw)) + raw for raw in encoded)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<IIQ", VERSION, matrix.dim, matrix.count))
-        fh.write(memoryview(data))
-        fh.write(footer)
+    temp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<IIQ", VERSION, matrix.dim, matrix.count))
+            fh.write(memoryview(data))
+            fh.write(footer)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
-def read_matrix(path: str | Path) -> PackedMatrix:
+def _map_matrix(path: Path, like: tuple[PackedMatrix, bytes] | None = None) -> tuple[PackedMatrix, bytes]:
+    """Map a .cmeb file read-only once its header fits the file. Returns the
+    matrix, its payload viewed in place (copied only on a big-endian host),
+    and the footer's bytes; ``like``'s ids are reused when this file has
+    its row count and footer bytes."""
     with open(path, "rb") as fh:
         header = fh.read(20)
         if header[:4] != MAGIC:
@@ -275,18 +287,17 @@ def read_matrix(path: str | Path) -> PackedMatrix:
         version, dim, count = struct.unpack_from("<IIQ", header, 4)
         if version != VERSION:
             raise UnsupportedVersion(version)
-        # Check the header against the file before allocating for it: the
-        # payload, then at least a 4-byte id length per row, must fit.
-        payload_bytes = count * dim * 4
-        if 20 + payload_bytes + 4 * count > os.fstat(fh.fileno()).st_size:
-            raise TruncatedFile(f"header claims {count} rows of dim {dim}, more than the file holds")
-        # Not np.memmap: 4 KB page-cache pages made 100k x 1152 sweeps ~10% slower than a huge-page array.
-        data = np.empty((count, dim), dtype=EMBEDDING_DTYPE)
-        if fh.readinto(data) != payload_bytes:
-            raise TruncatedFile("file ended while reading matrix payload")
-        if sys.byteorder == "big":
-            data.byteswap(inplace=True)
-        footer = fh.read()
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    # The payload, then at least a 4-byte id length per row, must fit.
+    payload_bytes = count * dim * 4
+    if 20 + payload_bytes + 4 * count > len(mapped):
+        raise TruncatedFile(f"header claims {count} rows of dim {dim}, more than the file holds")
+    data = np.frombuffer(mapped, dtype="<f4", count=count * dim, offset=20).reshape(count, dim)
+    data = data.astype(EMBEDDING_DTYPE, copy=False)
+    data.flags.writeable = False
+    footer = mapped[20 + payload_bytes :]
+    if like is not None and like[0].count == count and like[1] == footer:
+        return PackedMatrix(ids=like[0].ids, data=data), footer
     ids = []
     end = 0
     for row in range(count):
@@ -302,8 +313,11 @@ def read_matrix(path: str | Path) -> PackedMatrix:
             ids.append(footer[start:end].decode("utf-8"))
         except UnicodeDecodeError:
             raise ComretError(f"{path}: id of row {row} is not valid UTF-8")
-    data.flags.writeable = False
-    return PackedMatrix(ids=tuple(ids), data=data)
+    return PackedMatrix(ids=tuple(ids), data=data), footer
+
+
+def read_matrix(path: str | Path) -> PackedMatrix:
+    return _map_matrix(Path(path))[0]
 
 
 def save_index(index: IndexDirectory, path: str | Path) -> None:
@@ -318,16 +332,15 @@ def save_index(index: IndexDirectory, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> IndexDirectory:
-    """Read an index directory and check that its three files agree and
+    """Map an index directory and check that its three files agree and
     hold at least one page.
 
-    The two matrix files are read at once, on two threads (``readinto``
-    releases the GIL); if both are bad, the images file's error is raised.
+    The texts file's ids are decoded only when its footer differs from the
+    images file's; if both files are bad, the images file's error is raised.
     """
     root = Path(path)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        reads = [pool.submit(read_matrix, root / name) for name in (IMAGES_FILE, TEXTS_FILE)]
-    images, texts = (read.result() for read in reads)
+    images, footer = _map_matrix(root / IMAGES_FILE)
+    texts, _ = _map_matrix(root / TEXTS_FILE, like=(images, footer))
     manifest_path = root / MANIFEST_FILE
     with open(manifest_path, encoding="utf-8") as fh:
         try:

@@ -141,8 +141,8 @@ class TestDivergenceReport:
 
     def test_pools_held_once(self, rng):
         # One float64 value per (query, page) and modality is 2 x Q x M x 8
-        # bytes; binning adds about as much again, and nothing else may
-        # hold a second copy of the pools.
+        # bytes. Nothing may hold a second copy of the pools, and binning
+        # works in chunks, so its temporaries are small beside them.
         queries_count, pages, dim = 256, 4000, 16
         index = random_index(rng, pages=pages, dim=dim)
         queries = [unified_query(f"q{i:03d}", rng.standard_normal(dim).tolist()) for i in range(queries_count)]
@@ -152,7 +152,7 @@ class TestDivergenceReport:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * (2 * queries_count * pages * 8)
+        assert peak <= 1.5 * (2 * queries_count * pages * 8)
 
     def test_csv_layout(self, rng):
         index = random_index(rng, pages=10, dim=4)

@@ -1,6 +1,6 @@
+import errno
 import json
 import struct
-import threading
 import tracemalloc
 import warnings
 
@@ -256,6 +256,47 @@ class TestMatrixRoundTrip:
         with pytest.raises(TruncatedFile):
             read_matrix(path)
 
+    def test_save_over_a_loaded_index_leaves_it_intact(self, tmp_path, rng):
+        first, second = random_index(rng, 40, 8), random_index(rng, 30, 8)
+        save_index(first, tmp_path)
+        loaded = load_index(tmp_path)
+        save_index(second, tmp_path)
+        assert loaded.images.data.tobytes() == first.images.data.tobytes()
+        assert loaded.texts.data.tobytes() == first.texts.data.tobytes()
+        reloaded = load_index(tmp_path)
+        assert reloaded.ids == second.ids
+        assert reloaded.images.data.tobytes() == second.images.data.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["images.cmeb", "manifest.json", "texts.cmeb"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.cmeb"
+        write_matrix(make_index([[1.0, 2.0]], [[1.0, 2.0]]).images, path)
+        old = path.read_bytes()
+
+        class FullDisk:
+            """A file whose second write fails, as on a full disk."""
+
+            def __init__(self, name, mode):
+                self.fh, self.writes = open(name, mode), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, raw):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(raw)
+
+        monkeypatch.setattr(store, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_matrix(make_index([[3.0, 4.0]] * 2, [[3.0, 4.0]] * 2).images, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.cmeb"]
+
     def test_unicode_ids_round_trip(self, tmp_path):
         idx = make_index([[1.0]], [[1.0]], ids=["página-β"])
         write_matrix(idx.images, tmp_path / "u.cmeb")
@@ -312,20 +353,61 @@ class TestLoadIndexChecks:
         with pytest.raises(BadMagic):
             load_index(tmp_path)
 
-    def test_images_error_wins_when_texts_fails_first(self, tmp_path, monkeypatch):
-        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
-        texts_failed = threading.Event()
-
-        def read_matrix_texts_first(path):
-            if path.name == "texts.cmeb":
-                texts_failed.set()
-                raise TruncatedFile("texts")
-            assert texts_failed.wait(timeout=10)
-            raise BadMagic("images")
-
-        monkeypatch.setattr(store, "read_matrix", read_matrix_texts_first)
-        with pytest.raises(BadMagic, match="images"):
+    def test_images_bad_magic_wins_over_truncated_texts(self, tmp_path):
+        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]], ids=["page-a"]), tmp_path)
+        (tmp_path / "images.cmeb").write_bytes(b"NOPE" + b"\x00" * 32)
+        texts = tmp_path / "texts.cmeb"
+        texts.write_bytes(texts.read_bytes()[:-2])
+        with pytest.raises(BadMagic):
             load_index(tmp_path)
+
+    def test_images_bad_id_wins_over_truncated_texts(self, tmp_path):
+        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]], ids=["page-a"]), tmp_path)
+        images, texts = tmp_path / "images.cmeb", tmp_path / "texts.cmeb"
+        images.write_bytes(images.read_bytes()[:-1] + b"\xff")
+        texts.write_bytes(texts.read_bytes()[:-2])
+        with pytest.raises(ComretError, match=r"images\.cmeb: id of row 0 is not valid UTF-8$"):
+            load_index(tmp_path)
+
+    def test_non_utf8_id_in_texts_named_as_texts(self, tmp_path):
+        save_index(make_index([[1.0, 2.0]] * 2, [[1.0, 2.0]] * 2, ids=["page-a", "page-b"]), tmp_path)
+        texts = tmp_path / "texts.cmeb"
+        texts.write_bytes(texts.read_bytes()[:-1] + b"\xff")
+        with pytest.raises(ComretError, match=r"texts\.cmeb: id of row 1 is not valid UTF-8$"):
+            load_index(tmp_path)
+
+    def test_texts_footer_with_trailing_bytes_loads(self, tmp_path):
+        save_index(make_index([[1.0, 2.0]] * 2, [[1.0, 2.0]] * 2, ids=["page-a", "page-b"]), tmp_path)
+        texts = tmp_path / "texts.cmeb"
+        texts.write_bytes(texts.read_bytes() + b"\x00\xffextra")
+        index = load_index(tmp_path)
+        assert index.texts.ids == index.images.ids == ("page-a", "page-b")
+
+    def test_matching_footers_decoded_once(self, tmp_path, monkeypatch):
+        save_index(make_index([[1.0, 2.0]] * 3, [[1.0, 2.0]] * 3, ids=["a", "b", "c"]), tmp_path)
+
+        class CountingLength:
+            calls = 0
+
+            def unpack_from(self, buffer, offset):
+                self.calls += 1
+                return struct.unpack_from("<I", buffer, offset)
+
+        spy = CountingLength()
+        monkeypatch.setattr(store, "_ID_LENGTH", spy)
+        index = load_index(tmp_path)
+        assert spy.calls == 3  # one length per row of one footer
+        assert index.texts.ids is index.images.ids
+
+    def test_mapped_arrays_are_read_only_float32_views(self, tmp_path, rng):
+        pages, dim = 5, 7
+        save_index(random_index(rng, pages, dim), tmp_path)
+        index = load_index(tmp_path)
+        for matrix, name in ((index.images, "images.cmeb"), (index.texts, "texts.cmeb")):
+            assert matrix.data.dtype == np.float32 and matrix.data.shape == (pages, dim)
+            assert matrix.data.flags.c_contiguous and not matrix.data.flags.writeable
+            expected = np.fromfile(tmp_path / name, dtype="<f4", count=pages * dim, offset=20)
+            assert matrix.data.tobytes() == expected.astype(np.float32).tobytes()
 
     def test_only_texts_bad_reports_texts(self, tmp_path):
         save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
@@ -434,7 +516,7 @@ class TestParseQueryJsonl:
 
 
 def test_load_index_peak_memory_near_matrix_bytes(tmp_path, rng):
-    """Each payload is read once, into its final array."""
+    """No payload is copied: each is viewed in place in its mapped file."""
     pages, dim = 1000, 1024
     save_index(random_index(rng, pages, dim), tmp_path)
     tracemalloc.start()
@@ -446,3 +528,15 @@ def test_load_index_peak_memory_near_matrix_bytes(tmp_path, rng):
     matrix_bytes = index.images.data.nbytes + index.texts.data.nbytes
     assert matrix_bytes == 2 * pages * dim * 4
     assert peak <= 1.1 * matrix_bytes
+
+
+def test_load_index_allocates_a_tenth_of_the_matrices_at_most(tmp_path, rng):
+    pages, dim = 1000, 1024
+    save_index(random_index(rng, pages, dim), tmp_path)
+    tracemalloc.start()
+    try:
+        load_index(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * (2 * pages * dim * 4)

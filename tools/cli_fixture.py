@@ -15,7 +15,7 @@ block of the sweep), texts in reverse order; 21 queries with distinct
 image/text channels and qrels, the last aimed at the tail duplicate, plus
 the same queries with the image channel only (fallback and the
 ensemble-ucmr error). ``ablate`` and ``diagnose`` also run with several
-threads, whose outputs must equal the single-threaded ones. Nine inputs
+threads, whose outputs must equal the single-threaded ones. Eleven inputs
 must fail with exit code 1:
 - ingest of an images file whose second embedding holds ``true``;
 - ingest of an images file with a non-UTF-8 byte on line 151;
@@ -27,6 +27,10 @@ must fail with exit code 1:
   of dim 0;
 - retrieve and diagnose on an index of zero pages (two 0-row ``.cmeb``
   files and ``M: 0``);
+- retrieve on an index whose ``texts.cmeb`` holds the ids of
+  ``images.cmeb`` in reverse row order, and on one whose ``texts.cmeb`` has
+  a non-UTF-8 byte in an id (in both, the texts footer differs from the
+  images one, so its ids are decoded and checked);
 - retrieve of a query file whose second image channel is ``[{}]``;
 - an image-only retrieve whose second query carries a 1-dim text channel
   that the mode never sweeps.
@@ -58,6 +62,16 @@ def write_jsonl(path: Path, objects) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
+def write_index(root: Path, rows: np.ndarray, image_ids: list[bytes], text_ids: list[bytes]) -> None:
+    """A hand-built index directory, so the ``.cmeb`` footers can be damaged."""
+    root.mkdir()
+    for name, ids in (("images.cmeb", image_ids), ("texts.cmeb", text_ids)):
+        footer = b"".join(struct.pack("<I", len(raw)) + raw for raw in ids)
+        header = b"CMEB" + struct.pack("<IIQ", 1, rows.shape[1], rows.shape[0])
+        (root / name).write_bytes(header + rows.astype("<f4").tobytes() + footer)
+    (root / "manifest.json").write_text(json.dumps({"dim": rows.shape[1], "M": rows.shape[0]}), encoding="utf-8")
+
+
 def make_inputs(out: Path) -> None:
     rng = np.random.default_rng(7)
     pages, dim = 300, 16
@@ -78,6 +92,9 @@ def make_inputs(out: Path) -> None:
     for name in ("images.cmeb", "texts.cmeb"):
         (out / "idx-empty" / name).write_bytes(b"CMEB" + struct.pack("<IIQ", 1, dim, 0))
     (out / "idx-empty" / "manifest.json").write_text(json.dumps({"dim": dim, "M": 0}), encoding="utf-8")
+    head = [p.encode() for p in ids[:3]]
+    write_index(out / "idx-texts-reordered", image[:3], head, head[::-1])
+    write_index(out / "idx-texts-not-utf8", image[:3], head, [head[0], b"p\xff01", head[2]])
     texts = [{"id": ids[i], "embedding": text[i].tolist()} for i in reversed(range(pages))]
     write_jsonl(out / "texts.jsonl", texts)
     bad_text = {**texts[1], "embedding": [True, *texts[1]["embedding"][1:]]}
@@ -123,6 +140,10 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                                   "--out", o / "run-empty-index.tsv"]),
         ("diagnose-empty-index", ["diagnose", "--index", o / "idx-empty", "--queries", q,
                                   "--out", o / "diag-empty-index"]),
+        ("retrieve-texts-reordered", ["retrieve", "--index", o / "idx-texts-reordered", "--queries", q,
+                                      "--out", o / "run-texts-reordered.tsv"]),
+        ("retrieve-texts-not-utf8", ["retrieve", "--index", o / "idx-texts-not-utf8", "--queries", q,
+                                     "--out", o / "run-texts-not-utf8.tsv"]),
         ("retrieve-query-dict", ["retrieve", "--index", idx, "--queries", o / "queries_dict.jsonl",
                                  "--out", o / "run-query-dict.tsv"]),
         ("retrieve-query-dim", ["retrieve", "--index", idx, "--queries", o / "queries_dim.jsonl",
