@@ -273,11 +273,10 @@ def write_matrix(matrix: PackedMatrix, path: str | Path) -> None:
         raise
 
 
-def _map_matrix(path: Path, like: tuple[PackedMatrix, bytes] | None = None) -> tuple[PackedMatrix, bytes]:
-    """Map a .cmeb file read-only once its header fits the file. Returns the
-    matrix, its payload viewed in place (copied only on a big-endian host),
-    and the footer's bytes; ``like``'s ids are reused when this file has
-    its row count and footer bytes."""
+def _map_payload(path: Path) -> tuple[np.ndarray, bytes]:
+    """Map a .cmeb file read-only once its header fits the file. Returns
+    its payload, viewed in place (copied only on a big-endian host), and
+    the bytes of its id footer."""
     with open(path, "rb") as fh:
         header = fh.read(20)
         if header[:4] != MAGIC:
@@ -295,9 +294,11 @@ def _map_matrix(path: Path, like: tuple[PackedMatrix, bytes] | None = None) -> t
     data = np.frombuffer(mapped, dtype="<f4", count=count * dim, offset=20).reshape(count, dim)
     data = data.astype(EMBEDDING_DTYPE, copy=False)
     data.flags.writeable = False
-    footer = mapped[20 + payload_bytes :]
-    if like is not None and like[0].count == count and like[1] == footer:
-        return PackedMatrix(ids=like[0].ids, data=data), footer
+    return data, mapped[20 + payload_bytes :]
+
+
+def _decode_ids(path: str | Path, footer: bytes, count: int) -> tuple[str, ...]:
+    """The first ``count`` ids of a .cmeb footer, in row order."""
     ids = []
     end = 0
     for row in range(count):
@@ -313,11 +314,12 @@ def _map_matrix(path: Path, like: tuple[PackedMatrix, bytes] | None = None) -> t
             ids.append(footer[start:end].decode("utf-8"))
         except UnicodeDecodeError:
             raise ComretError(f"{path}: id of row {row} is not valid UTF-8")
-    return PackedMatrix(ids=tuple(ids), data=data), footer
+    return tuple(ids)
 
 
 def read_matrix(path: str | Path) -> PackedMatrix:
-    return _map_matrix(Path(path))[0]
+    data, footer = _map_payload(Path(path))
+    return PackedMatrix(ids=_decode_ids(path, footer, len(data)), data=data)
 
 
 def save_index(index: IndexDirectory, path: str | Path) -> None:
@@ -339,8 +341,13 @@ def load_index(path: str | Path) -> IndexDirectory:
     images file's; if both files are bad, the images file's error is raised.
     """
     root = Path(path)
-    images, footer = _map_matrix(root / IMAGES_FILE)
-    texts, _ = _map_matrix(root / TEXTS_FILE, like=(images, footer))
+    image_data, image_footer = _map_payload(root / IMAGES_FILE)
+    images = PackedMatrix(ids=_decode_ids(root / IMAGES_FILE, image_footer, len(image_data)), data=image_data)
+    text_data, text_footer = _map_payload(root / TEXTS_FILE)
+    if (len(text_data), text_footer) == (images.count, image_footer):
+        texts = PackedMatrix(ids=images.ids, data=text_data)
+    else:
+        texts = PackedMatrix(ids=_decode_ids(root / TEXTS_FILE, text_footer, len(text_data)), data=text_data)
     manifest_path = root / MANIFEST_FILE
     with open(manifest_path, encoding="utf-8") as fh:
         try:
