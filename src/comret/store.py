@@ -8,9 +8,12 @@ and one rule for number arrays (``finite_vector``).
 
 Packed matrix file layout (all integers little-endian):
 
-    magic "CMEB" | u32 version=1 | u32 dim | u64 count
+    magic "CMEB" | u32 version=2 | u32 dim | u64 count
     | count*dim little-endian float32
-    | footer: per row, u32 byte length + UTF-8 id
+    | footer: u64 byte length + the UTF-8 ids joined by "\n"
+
+No id is empty or holds a "\n", so the footer splits back into exactly
+``count`` ids. Bytes after the ids are ignored.
 
 An index directory holds ``images.cmeb``, ``texts.cmeb`` and
 ``manifest.json`` (dim, M, normalize flag, build timestamp). Loading maps
@@ -45,8 +48,7 @@ from .errors import (
 )
 
 MAGIC = b"CMEB"
-VERSION = 1
-_ID_LENGTH = struct.Struct("<I")
+VERSION = 2
 
 IMAGES_FILE = "images.cmeb"
 TEXTS_FILE = "texts.cmeb"
@@ -55,6 +57,9 @@ MANIFEST_FILE = "manifest.json"
 Record = tuple[str, np.ndarray]
 
 _NUMBER_TYPES = {int, float}
+
+#: Rows normalized at a time, so the float64 temporaries stay small beside a matrix.
+NORM_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -212,12 +217,14 @@ def _pack(records: list[Record], normalize: bool) -> PackedMatrix:
     data = np.stack([r[1] for r in records]).astype(EMBEDDING_DTYPE, copy=False)
     if normalize:
         # Norms in float64; float32 squares of tiny values could underflow.
-        norms = np.linalg.norm(data.astype(np.float64), axis=1)
-        for rid, norm in zip(ids, norms):
-            if norm == 0.0:
-                raise ZeroVectorOnNormalize(rid)
-        data = (data.astype(np.float64) / norms[:, None]).astype(EMBEDDING_DTYPE)
-    data = np.ascontiguousarray(data)
+        # Every operation is per row, so row blocks give the bits of one pass.
+        for start in range(0, len(data), NORM_ROWS):
+            block = data[start : start + NORM_ROWS].astype(np.float64)
+            norms = np.linalg.norm(block, axis=1)
+            if not norms.all():
+                raise ZeroVectorOnNormalize(ids[start + np.flatnonzero(norms == 0.0)[0]])
+            block /= norms[:, None]
+            data[start : start + NORM_ROWS] = block
     data.flags.writeable = False
     return PackedMatrix(ids=ids, data=data)
 
@@ -257,16 +264,24 @@ def build_index(images: list[Record], texts: list[Record], normalize: bool = Fal
 
 def write_matrix(matrix: PackedMatrix, path: str | Path) -> None:
     """Write a temporary sibling, then rename it over ``path``: truncating
-    a mapped file in place would fault every process that has it loaded."""
+    a mapped file in place would fault every process that has it loaded.
+    Ids that could not split back into one per row (one too many or few,
+    an empty one, one holding a "\n") are refused before anything is written.
+    """
+    if len(matrix.ids) != matrix.count:
+        raise ComretError(f"{path}: {len(matrix.ids)} ids for {matrix.count} rows")
+    block = "\n".join(matrix.ids)
+    if "" in matrix.ids or block.count("\n") > max(matrix.count - 1, 0):
+        row = next(row for row, rid in enumerate(matrix.ids) if not rid or "\n" in rid)
+        raise ComretError(f"{path}: id of row {row} is empty or holds a line break")
+    footer = block.encode("utf-8")
     data = np.ascontiguousarray(matrix.data, dtype="<f4")
-    encoded = [rid.encode("utf-8") for rid in matrix.ids]
-    footer = b"".join(_ID_LENGTH.pack(len(raw)) + raw for raw in encoded)
     temp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
         with open(temp, "wb") as fh:
             fh.write(MAGIC + struct.pack("<IIQ", VERSION, matrix.dim, matrix.count))
             fh.write(memoryview(data))
-            fh.write(footer)
+            fh.write(struct.pack("<Q", len(footer)) + footer)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -287,9 +302,10 @@ def _map_payload(path: Path) -> tuple[np.ndarray, bytes]:
         if version != VERSION:
             raise UnsupportedVersion(version)
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    # The payload, then at least a 4-byte id length per row, must fit.
+    # The payload, the footer's 8-byte length and at least one byte per id
+    # plus a newline between ids must fit.
     payload_bytes = count * dim * 4
-    if 20 + payload_bytes + 4 * count > len(mapped):
+    if 20 + payload_bytes + 8 + max(2 * count - 1, 0) > len(mapped):
         raise TruncatedFile(f"header claims {count} rows of dim {dim}, more than the file holds")
     data = np.frombuffer(mapped, dtype="<f4", count=count * dim, offset=20).reshape(count, dim)
     data = data.astype(EMBEDDING_DTYPE, copy=False)
@@ -298,23 +314,21 @@ def _map_payload(path: Path) -> tuple[np.ndarray, bytes]:
 
 
 def _decode_ids(path: str | Path, footer: bytes, count: int) -> tuple[str, ...]:
-    """The first ``count`` ids of a .cmeb footer, in row order."""
-    ids = []
-    end = 0
-    for row in range(count):
-        try:
-            (length,) = _ID_LENGTH.unpack_from(footer, end)
-        except struct.error:
-            raise TruncatedFile("file ended while reading id length")
-        start = end + 4
-        end = start + length
-        if end > len(footer):
-            raise TruncatedFile("file ended while reading id bytes")
-        try:
-            ids.append(footer[start:end].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise ComretError(f"{path}: id of row {row} is not valid UTF-8")
-    return tuple(ids)
+    """The ``count`` ids of a .cmeb footer, in row order."""
+    (length,) = struct.unpack_from("<Q", footer)
+    raw = footer[8 : 8 + length]
+    if len(raw) != length:
+        raise TruncatedFile("file ended while reading id bytes")
+    try:
+        ids = tuple(raw.decode("utf-8").split("\n")) if raw else ()
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start)
+        raise ComretError(f"{path}: id of row {row} is not valid UTF-8")
+    if len(ids) != count:
+        raise ComretError(f"{path}: the footer holds {len(ids)} ids for {count} rows")
+    if "" in ids:
+        raise ComretError(f"{path}: id of row {ids.index('')} is empty")
+    return ids
 
 
 def read_matrix(path: str | Path) -> PackedMatrix:

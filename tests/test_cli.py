@@ -403,7 +403,7 @@ class TestIOFailures:
         elif case == "manifest-not-json":
             (idx / "manifest.json").write_text("{not json")
         elif case == "header-row-count":
-            (idx / "images.cmeb").write_bytes(b"CMEB" + struct.pack("<IIQ", 1, 0, 2**64 - 1))
+            (idx / "images.cmeb").write_bytes(b"CMEB" + struct.pack("<IIQ", 2, 0, 2**64 - 1) + struct.pack("<Q", 0))
         else:
             queries.write_bytes(b"\xff\xfe")
         assert run_cli("retrieve", "--index", idx, "--queries", queries, "--out", out) == 1
@@ -419,6 +419,17 @@ class TestIOFailures:
         # A fresh interpreter, so stderr is all a user sees, warnings included.
         result = run_process(command, "--index", idx, "--queries", queries, "--out", root / "out")
         assert result == (1, "", f"error: {idx}: the index holds no pages\n")
+
+    def test_version_1_index_is_one_error_line(self, built_index):
+        root, idx, queries, _ = built_index
+        images = idx / "images.cmeb"
+        raw = images.read_bytes()
+        dim, count = struct.unpack_from("<IQ", raw, 8)
+        ids = raw[28 + count * dim * 4 :].split(b"\n")
+        footer = b"".join(struct.pack("<I", len(rid)) + rid for rid in ids)
+        images.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8 : 20 + count * dim * 4] + footer)
+        result = run_process("retrieve", "--index", idx, "--queries", queries, "--out", root / "run.tsv")
+        assert result == (1, "", "error: unsupported format version 1\n")
 
     @pytest.mark.parametrize("which", ["images", "texts"])
     def test_ingest_non_utf8_mid_file(self, workspace, capsys, which):

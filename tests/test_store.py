@@ -241,9 +241,9 @@ class TestMatrixRoundTrip:
             read_matrix(path)
 
     def test_row_count_beyond_footer(self, tmp_path):
-        # dim 0: no payload, but 2**64 - 1 rows cannot fit their id lengths.
+        # dim 0: no payload, but 2**64 - 1 rows cannot fit their ids.
         path = tmp_path / "rows.cmeb"
-        path.write_bytes(MAGIC + struct.pack("<IIQ", 1, 0, 2**64 - 1))
+        path.write_bytes(MAGIC + struct.pack("<IIQ", 2, 0, 2**64 - 1) + struct.pack("<Q", 0))
         with pytest.raises(TruncatedFile):
             read_matrix(path)
 
@@ -297,19 +297,71 @@ class TestMatrixRoundTrip:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.cmeb"]
 
+    def test_version_2_layout(self, tmp_path):
+        ids = ["page-a", "página-β"]
+        matrix = PackedMatrix(ids=tuple(ids), data=np.arange(4, dtype=np.float32).reshape(2, 2))
+        write_matrix(matrix, tmp_path / "m.cmeb")
+        assert (tmp_path / "m.cmeb").read_bytes() == valid_cmeb(2, 2, ids)
+
+    def test_last_id_short_by_one_byte_is_truncated(self, tmp_path):
+        path = tmp_path / "m.cmeb"
+        write_matrix(make_index([[1.0]] * 2, [[1.0]] * 2, ids=["page-b", "page-a"]).images, path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(TruncatedFile, match="file ended while reading id bytes$"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            pytest.param(b"a\nb\nc", "the footer holds 3 ids for 2 rows$", id="one-id-too-many"),
+            pytest.param(b"abc", "the footer holds 1 ids for 2 rows$", id="one-id-too-few"),
+            pytest.param(b"ab\n", "id of row 1 is empty$", id="empty-last-id"),
+            pytest.param(b"\nab", "id of row 0 is empty$", id="empty-first-id"),
+        ],
+    )
+    def test_footer_must_split_into_one_id_per_row(self, tmp_path, block, message):
+        path = tmp_path / "m.cmeb"
+        path.write_bytes(cmeb_head(2, 1) + struct.pack("<Q", len(block)) + block)
+        with pytest.raises(ComretError, match=message):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_non_utf8_id_names_its_row(self, tmp_path, row):
+        ids = [b"page-a", b"page-b", b"page-c"]
+        ids[row] = ids[row][:2] + b"\xff" + ids[row][3:]
+        block = b"\n".join(ids)
+        path = tmp_path / "m.cmeb"
+        path.write_bytes(cmeb_head(3, 1) + struct.pack("<Q", len(block)) + block)
+        with pytest.raises(ComretError, match=rf"m\.cmeb: id of row {row} is not valid UTF-8$"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("ids", [("a", ""), ("a", "b\nc")], ids=["empty", "line-break"])
+    def test_write_rejects_an_id_the_footer_cannot_hold(self, tmp_path, ids):
+        matrix = PackedMatrix(ids=ids, data=np.ones((2, 3), dtype=np.float32))
+        with pytest.raises(ComretError, match=r"m\.cmeb: id of row 1 is empty or holds a line break$"):
+            write_matrix(matrix, tmp_path / "m.cmeb")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_rejects_ids_unlike_the_rows(self, tmp_path):
+        matrix = PackedMatrix(ids=("a", "b", "c"), data=np.ones((2, 3), dtype=np.float32))
+        with pytest.raises(ComretError, match=r"m\.cmeb: 3 ids for 2 rows$"):
+            write_matrix(matrix, tmp_path / "m.cmeb")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unicode_ids_round_trip(self, tmp_path):
         idx = make_index([[1.0]], [[1.0]], ids=["página-β"])
         write_matrix(idx.images, tmp_path / "u.cmeb")
         assert read_matrix(tmp_path / "u.cmeb").ids == ("página-β",)
 
 
+def cmeb_head(rows, dim):
+    """A version-2 header and payload, without the id footer."""
+    return MAGIC + struct.pack("<IIQ", 2, dim, rows) + np.arange(rows * dim, dtype="<f4").tobytes()
+
+
 def valid_cmeb(rows, dim, ids):
-    return (
-        MAGIC
-        + struct.pack("<IIQ", 1, dim, rows)
-        + np.arange(rows * dim, dtype="<f4").tobytes()
-        + b"".join(struct.pack("<I", len(raw)) + raw for raw in (i.encode() for i in ids))
-    )
+    footer = "\n".join(ids).encode()
+    return cmeb_head(rows, dim) + struct.pack("<Q", len(footer)) + footer
 
 
 @st.composite
@@ -317,7 +369,8 @@ def damaged_cmeb(draw):
     """A valid file, then truncated, with a flipped header or footer byte,
     or with extra bytes at the end."""
     rows, dim = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    ids = draw(st.lists(st.text(max_size=3), min_size=rows, max_size=rows))
+    id_text = st.text(st.characters(codec="utf-8", exclude_characters="\n"), min_size=1, max_size=3)
+    ids = draw(st.lists(id_text, min_size=rows, max_size=rows))
     raw = bytearray(valid_cmeb(rows, dim, ids))
     damage = draw(st.sampled_from(["none", "truncate", "flip-header", "flip-footer", "extend"]))
     if damage == "truncate":
@@ -333,7 +386,7 @@ def damaged_cmeb(draw):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(raw=st.binary(max_size=64) | damaged_cmeb())
-@example(raw=MAGIC + struct.pack("<IIQ", 1, 0, 2**64 - 1))
+@example(raw=MAGIC + struct.pack("<IIQ", 2, 0, 2**64 - 1) + struct.pack("<Q", 0))
 def test_fuzzed_cmeb_reads_or_raises_comret_error(tmp_path, raw):
     path = tmp_path / "fuzz.cmeb"
     path.write_bytes(raw)
@@ -386,17 +439,16 @@ class TestLoadIndexChecks:
     def test_matching_footers_decoded_once(self, tmp_path, monkeypatch):
         save_index(make_index([[1.0, 2.0]] * 3, [[1.0, 2.0]] * 3, ids=["a", "b", "c"]), tmp_path)
 
-        class CountingLength:
-            calls = 0
+        decoded = []
+        decode_ids = store._decode_ids
 
-            def unpack_from(self, buffer, offset):
-                self.calls += 1
-                return struct.unpack_from("<I", buffer, offset)
+        def spy(path, footer, count):
+            decoded.append(path.name)
+            return decode_ids(path, footer, count)
 
-        spy = CountingLength()
-        monkeypatch.setattr(store, "_ID_LENGTH", spy)
+        monkeypatch.setattr(store, "_decode_ids", spy)
         index = load_index(tmp_path)
-        assert spy.calls == 3  # one length per row of one footer
+        assert decoded == ["images.cmeb"]
         assert index.texts.ids is index.images.ids
 
     def test_mapped_arrays_are_read_only_float32_views(self, tmp_path, rng):
@@ -451,6 +503,15 @@ class TestLoadIndexChecks:
         empty = PackedMatrix(ids=(), data=np.empty((0, 2), dtype=np.float32))
         write_matrix(empty, tmp_path / "images.cmeb")
         write_matrix(empty, tmp_path / "texts.cmeb")
+        (tmp_path / "manifest.json").write_text(json.dumps({"dim": 2, "M": 0}))
+        with pytest.raises(ComretError, match="the index holds no pages$"):
+            load_index(tmp_path)
+
+    def test_hand_built_zero_page_index_refused(self, tmp_path):
+        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
+        empty = MAGIC + struct.pack("<IIQ", 2, 2, 0) + struct.pack("<Q", 0)
+        (tmp_path / "images.cmeb").write_bytes(empty)
+        (tmp_path / "texts.cmeb").write_bytes(empty)
         (tmp_path / "manifest.json").write_text(json.dumps({"dim": 2, "M": 0}))
         with pytest.raises(ComretError, match="the index holds no pages$"):
             load_index(tmp_path)
@@ -540,3 +601,18 @@ def test_load_index_allocates_a_tenth_of_the_matrices_at_most(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert peak <= 0.1 * (2 * pages * dim * 4)
+
+
+def test_normalize_peaks_near_the_two_matrices(rng):
+    """Normalizing works in float64 row blocks, not whole-matrix copies."""
+    pages, dim = 4000, 1024
+    ids = [f"page-{i}" for i in range(pages)]
+    images = list(zip(ids, rng.standard_normal((pages, dim)).astype(np.float32)))
+    texts = list(zip(ids, rng.standard_normal((pages, dim)).astype(np.float32)))
+    tracemalloc.start()
+    try:
+        build_index(images, texts, normalize=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * (pages * dim * 4)

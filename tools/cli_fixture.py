@@ -66,9 +66,9 @@ def write_index(root: Path, rows: np.ndarray, image_ids: list[bytes], text_ids: 
     """A hand-built index directory, so the ``.cmeb`` footers can be damaged."""
     root.mkdir()
     for name, ids in (("images.cmeb", image_ids), ("texts.cmeb", text_ids)):
-        footer = b"".join(struct.pack("<I", len(raw)) + raw for raw in ids)
-        header = b"CMEB" + struct.pack("<IIQ", 1, rows.shape[1], rows.shape[0])
-        (root / name).write_bytes(header + rows.astype("<f4").tobytes() + footer)
+        footer = b"\n".join(ids)
+        header = b"CMEB" + struct.pack("<IIQ", 2, rows.shape[1], rows.shape[0])
+        (root / name).write_bytes(header + rows.astype("<f4").tobytes() + struct.pack("<Q", len(footer)) + footer)
     (root / "manifest.json").write_text(json.dumps({"dim": rows.shape[1], "M": rows.shape[0]}), encoding="utf-8")
 
 
@@ -87,10 +87,10 @@ def make_inputs(out: Path) -> None:
     lines[150] = lines[150].replace(b'"id"', b'"\xffid"', 1)  # past the first read chunk
     (out / "images_not_utf8.jsonl").write_bytes(b"".join(lines))
     (out / "idx-corrupt").mkdir()
-    (out / "idx-corrupt" / "images.cmeb").write_bytes(b"CMEB" + struct.pack("<IIQ", 1, 0, 2**64 - 1))
+    (out / "idx-corrupt" / "images.cmeb").write_bytes(b"CMEB" + struct.pack("<IIQ", 2, 0, 2**64 - 1) + bytes(8))
     (out / "idx-empty").mkdir()
     for name in ("images.cmeb", "texts.cmeb"):
-        (out / "idx-empty" / name).write_bytes(b"CMEB" + struct.pack("<IIQ", 1, dim, 0))
+        (out / "idx-empty" / name).write_bytes(b"CMEB" + struct.pack("<IIQ", 2, dim, 0) + bytes(8))
     (out / "idx-empty" / "manifest.json").write_text(json.dumps({"dim": dim, "M": 0}), encoding="utf-8")
     head = [p.encode() for p in ids[:3]]
     write_index(out / "idx-texts-reordered", image[:3], head, head[::-1])
