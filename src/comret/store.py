@@ -26,6 +26,8 @@ import json
 import mmap
 import os
 import struct
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -207,14 +209,13 @@ def parse_query_jsonl(stream: TextIO | Iterable[str]) -> list[QueryRecord]:
     return queries
 
 
-def _pack(records: list[Record], normalize: bool) -> PackedMatrix:
-    ids = tuple(r[0] for r in records)
-    seen: set[str] = set()
-    for rid in ids:
-        if rid in seen:
-            raise DuplicateId(rid)
-        seen.add(rid)
-    data = np.stack([r[1] for r in records]).astype(EMBEDDING_DTYPE, copy=False)
+def _pack(channel: str, ids: tuple[str, ...], rows: list[np.ndarray], dim: int, normalize: bool) -> PackedMatrix:
+    for rid, row in zip(ids, rows):
+        if row.shape != (dim,):
+            raise DimMismatch(dim, row.shape[0] if row.ndim == 1 else row.shape, where=f"{channel} id {rid!r}")
+    data = np.empty((len(rows), dim), EMBEDDING_DTYPE)
+    # Cast straight into the float32 matrix, as astype would: no stacked copy in the rows' dtype.
+    np.concatenate(rows, out=data.reshape(-1), casting="unsafe")
     if normalize:
         # Norms in float64; float32 squares of tiny values could underflow.
         # Every operation is per row, so row blocks give the bits of one pass.
@@ -229,11 +230,18 @@ def _pack(records: list[Record], normalize: bool) -> PackedMatrix:
     return PackedMatrix(ids=ids, data=data)
 
 
+def _both(first: tuple, second: tuple) -> list:
+    """Both calls' results, from two threads joined before this returns; the first call's error wins."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(*call) for call in (first, second)]
+    return [future.result() for future in futures]
+
+
 def build_index(images: list[Record], texts: list[Record], normalize: bool = False) -> IndexDirectory:
     """Pair image and text records by id into aligned matrices.
 
     Row order follows the images file. The id sets must match exactly and
-    both modalities must share one embedding dimension.
+    every row of both modalities must share one embedding dimension.
     """
     if not images or not texts:
         raise ComretError("need at least one image and one text record")
@@ -241,18 +249,21 @@ def build_index(images: list[Record], texts: list[Record], normalize: bool = Fal
     text_ids = {r[0] for r in texts}
     if image_ids != text_ids:
         raise IdSetMismatch(image_ids.symmetric_difference(text_ids))
-    if images[0][1].shape[0] != texts[0][1].shape[0]:
-        raise DimMismatch(images[0][1].shape[0], texts[0][1].shape[0], where="texts vs images")
+    if (dim := images[0][1].shape[0]) != texts[0][1].shape[0]:
+        raise DimMismatch(dim, texts[0][1].shape[0], where="texts vs images")
+    ids = tuple(r[0] for r in images)
 
-    image_matrix = _pack(images, normalize)
-    by_id = dict(texts)
-    if len(by_id) != len(texts):
-        counts: dict[str, int] = {}
-        for rid, _ in texts:
-            counts[rid] = counts.get(rid, 0) + 1
-        raise DuplicateId(next(rid for rid, n in counts.items() if n > 1))
-    text_matrix = _pack([(rid, by_id[rid]) for rid in image_matrix.ids], normalize)
+    def pack_images() -> PackedMatrix:
+        if len(image_ids) != len(ids):
+            seen: set[str] = set()
+            raise DuplicateId(next(rid for rid in ids if rid in seen or seen.add(rid)))
+        return _pack("images", ids, [r[1] for r in images], dim, normalize)
 
+    def pack_texts() -> PackedMatrix:
+        if len(text_ids) != len(texts):
+            raise DuplicateId(next(rid for rid, n in Counter(r[0] for r in texts).items() if n > 1))
+        return _pack("texts", ids, list(map(dict(texts).__getitem__, ids)), dim, normalize)
+    image_matrix, text_matrix = _both((pack_images,), (pack_texts,))
     manifest = {
         "dim": image_matrix.dim,
         "M": image_matrix.count,
@@ -274,7 +285,11 @@ def write_matrix(matrix: PackedMatrix, path: str | Path) -> None:
     if "" in matrix.ids or block.count("\n") > max(matrix.count - 1, 0):
         row = next(row for row, rid in enumerate(matrix.ids) if not rid or "\n" in rid)
         raise ComretError(f"{path}: id of row {row} is empty or holds a line break")
-    footer = block.encode("utf-8")
+    try:
+        footer = block.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        row = block.count("\n", 0, exc.start)
+        raise ComretError(f"{path}: id of row {row} holds an unpaired surrogate")
     data = np.ascontiguousarray(matrix.data, dtype="<f4")
     temp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
@@ -340,8 +355,8 @@ def save_index(index: IndexDirectory, path: str | Path) -> None:
     """Write images.cmeb, texts.cmeb and manifest.json under ``path``."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    write_matrix(index.images, root / IMAGES_FILE)
-    write_matrix(index.texts, root / TEXTS_FILE)
+    # A large write releases the GIL, so the two files are written at once.
+    _both((write_matrix, index.images, root / IMAGES_FILE), (write_matrix, index.texts, root / TEXTS_FILE))
     with open(root / MANIFEST_FILE, "w", encoding="utf-8") as fh:
         json.dump(index.manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

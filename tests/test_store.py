@@ -1,6 +1,9 @@
 import errno
+import itertools
 import json
+import os
 import struct
+import threading
 import tracemalloc
 import warnings
 
@@ -185,6 +188,127 @@ class TestBuildIndex:
         norms = np.linalg.norm(idx.images.data.astype(np.float64), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("channel", ["images", "texts"])
+    def test_row_of_another_length_names_its_channel_and_id(self, channel):
+        good = [(pid, np.ones(3, np.float32)) for pid in ("p1", "p2", "p3")]
+        bad = [good[0], ("p2", np.ones(4, np.float32)), good[2]]
+        images, texts = (bad, good[::-1]) if channel == "images" else (good, bad[::-1])
+        with pytest.raises(DimMismatch, match=rf"^{channel} id 'p2': expected dim 3, got 4$"):
+            build_index(images, texts)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_packed_bits_equal_stacked_rows(self, rng, dtype, normalize):
+        """Rows of any dtype are cast as ``np.stack(rows).astype(float32)``
+        casts them, then normalized per row in float64."""
+        pages, dim = 150, 33  # more rows than one normalize block, and a partial last block
+        ids = [f"p{i}" for i in range(pages)]
+        if dtype == np.int64:
+            image_rows, text_rows = rng.integers(-(2**40), 2**40, (2, pages, dim))
+        else:
+            image_rows, text_rows = (rng.standard_normal((2, pages, dim)) * 1e3).astype(dtype)
+        order = rng.permutation(pages)
+        before = threading.active_count()
+        index = build_index(
+            list(zip(ids, image_rows)), [(ids[i], text_rows[i]) for i in order], normalize=normalize
+        )
+        assert threading.active_count() == before
+        for rows, packed in ((image_rows, index.images), (text_rows, index.texts)):
+            expected = np.stack(list(rows)).astype(np.float32)
+            if normalize:
+                wide = expected.astype(np.float64)
+                expected = (wide / np.linalg.norm(wide, axis=1)[:, None]).astype(np.float32)
+            assert packed.data.dtype == np.float32 and packed.data.tobytes() == expected.tobytes()
+            assert packed.ids == tuple(ids)
+
+    @pytest.mark.parametrize(
+        "images, texts, named",
+        [
+            pytest.param(["p1", "p2", "p2", "p1"], ["p1", "p2"], "p2", id="images-second-copy-first"),
+            pytest.param(["p1", "p2"], ["p1", "p2", "p2", "p1"], "p1", id="texts-first-id-repeated"),
+        ],
+    )
+    def test_duplicate_named(self, images, texts, named):
+        def records(ids):
+            return [(pid, np.ones(2, np.float32)) for pid in ids]
+
+        with pytest.raises(DuplicateId, match=f"^duplicate id '{named}'$"):
+            build_index(records(images), records(texts))
+
+
+#: build_index's checks, in the order in which their errors win.
+BUILD_FAULTS = {
+    "empty": "need at least one image and one text record",
+    "id-sets": "ids present on one side only: p4, p9",
+    "dims": "texts vs images: expected dim 3, got 5",
+    "images-dup": "duplicate id 'p2'",
+    "images-shape": "images id 'p3': expected dim 3, got 4",
+    "images-zero": "cannot L2-normalize zero vector for id 'p4'",
+    "texts-dup": "duplicate id 'p1'",
+    "texts-shape": "texts id 'p4': expected dim 3, got 4",
+    "texts-zero": "cannot L2-normalize zero vector for id 'p3'",
+}
+
+
+def faulty_records(faults):
+    """Image and text records of pages p1-p4 holding the named faults."""
+    ids = ["p1", "p2", "p3", "p4"]
+    rows = {channel: [[pid, np.ones(3, np.float32)] for pid in ids] for channel in ("images", "texts")}
+    for channel, dup, shape, zero in (("images", "p2", 2, 3), ("texts", "p1", 3, 2)):
+        if f"{channel}-shape" in faults:
+            rows[channel][shape][1] = np.ones(4, np.float32)
+        if f"{channel}-zero" in faults:
+            rows[channel][zero][1] = np.zeros(3, np.float32)
+        if f"{channel}-dup" in faults:
+            rows[channel].append([dup, np.ones(3, np.float32)])
+    if "dims" in faults:
+        rows["texts"][0][1] = np.ones(5, np.float32)
+    if "id-sets" in faults:
+        rows["texts"][3][0] = "p9"
+    if "empty" in faults:
+        rows["images"] = []
+    return [tuple(r) for r in rows["images"]], [tuple(r) for r in rows["texts"]]
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [pytest.param(a, b, id=f"{a}-over-{b}") for a, b in itertools.combinations(BUILD_FAULTS, 2)],
+)
+def test_build_errors_win_in_order(first, later):
+    """Each channel is packed in its own thread, yet the error raised is
+    the one a sequential build would raise first."""
+    images, texts = faulty_records({first, later})
+    with pytest.raises(ComretError) as err:
+        build_index(images, texts, normalize=True)
+    assert str(err.value) == BUILD_FAULTS[first]
+
+
+@pytest.mark.parametrize("fault", BUILD_FAULTS)
+def test_each_build_fault_alone(fault):
+    images, texts = faulty_records({fault})
+    with pytest.raises(ComretError) as err:
+        build_index(images, texts, normalize=True)
+    assert str(err.value) == BUILD_FAULTS[fault]
+
+
+class FullDisk:
+    """A file whose second write fails, as on a full disk."""
+
+    def __init__(self, name, mode):
+        self.name, self.fh, self.writes = str(name), open(name, mode), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, raw):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device", self.name)
+        return self.fh.write(raw)
+
 
 class TestMatrixRoundTrip:
     def test_save_load_bit_exact(self, tmp_path, rng):
@@ -272,30 +396,43 @@ class TestMatrixRoundTrip:
         path = tmp_path / "m.cmeb"
         write_matrix(make_index([[1.0, 2.0]], [[1.0, 2.0]]).images, path)
         old = path.read_bytes()
-
-        class FullDisk:
-            """A file whose second write fails, as on a full disk."""
-
-            def __init__(self, name, mode):
-                self.fh, self.writes = open(name, mode), 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, raw):
-                self.writes += 1
-                if self.writes == 2:
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return self.fh.write(raw)
-
         monkeypatch.setattr(store, "open", FullDisk, raising=False)
         with pytest.raises(OSError, match="No space left"):
             write_matrix(make_index([[3.0, 4.0]] * 2, [[3.0, 4.0]] * 2).images, path)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.cmeb"]
+
+    def test_save_index_writes_what_write_matrix_writes(self, tmp_path, rng):
+        index = random_index(rng, 150, 9)
+        before = threading.active_count()
+        save_index(index, tmp_path / "idx")
+        assert threading.active_count() == before
+        write_matrix(index.images, tmp_path / "images.cmeb")
+        write_matrix(index.texts, tmp_path / "texts.cmeb")
+        for name in ("images.cmeb", "texts.cmeb"):
+            assert (tmp_path / "idx" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_both_writes_failing_raise_the_images_error(self, tmp_path, monkeypatch, rng):
+        texts_failed = threading.Event()
+
+        class ImagesFailLast(FullDisk):
+            """Fails as FullDisk does, the texts file before the images file."""
+
+            def write(self, raw):
+                try:
+                    return super().write(raw)
+                except OSError:
+                    if "texts" in self.name:
+                        texts_failed.set()
+                    else:
+                        assert texts_failed.wait(timeout=10)
+                    raise
+
+        monkeypatch.setattr(store, "open", ImagesFailLast, raising=False)
+        with pytest.raises(OSError, match="No space left") as err:
+            save_index(random_index(rng, 4, 3), tmp_path)
+        assert err.value.filename == str(tmp_path / f".images.cmeb.{os.getpid()}.tmp")
+        assert list(tmp_path.iterdir()) == []  # no temporary sibling, no texts.cmeb, no manifest
 
     def test_version_2_layout(self, tmp_path):
         ids = ["page-a", "página-β"]
@@ -335,10 +472,17 @@ class TestMatrixRoundTrip:
         with pytest.raises(ComretError, match=rf"m\.cmeb: id of row {row} is not valid UTF-8$"):
             read_matrix(path)
 
-    @pytest.mark.parametrize("ids", [("a", ""), ("a", "b\nc")], ids=["empty", "line-break"])
-    def test_write_rejects_an_id_the_footer_cannot_hold(self, tmp_path, ids):
+    @pytest.mark.parametrize(
+        "ids, reason",
+        [
+            pytest.param(("a", ""), "is empty or holds a line break", id="empty"),
+            pytest.param(("a", "b\nc"), "is empty or holds a line break", id="line-break"),
+            pytest.param(("a", "\ud800"), "holds an unpaired surrogate", id="surrogate"),
+        ],
+    )
+    def test_write_rejects_an_id_the_footer_cannot_hold(self, tmp_path, ids, reason):
         matrix = PackedMatrix(ids=ids, data=np.ones((2, 3), dtype=np.float32))
-        with pytest.raises(ComretError, match=r"m\.cmeb: id of row 1 is empty or holds a line break$"):
+        with pytest.raises(ComretError, match=rf"m\.cmeb: id of row 1 {reason}$"):
             write_matrix(matrix, tmp_path / "m.cmeb")
         assert list(tmp_path.iterdir()) == []
 
@@ -616,3 +760,19 @@ def test_normalize_peaks_near_the_two_matrices(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 2.3 * (pages * dim * 4)
+
+
+def test_build_from_float64_rows_peaks_near_the_two_matrices(rng):
+    """Rows are cast straight into the float32 matrices, with no stacked
+    float64 copy."""
+    pages, dim = 4000, 1024
+    ids = [f"page-{i}" for i in range(pages)]
+    images = list(zip(ids, rng.standard_normal((pages, dim))))
+    texts = list(zip(ids, rng.standard_normal((pages, dim))))
+    tracemalloc.start()
+    try:
+        build_index(images, texts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * (pages * dim * 4)
