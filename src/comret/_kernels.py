@@ -12,6 +12,12 @@ core this process may run on (``default_threads``). While a sweep runs on
 more than one thread, NumPy's bundled OpenBLAS is held at one thread of
 its own (``blas_cap``), so the two kinds of threads do not compete for
 the cores; no score depends on either count.
+
+OpenBLAS shuts its thread pool down whenever the process forks, and any
+later call that sets its thread count starts a new pool, whose thread
+busy-waits beside the sweep's own threads. So the cap sets nothing when
+OpenBLAS already runs one thread, and a process that ran a forking
+``ingest`` keeps OpenBLAS at one thread afterwards (``BlasCap.pin``).
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ class BlasCap:
 
     The library's thread count is process-wide, so overlapping sweeps
     share one cap: the first to enter saves the count and sets 1, the
-    last to leave restores the saved count.
+    last to leave restores the saved count. Neither sets anything when
+    the library already runs one thread: after a fork, that call would
+    start a pool of threads that only spin.
     """
 
     def __init__(self, get_threads: Callable[[], int], set_threads: Callable[[int], None]):
@@ -65,14 +73,23 @@ class BlasCap:
         with self._lock:
             if self._depth == 0:
                 self._saved = self.get_threads()
-                self.set_threads(1)
+                if self._saved != 1:
+                    self.set_threads(1)
             self._depth += 1
 
     def __exit__(self, *exc_info) -> None:
         with self._lock:
             self._depth -= 1
-            if self._depth == 0:
+            if self._depth == 0 and self._saved != 1:
                 self.set_threads(self._saved)
+
+    def pin(self) -> None:
+        """Hold the library at one thread for the rest of the process;
+        a sweep running now restores nothing when it ends."""
+        with self._lock:
+            self._saved = 1
+            if self.get_threads() != 1:
+                self.set_threads(1)
 
 
 @functools.cache

@@ -6,7 +6,8 @@ Data goes to stdout or the --out target. Query scoring (retrieve, ablate,
 diagnose) splits each sweep's page rows between --threads N threads,
 every core the process may run on by default; no output byte depends on
 their number. With more than one usable core, ingest parses its two
-embedding files at once, the texts file in a forked worker process.
+embedding files at once, the texts file in a forked worker process; the
+process that ran it keeps NumPy's OpenBLAS at one thread afterwards.
 """
 
 from __future__ import annotations
@@ -53,8 +54,13 @@ def _parse_pages(images: str, texts: str) -> tuple[list[store.Record], list[stor
     if _kernels.default_threads() == 1 or "fork" not in multiprocessing.get_all_start_methods():
         return _parse(images, store.parse_embedding_jsonl), _parse(texts, store.parse_embedding_jsonl)
     # fork, not spawn: the worker starts without a fresh import of NumPy.
-    # No thread of comret's runs here, and OpenBLAS quiesces its own
-    # threads at fork.
+    # No thread of comret's runs here. OpenBLAS shuts its pool down at the
+    # fork, and any later change of its thread count would start a pool
+    # that spins beside every sweep; so it stays at one thread from here
+    # on, as each sweep holds it anyway.
+    cap = _kernels.blas_cap()
+    if cap is not None:
+        cap.pin()
     with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork")) as pool:
         text_records = pool.submit(_parse, texts, store.parse_embedding_jsonl)
         image_records = _parse(images, store.parse_embedding_jsonl)

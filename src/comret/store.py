@@ -273,12 +273,12 @@ def build_index(images: list[Record], texts: list[Record], normalize: bool = Fal
     return IndexDirectory(images=image_matrix, texts=text_matrix, manifest=manifest)
 
 
-def write_matrix(matrix: PackedMatrix, path: str | Path) -> None:
-    """Write a temporary sibling, then rename it over ``path``: truncating
-    a mapped file in place would fault every process that has it loaded.
-    Ids that could not split back into one per row (one too many or few,
-    an empty one, one holding a "\n") are refused before anything is written.
-    """
+def _temp(path: Path) -> Path:
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+def _write_temp(matrix: PackedMatrix, path: Path) -> None:
+    """Write ``matrix`` to the temporary sibling of ``path``; a caller renames or removes it."""
     if len(matrix.ids) != matrix.count:
         raise ComretError(f"{path}: {len(matrix.ids)} ids for {matrix.count} rows")
     block = "\n".join(matrix.ids)
@@ -291,16 +291,24 @@ def write_matrix(matrix: PackedMatrix, path: str | Path) -> None:
         row = block.count("\n", 0, exc.start)
         raise ComretError(f"{path}: id of row {row} holds an unpaired surrogate")
     data = np.ascontiguousarray(matrix.data, dtype="<f4")
-    temp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    with open(_temp(path), "wb") as fh:
+        fh.write(MAGIC + struct.pack("<IIQ", VERSION, matrix.dim, matrix.count))
+        fh.write(memoryview(data))
+        fh.write(struct.pack("<Q", len(footer)) + footer)
+
+
+def write_matrix(matrix: PackedMatrix, path: str | Path) -> None:
+    """Write a temporary sibling, then rename it over ``path``: truncating
+    a mapped file in place would fault every process that has it loaded.
+    Ids that could not split back into one per row (one too many or few,
+    an empty one, one holding a "\n") are refused before anything is written.
+    """
+    path = Path(path)
     try:
-        with open(temp, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<IIQ", VERSION, matrix.dim, matrix.count))
-            fh.write(memoryview(data))
-            fh.write(struct.pack("<Q", len(footer)) + footer)
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+        _write_temp(matrix, path)
+        os.replace(_temp(path), path)
+    finally:
+        _temp(path).unlink(missing_ok=True)
 
 
 def _map_payload(path: Path) -> tuple[np.ndarray, bytes]:
@@ -352,11 +360,22 @@ def read_matrix(path: str | Path) -> PackedMatrix:
 
 
 def save_index(index: IndexDirectory, path: str | Path) -> None:
-    """Write images.cmeb, texts.cmeb and manifest.json under ``path``."""
+    """Write images.cmeb, texts.cmeb and manifest.json under ``path``.
+
+    Both ``.cmeb`` files are renamed into place only when both were
+    written, so a failed save leaves the old index whole.
+    """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    # A large write releases the GIL, so the two files are written at once.
-    _both((write_matrix, index.images, root / IMAGES_FILE), (write_matrix, index.texts, root / TEXTS_FILE))
+    paths = (root / IMAGES_FILE, root / TEXTS_FILE)
+    try:
+        # A large write releases the GIL, so the two files are written at once.
+        _both((_write_temp, index.images, paths[0]), (_write_temp, index.texts, paths[1]))
+        for target in paths:
+            os.replace(_temp(target), target)
+    finally:
+        for target in paths:
+            _temp(target).unlink(missing_ok=True)
     with open(root / MANIFEST_FILE, "w", encoding="utf-8") as fh:
         json.dump(index.manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

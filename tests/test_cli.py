@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from comret import cli, fusion, metrics, store
+from comret import _kernels, cli, fusion, metrics, store
 from comret.cli import main
 from comret.core import FusionConfig
 
@@ -245,6 +245,35 @@ class TestTwoProcessIngest:
             code, out = self.ingest(capsys, images, texts, root / "idx")
         want = f"error: cannot parse {texts}: the worker process parsing it died\n"
         assert (code, out.out, out.err, sizes) == (1, "", want, [1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux's /proc/self/task")
+def test_retrieve_after_a_forking_ingest_starts_no_blas_thread(tmp_path, rng):
+    """OpenBLAS shuts its pool down at ingest's fork; a later sweep must not
+    start it again, or its thread spins beside the sweep's own threads."""
+    cap = _kernels.blas_cap()
+    if cap is None or _kernels.default_threads() < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs NumPy's OpenBLAS, two usable cores and fork")
+    ids = [f"p{i:03d}" for i in range(300)]
+    rows = rng.standard_normal((2, len(ids), 8))
+    images = write_jsonl(tmp_path / "i.jsonl", [embedding_obj(p, r.tolist()) for p, r in zip(ids, rows[0])])
+    texts = write_jsonl(tmp_path / "t.jsonl", [embedding_obj(p, r.tolist()) for p, r in zip(ids, rows[1])])
+    queries = write_jsonl(tmp_path / "q.jsonl", [query_obj(f"q{i}", v.tolist()) for i, v in enumerate(rows[0][:5])])
+
+    def retrieve(threads):
+        out = tmp_path / f"run{threads}"
+        assert run_cli("retrieve", "--index", tmp_path / "idx", "--queries", queries, "--threads", threads, "--out", out) == 0
+        return out.read_bytes()
+
+    before = cap.get_threads()
+    try:
+        assert run_cli("ingest", "--images", images, "--texts", texts, "--out", tmp_path / "idx") == 0
+        threads = len(os.listdir("/proc/self/task"))
+        run = retrieve(2)
+        assert (len(os.listdir("/proc/self/task")), cap.get_threads()) == (threads, 1)
+    finally:
+        cap.set_threads(before)
+    assert run == retrieve(1)
 
 
 @pytest.fixture

@@ -179,6 +179,25 @@ class TestBlasCap:
         _kernels.inner_products(matrix, rng.standard_normal(8), threads=2)
         assert fake_blas.sets == [1, 4, 1, 4]
 
+    def test_blas_at_one_thread_is_never_set(self, rng, monkeypatch):
+        # After a fork, any set call would start OpenBLAS's pool again.
+        blas = FakeBlas(threads=1)
+        cap = _kernels.BlasCap(blas.get, blas.set)
+        monkeypatch.setattr(_kernels, "blas_cap", lambda: cap)
+        matrix = rng.standard_normal((1000, 8)).astype(np.float32)
+        _kernels.inner_products(matrix, rng.standard_normal(8), threads=2)
+        assert blas.sets == []
+
+    def test_pin_holds_one_thread_past_a_running_sweep(self):
+        blas = FakeBlas(threads=3)
+        cap = _kernels.BlasCap(blas.get, blas.set)
+        with cap:
+            cap.pin()
+        cap.pin()
+        with cap:
+            pass
+        assert (blas.threads, blas.sets) == (1, [1])
+
     def test_overlapping_holds_restore_once(self):
         blas = FakeBlas(threads=3)
         cap = _kernels.BlasCap(blas.get, blas.set)

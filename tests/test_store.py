@@ -434,6 +434,27 @@ class TestMatrixRoundTrip:
         assert err.value.filename == str(tmp_path / f".images.cmeb.{os.getpid()}.tmp")
         assert list(tmp_path.iterdir()) == []  # no temporary sibling, no texts.cmeb, no manifest
 
+    @pytest.mark.parametrize("ids", [("p1", "p2", "p3"), ("q1", "q2", "q3")], ids=["same-ids", "other-ids"])
+    def test_failed_save_leaves_the_old_index_whole(self, tmp_path, monkeypatch, rng, ids):
+        old = random_index(rng, 3, 4)
+        rows = rng.standard_normal((2, 3, 4)).tolist()
+        new = make_index(rows[0], rows[1], ids=list(ids))
+        save_index(old, tmp_path)
+
+        class TextsDiskFull(FullDisk):
+            def write(self, raw):
+                return super().write(raw) if "texts" in self.name else self.fh.write(raw)
+
+        monkeypatch.setattr(store, "open", TextsDiskFull, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_index(new, tmp_path)
+        monkeypatch.undo()
+        loaded = load_index(tmp_path)
+        assert loaded.images.ids == loaded.texts.ids == old.ids
+        assert loaded.images.data.tobytes() == old.images.data.tobytes()
+        assert loaded.texts.data.tobytes() == old.texts.data.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["images.cmeb", "manifest.json", "texts.cmeb"]
+
     def test_version_2_layout(self, tmp_path):
         ids = ["page-a", "página-β"]
         matrix = PackedMatrix(ids=tuple(ids), data=np.arange(4, dtype=np.float32).reshape(2, 2))
