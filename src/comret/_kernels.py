@@ -5,7 +5,10 @@ per page per modality and query, accumulated in float64 over float32
 rows. The sweep upcasts a few rows at a time into a float64 block small
 enough to stay in cache and hands each block to BLAS together with every
 query of the batch, so the float64 copy of the matrix is never
-materialized and each upcast is shared by all the queries.
+materialized and each upcast is shared by all the queries. A block of
+several queries gets fewer rows, so that OpenBLAS multiplies it with its
+small-matrix kernel, which reads the block in place instead of packing a
+copy of it first.
 
 This module owns the sweep's thread count: ``threads=None`` means every
 core this process may run on (``default_threads``). While a sweep runs on
@@ -39,9 +42,16 @@ import numpy as np
 SIGMOID_FLOOR = 2.2250738585072014e-308
 SIGMOID_CEIL = 0.9999999999999999
 
-# Rows upcast per BLAS call: 128 x 1152 float64 is 1.2 MB, small enough
-# to stay in cache while BLAS reads it.
+# Most rows upcast per BLAS call: 128 x 1152 float64 is 1.2 MB, small
+# enough to stay in cache while BLAS reads it. A single query keeps 128
+# rows up to 7,812 dims; a block of several queries may get fewer.
 _BLOCK_ROWS = 128
+
+# OpenBLAS's small-matrix limit: a product of at most this many
+# multiply-adds (rows x queries x dim) runs a kernel that reads its
+# operands in place; a larger one first packs the float64 block, in effect
+# a second copy of it. Each block keeps under it where 8 rows allow.
+_SMALL_MATRIX_MADDS = 1_000_000
 
 
 def default_threads() -> int:
@@ -121,7 +131,10 @@ def inner_products(matrix: np.ndarray, query: np.ndarray, threads: int | None = 
     a (dim, Q) float64 block of Q queries. The result is (count,) or
     (count, Q) float64, with all accumulation done in float64.
 
-    Every BLAS call sees the same number of rows: the last, partial block
+    Rows go to BLAS in blocks of the largest multiple of 8, from 8 to
+    ``_BLOCK_ROWS``, whose product with the Q queries stays within
+    ``_SMALL_MATRIX_MADDS``; a (dim,) query counts as one. Every BLAS
+    call of a sweep sees that same number of rows: the last, partial block
     is computed as the last full block, overlapping the one before it.
     A matrix product may sum a short block in another order, so without
     this two equal rows could score differently in the last bit. With
@@ -130,9 +143,11 @@ def inner_products(matrix: np.ndarray, query: np.ndarray, threads: int | None = 
     block is computed the same way, so the result does not depend on
     either thread count.
     """
-    count = matrix.shape[0]
+    count, dim = matrix.shape
     out = np.empty((count, *query.shape[1:]), dtype=np.float64)
-    rows = min(_BLOCK_ROWS, count)
+    madds_per_row = dim * (query.shape[1] if query.ndim == 2 else 1)
+    fit = _SMALL_MATRIX_MADDS // max(1, madds_per_row) // 8 * 8
+    rows = min(_BLOCK_ROWS, max(8, fit), count)
     if rows == 0:
         return out
     starts = list(range(0, count - rows + 1, rows))
@@ -141,7 +156,7 @@ def inner_products(matrix: np.ndarray, query: np.ndarray, threads: int | None = 
 
     def sweep(part: list[int]) -> None:
         # One upcast buffer per worker: blocks are swept concurrently.
-        block = np.empty((rows, matrix.shape[1]), dtype=np.float64)
+        block = np.empty((rows, dim), dtype=np.float64)
         for lo in part:
             block[...] = matrix[lo : lo + rows]
             if lo % rows:  # the overlapping tail: keep only its new rows

@@ -128,13 +128,11 @@ def combined_loss(
 
 @dataclass(frozen=True)
 class Gradients:
-    """Gradients of the blended loss; frozen maps report exact zeros."""
+    """Gradients of the blended loss w.r.t. the trained parameters."""
 
     w_text: np.ndarray
     tau: float
     eta: float
-    w_query: np.ndarray
-    w_image: np.ndarray
 
 
 def _grid_terms(q_embs: np.ndarray, c_embs: np.ndarray, tau: float, eta: float):
@@ -153,8 +151,7 @@ def loss_gradients(
     """Analytic gradients of combined_loss w.r.t. w_text, tau and eta.
 
     The image-side loss never touches w_text, so the w_text gradient is
-    lam times the text-side gradient; w_query and w_image are frozen and
-    get exact zeros.
+    lam times the text-side gradient; w_query and w_image are frozen.
     """
     q, i_embs, t_embs = encoders.embed(batch)
     b = batch.size
@@ -169,8 +166,6 @@ def loss_gradients(
         w_text=g_w_text,
         tau=lam * g_tau_t + (1.0 - lam) * g_tau_i,
         eta=lam * g_eta_t + (1.0 - lam) * g_eta_i,
-        w_query=np.zeros_like(encoders.w_query),
-        w_image=np.zeros_like(encoders.w_image),
     )
 
 

@@ -168,8 +168,6 @@ def test_06_gradient_check():
             eta = float(rng.uniform(-11.0, 3.0))
             grads = loss_gradients(batch, enc, lam, tau, eta)
 
-            assert not grads.w_query.any() and not grads.w_image.any()
-
             for idx in np.ndindex(w0.shape):
                 hi, lo = w0.copy(), w0.copy()
                 hi[idx] += eps

@@ -8,6 +8,8 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -247,6 +249,15 @@ class TestTwoProcessIngest:
         assert (code, out.out, out.err, sizes) == (1, "", want, [1])
 
 
+def settled_task_count(timeout=5.0):
+    """This process's kernel tasks, once every thread Python has joined is
+    gone: a joined thread may stay listed for a moment after its join."""
+    deadline = time.monotonic() + timeout
+    while len(os.listdir("/proc/self/task")) > threading.active_count() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return len(os.listdir("/proc/self/task"))
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux's /proc/self/task")
 def test_retrieve_after_a_forking_ingest_starts_no_blas_thread(tmp_path, rng):
     """OpenBLAS shuts its pool down at ingest's fork; a later sweep must not
@@ -268,9 +279,9 @@ def test_retrieve_after_a_forking_ingest_starts_no_blas_thread(tmp_path, rng):
     before = cap.get_threads()
     try:
         assert run_cli("ingest", "--images", images, "--texts", texts, "--out", tmp_path / "idx") == 0
-        threads = len(os.listdir("/proc/self/task"))
+        threads = settled_task_count()
         run = retrieve(2)
-        assert (len(os.listdir("/proc/self/task")), cap.get_threads()) == (threads, 1)
+        assert (settled_task_count(), cap.get_threads()) == (threads, 1)
     finally:
         cap.set_threads(before)
     assert run == retrieve(1)

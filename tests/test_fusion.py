@@ -372,8 +372,9 @@ class TestQueryEngine:
                     assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-12, abs=1e-12)
 
     def test_thread_count_changes_no_bit(self, rng):
-        # 300 pages: two full row blocks and a 44-row tail to share out, at
-        # a dimension where a matrix product's summation order shows.
+        # 300 pages at a dimension where a matrix product's summation order
+        # shows: the 32-query block sweeps 24-row blocks and a 12-row tail,
+        # the 5-query block two 128-row blocks and a 44-row tail.
         idx = random_index(rng, pages=300, dim=1152)
         queries = two_channel_queries(rng, QUERY_BLOCK + 5, 1152)
         for mode in MODES:

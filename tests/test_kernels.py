@@ -77,6 +77,27 @@ class TestInnerProducts:
             np.testing.assert_array_equal(got, want)
 
 
+class DotSpy:
+    """Stands in for NumPy inside ``_kernels`` and logs each ``dot``'s operand shapes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, a, b, out=None):
+        self.calls.append((a.shape, b.shape))
+        return np.dot(a, b, out=out)
+
+
+@pytest.fixture
+def blas_calls(monkeypatch):
+    spy = DotSpy()
+    monkeypatch.setattr(_kernels, "np", spy)
+    return spy.calls
+
+
 class TestQueryBlock:
     @pytest.mark.parametrize("q", [1, 7, 33])
     def test_matches_naive_reference(self, rng, q):
@@ -87,23 +108,47 @@ class TestQueryBlock:
         want = [[reference.inner(block[:, j], row) for j in range(q)] for row in matrix]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("q", [7, 8, 33])
-    def test_duplicate_rows_score_identically(self, rng, q):
-        # 300 rows: two full 128-row blocks and a 44-row tail. Copies sit
-        # at other offsets of a full block and inside the tail; handed to
-        # BLAS as a short block, the tail scores them differently in the
-        # last bit.
-        matrix = rng.standard_normal((300, 1152)).astype(np.float32)
-        pairs = [(3, 130), (5, 299), (6, 256), (255, 298)]
+    @pytest.mark.parametrize("q", [1, 7, 8, 16, 32, 33])
+    def test_duplicate_rows_score_identically(self, rng, blas_calls, q):
+        # Two full blocks and a partial tail, at the row count the sweep
+        # picks for q queries. Copies sit at another offset of a full
+        # block, on both sides of a block boundary, among the tail's new
+        # rows and in the rows the tail overlaps; handed to BLAS as a short
+        # block, the tail would score them differently in the last bit.
+        block = rng.standard_normal(1152) if q == 1 else rng.standard_normal((1152, q))
+        _kernels.inner_products(np.zeros((_kernels._BLOCK_ROWS, 1152), dtype=np.float32), block)
+        rows = blas_calls[0][0][0]
+        count = 2 * rows + rows // 3 + 1
+        matrix = rng.standard_normal((count, 1152)).astype(np.float32)
+        pairs = [(3, rows + 7), (rows - 1, rows), (5, count - 1), (2 * rows - 1, count - 2)]
         for src, dst in pairs:
             matrix[dst] = matrix[src]
-        block = rng.standard_normal((1152, q))
-        serial = _kernels.inner_products(matrix, block)
+        serial = _kernels.inner_products(matrix, block, threads=1)
         for threads in (1, 2, 3):
             got = _kernels.inner_products(matrix, block, threads=threads)
             np.testing.assert_array_equal(got, serial)
             for src, dst in pairs:
                 np.testing.assert_array_equal(got[dst], got[src])
+
+    @pytest.mark.parametrize("dim, q", [(1152, q) for q in (1, 7, 8, 16, 32, 33)] + [(4000, 33)])
+    def test_blocks_fit_the_small_matrix_limit(self, rng, blas_calls, dim, q):
+        # OpenBLAS multiplies a product of at most 10**6 multiply-adds
+        # without packing its operands. Every block takes the most rows,
+        # in steps of 8 and at most 128, that keep under that limit, and
+        # 8 where even 8 rows exceed it.
+        matrix = rng.standard_normal((700, dim)).astype(np.float32)
+        _kernels.inner_products(matrix, rng.standard_normal((dim, q)), threads=2)
+        rows = blas_calls[0][0][0]
+        assert {a for a, _ in blas_calls} == {(rows, dim)}
+        assert rows % 8 == 0 and 8 <= rows <= 128
+        assert rows * q * dim <= 1_000_000 or rows == 8
+        assert rows == 128 or (rows + 8) * q * dim > 1_000_000
+
+    def test_single_query_keeps_128_row_blocks(self, rng, blas_calls):
+        matrix = rng.standard_normal((700, 1152)).astype(np.float32)
+        _kernels.inner_products(matrix, rng.standard_normal(1152))
+        _kernels.inner_products(matrix, rng.standard_normal((1152, 1)))
+        assert {a for a, _ in blas_calls} == {(128, 1152)}
 
     def test_vector_sweep_unchanged_by_threads(self, rng):
         matrix = rng.standard_normal((1000, 48)).astype(np.float32)

@@ -161,13 +161,6 @@ class TestGradients:
             assert relative_error(grads.tau, fd_tau) < 1e-4
             assert relative_error(grads.eta, fd_eta) < 1e-4
 
-    def test_frozen_maps_get_exact_zero_gradients(self, rng):
-        batch = separable_batch(4)
-        enc = init_encoders(batch)
-        grads = loss_gradients(batch, enc, 0.5, TAU0, ETA0)
-        assert not grads.w_query.any()
-        assert not grads.w_image.any()
-
     def test_lambda_zero_zeroes_text_gradient(self, rng):
         batch = TripletBatch(
             rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
