@@ -20,7 +20,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .core import MODE_SPECS, QueryRecord
-from .errors import BadRange, BinMismatch, EmptyInput
+from .errors import ComretError
 from .fusion import _check_channels, score_queries
 from .store import IndexDirectory
 
@@ -29,6 +29,9 @@ from .store import IndexDirectory
 SMOOTHING_EPS = 1e-9
 
 DEFAULT_BINS = 50
+
+#: Most bins a histogram may have; each costs an int64 count and a float64 edge.
+MAX_BINS = 1_000_000
 
 #: Values binned at a time, so binning's temporaries stay small beside a pool.
 BIN_CHUNK = 65536
@@ -42,14 +45,20 @@ class Histogram:
     densities: np.ndarray  # B positive, sum 1
 
 
+def _check_bins(num_bins: int) -> None:
+    if num_bins < 1:
+        raise ComretError(f"num_bins must be >= 1, got {num_bins}")
+    if num_bins > MAX_BINS:
+        raise ComretError(f"num_bins must be <= {MAX_BINS}, got {num_bins}")
+
+
 def build_histogram(values: np.ndarray, num_bins: int, value_range: tuple[float, float]) -> Histogram:
     """Histogram over equal-width bins, out-of-range values clamped to the
     end bins, counts epsilon-smoothed and normalized to densities."""
-    if num_bins < 1:
-        raise BadRange(f"num_bins must be >= 1, got {num_bins}")
+    _check_bins(num_bins)
     lo, hi = float(value_range[0]), float(value_range[1])
     if not (lo < hi) or not math.isfinite(lo) or not math.isfinite(hi):
-        raise BadRange(f"invalid range [{lo}, {hi}]")
+        raise ComretError(f"invalid range [{lo}, {hi}]")
     x = np.asarray(values, dtype=np.float64)
     width = (hi - lo) / num_bins
     counts = np.zeros(num_bins, dtype=np.int64)
@@ -66,7 +75,7 @@ def build_histogram(values: np.ndarray, num_bins: int, value_range: tuple[float,
 def kl_divergence(p: Histogram, q: Histogram) -> float:
     """KL(p || q) in nats; requires identical bin edges."""
     if p.bin_edges.shape != q.bin_edges.shape or not np.array_equal(p.bin_edges, q.bin_edges):
-        raise BinMismatch("histograms have different bin edges")
+        raise ComretError("histograms have different bin edges")
     return float(np.sum(p.densities * np.log(p.densities / q.densities)))
 
 
@@ -120,9 +129,8 @@ def modality_divergence_report(
     Sigma-zero flags are listed by query id, image before text.
     """
     if not queries:
-        raise EmptyInput("need at least one query")
-    if num_bins < 1:
-        raise BadRange(f"num_bins must be >= 1, got {num_bins}")
+        raise ComretError("need at least one query")
+    _check_bins(num_bins)
     _check_channels(queries, "ucmr")
     modalities = MODE_SPECS["ucmr"].modalities
 

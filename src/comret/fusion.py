@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .core import MODE_SPECS, FusionConfig, ModeSpec, QueryRecord, RankedEntry, RankedResult
-from .errors import DimMismatch, LengthMismatch, MalformedRunLine, MissingChannel
+from .errors import ComretError
 from .store import IndexDirectory, PackedMatrix
 
 #: sigma at or below this is treated as a constant-score modality.
@@ -47,7 +47,8 @@ def inner_product_scores(query: np.ndarray, matrix: PackedMatrix, threads: int |
     """
     q = np.asarray(query, dtype=np.float64)
     if q.ndim not in (1, 2) or q.shape[0] != matrix.dim:
-        raise DimMismatch(matrix.dim, q.shape[0] if q.ndim in (1, 2) else -1, where="query")
+        got = q.shape[0] if q.ndim in (1, 2) else -1
+        raise ComretError(f"query: expected dim {matrix.dim}, got {got}")
     return _kernels.inner_products(matrix.data, q, threads=threads)
 
 
@@ -80,7 +81,7 @@ def zscore_normalize(values: np.ndarray) -> ZScored:
 def blend(text: np.ndarray, image: np.ndarray, weight: float) -> np.ndarray:
     """Weighted blend of two score channels: weight*text + (1-weight)*image."""
     if len(text) != len(image):
-        raise LengthMismatch(len(text), len(image))
+        raise ComretError(f"score lengths differ: {len(text)} vs {len(image)}")
     return weight * np.asarray(text, dtype=np.float64) + (1.0 - weight) * np.asarray(image, dtype=np.float64)
 
 
@@ -130,7 +131,8 @@ def score_queries(
     for query in queries:
         for channel, vec in query.channel_embs.items():
             if vec.shape != (index.dim,):
-                raise DimMismatch(index.dim, vec.shape[0], where=f"query {query.query_id!r} channel {channel!r}")
+                where = f"query {query.query_id!r} channel {channel!r}"
+                raise ComretError(f"{where}: expected dim {index.dim}, got {vec.shape[0]}")
     for lo in range(0, len(queries), QUERY_BLOCK):
         block = queries[lo : lo + QUERY_BLOCK]
         raw = {m: _sweep_block(block, index, m, threads) for m in modalities}
@@ -182,14 +184,14 @@ def rank_queries(
 
 
 def _check_channels(queries: Sequence[QueryRecord], mode: str) -> None:
-    """Raise MissingChannel for the first query lacking a vector ``mode`` sweeps."""
+    """Raise ComretError for the first query lacking a vector ``mode`` sweeps."""
     spec = MODE_SPECS[mode]
     for query in queries:
         for modality in spec.modalities:
             channel = f"{modality}-query"
             vec = query.channel(channel) if spec.strict else query.vector_for_sweep(modality)
             if vec is None:
-                raise MissingChannel(mode, channel)
+                raise ComretError(f"mode {mode!r} requires query channel {channel!r}")
 
 
 def _rank(scores: QueryScores, ids: Sequence[str], cfg: FusionConfig, spec: ModeSpec) -> RankedResult:
@@ -254,15 +256,15 @@ def read_run(lines: Iterable[str]) -> dict[str, list[str]]:
             continue
         parts = line.rstrip("\n").split("\t")
         if len(parts) != len(RUN_COLUMNS):
-            raise MalformedRunLine(line_no, f"expected {len(RUN_COLUMNS)} columns, got {len(parts)}")
+            raise ComretError(f"run line {line_no}: expected {len(RUN_COLUMNS)} columns, got {len(parts)}")
         query_id, page_id, rank_s = parts[0], parts[1], parts[2]
         try:
             rank = int(rank_s)
             for score in parts[3:6]:
                 float(score)
         except ValueError:
-            raise MalformedRunLine(line_no, "non-numeric rank or score")
+            raise ComretError(f"run line {line_no}: non-numeric rank or score")
         if rank < 1:
-            raise MalformedRunLine(line_no, f"rank must be >= 1, got {rank}")
+            raise ComretError(f"run line {line_no}: rank must be >= 1, got {rank}")
         per_query.setdefault(query_id, []).append((rank, page_id))
     return {qid: [pid for _, pid in sorted(entries)] for qid, entries in per_query.items()}

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .errors import EmptyGold, MalformedLine, UnknownMetric, UnknownQueryInRun
+from .errors import ComretError
 
 Qrels = dict[str, frozenset[str]]
 
@@ -33,12 +33,12 @@ def read_qrels(lines: Iterable[str]) -> Qrels:
             continue
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 3:
-            raise MalformedLine(line_no, f"expected 3 columns, got {len(parts)}")
+            raise ComretError(f"line {line_no}: expected 3 columns, got {len(parts)}")
         query_id, page_id, rel_s = parts
         if not query_id or not page_id:
-            raise MalformedLine(line_no, "empty query_id or page_id")
+            raise ComretError(f"line {line_no}: empty query_id or page_id")
         if rel_s not in ("0", "1"):
-            raise MalformedLine(line_no, f"relevance must be 0 or 1, got {rel_s!r}")
+            raise ComretError(f"line {line_no}: relevance must be 0 or 1, got {rel_s!r}")
         if rel_s == "1":
             qrels.setdefault(query_id, set()).add(page_id)
     return {qid: frozenset(pages) for qid, pages in qrels.items()}
@@ -47,14 +47,12 @@ def read_qrels(lines: Iterable[str]) -> Qrels:
 def parse_metric_spec(spec: str) -> tuple[str, int]:
     """Parse "name@k" (case-insensitive) into (name, k)."""
     name, sep, k_s = spec.strip().lower().partition("@")
-    if not sep or name not in METRIC_NAMES:
-        raise UnknownMetric(spec)
     try:
-        k = int(k_s)
+        k = int(k_s) if sep and name in METRIC_NAMES else 0
     except ValueError:
-        raise UnknownMetric(spec)
+        k = 0
     if k < 1:
-        raise UnknownMetric(spec)
+        raise ComretError(f"unknown metric spec {spec!r}")
     return name, k
 
 
@@ -71,7 +69,7 @@ def _dedup(ranked: Sequence[str]) -> list[str]:
 def recall_at_k(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int) -> float:
     """Fraction of gold pages present in the top k."""
     if not gold:
-        raise EmptyGold("recall needs a non-empty gold set")
+        raise ComretError("recall needs a non-empty gold set")
     top = set(_dedup(ranked)[:k])
     return len(top & set(gold)) / len(gold)
 
@@ -79,14 +77,14 @@ def recall_at_k(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int) 
 def hit_at_k(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int) -> float:
     """1.0 if any gold page is in the top k, else 0.0."""
     if not gold:
-        raise EmptyGold("hit needs a non-empty gold set")
+        raise ComretError("hit needs a non-empty gold set")
     return 1.0 if set(_dedup(ranked)[:k]) & set(gold) else 0.0
 
 
 def mrr_at_k(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int) -> float:
     """Reciprocal rank of the first gold page within the top k, else 0.0."""
     if not gold:
-        raise EmptyGold("mrr needs a non-empty gold set")
+        raise ComretError("mrr needs a non-empty gold set")
     for rank, pid in enumerate(_dedup(ranked)[:k], start=1):
         if pid in gold:
             return 1.0 / rank
@@ -101,7 +99,7 @@ def ndcg_at_k(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int) ->
     usual normalization.
     """
     if not gold:
-        raise EmptyGold("ndcg needs a non-empty gold set")
+        raise ComretError("ndcg needs a non-empty gold set")
     dcg = 0.0
     for rank, pid in enumerate(_dedup(ranked)[:k], start=1):
         if pid in gold:
@@ -163,10 +161,10 @@ def evaluate_run(
     """
     parsed = [(spec.strip().lower(), *parse_metric_spec(spec)) for spec in specs]
     if not qrels:
-        raise EmptyGold("qrels contain no queries with relevant pages")
+        raise ComretError("qrels contain no queries with relevant pages")
     for qid in run:
         if qid not in qrels:
-            raise UnknownQueryInRun(qid)
+            raise ComretError(f"run contains query {qid!r} absent from qrels")
 
     per_query: dict[str, dict[str, float]] = {}
     missing = []

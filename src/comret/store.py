@@ -36,18 +36,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .core import EMBEDDING_DTYPE, IMAGE_CHANNEL, TEXT_CHANNEL, QueryRecord
-from .errors import (
-    BadMagic,
-    ComretError,
-    DimMismatch,
-    DuplicateId,
-    IdSetMismatch,
-    MalformedLine,
-    NonFiniteValue,
-    TruncatedFile,
-    UnsupportedVersion,
-    ZeroVectorOnNormalize,
-)
+from .errors import ComretError
 
 MAGIC = b"CMEB"
 VERSION = 2
@@ -105,20 +94,20 @@ def _check_id(value: object, key: str, line_no: int) -> str:
     """An id must be a non-empty string that fits in one field of a TSV
     line (run files and qrels) and in the UTF-8 footer of a .cmeb file."""
     if not isinstance(value, str) or not value:
-        raise MalformedLine(line_no, f'missing or non-string "{key}"')
+        raise ComretError(f'line {line_no}: missing or non-string "{key}"')
     if any(c in value for c in "\t\r\n"):
-        raise MalformedLine(line_no, f'"{key}" contains a tab or a line break')
+        raise ComretError(f'line {line_no}: "{key}" contains a tab or a line break')
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
-        raise MalformedLine(line_no, f'"{key}" contains an unpaired surrogate')
+        raise ComretError(f'line {line_no}: "{key}" contains an unpaired surrogate')
     return value
 
 
 def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL stream.
 
-    Raises MalformedLine for invalid JSON or a value that is not an object.
+    Raises ComretError for invalid JSON or a value that is not an object.
     """
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
@@ -126,32 +115,32 @@ def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise MalformedLine(line_no, f"invalid JSON ({exc.msg})")
+            raise ComretError(f"line {line_no}: invalid JSON ({exc.msg})")
         if not isinstance(obj, dict):
-            raise MalformedLine(line_no, "expected a JSON object")
+            raise ComretError(f"line {line_no}: expected a JSON object")
         yield line_no, obj
 
 
 def finite_vector(values: object, dtype: type, line_no: int, field: str, where: str) -> np.ndarray:
     """A JSON array of numbers as a read-only, finite 1-d ``dtype`` vector.
 
-    Raises MalformedLine naming ``field`` unless ``values`` is a non-empty
-    array of numbers, and NonFiniteValue naming ``where`` for NaN, an
-    infinity or a number beyond ``dtype``.
+    Raises ComretError naming ``field`` unless ``values`` is a non-empty
+    array of numbers, and naming ``where`` for NaN, an infinity or a
+    number beyond ``dtype``.
     """
     if not isinstance(values, list) or not values:
-        raise MalformedLine(line_no, f"missing or empty {field} array")
+        raise ComretError(f"line {line_no}: missing or empty {field} array")
     # json.loads yields exact types only, and bool is its own type.
     if not set(map(type, values)) <= _NUMBER_TYPES:
-        raise MalformedLine(line_no, f"{field} contains a non-numeric entry")
+        raise ComretError(f"line {line_no}: {field} contains a non-numeric entry")
     try:
         # A value beyond the dtype becomes inf, rejected below, not a warning.
         with np.errstate(over="ignore"):
             vec = np.asarray(values, dtype=dtype)
     except OverflowError:  # an integer literal beyond float64
-        raise NonFiniteValue(where)
+        raise ComretError(f"non-finite value in {where}")
     if not np.isfinite(vec).all():
-        raise NonFiniteValue(where)
+        raise ComretError(f"non-finite value in {where}")
     vec.flags.writeable = False
     return vec
 
@@ -171,7 +160,7 @@ def parse_embedding_jsonl(stream: TextIO | Iterable[str]) -> list[Record]:
         if expected_dim is None:
             expected_dim = vec.shape[0]
         elif vec.shape[0] != expected_dim:
-            raise DimMismatch(expected_dim, vec.shape[0], where=f"line {line_no}")
+            raise ComretError(f"line {line_no}: expected dim {expected_dim}, got {vec.shape[0]}")
         records.append((rec_id, vec))
     return records
 
@@ -189,22 +178,22 @@ def parse_query_jsonl(stream: TextIO | Iterable[str]) -> list[QueryRecord]:
     for line_no, obj in json_objects(stream):
         query_id = _check_id(obj.get("query_id"), "query_id", line_no)
         if query_id in seen_ids:
-            raise DuplicateId(query_id)
+            raise ComretError(f"duplicate id {query_id!r}")
         seen_ids.add(query_id)
         embeddings = obj.get("embeddings")
         if not isinstance(embeddings, dict) or not embeddings:
-            raise MalformedLine(line_no, 'missing or empty "embeddings" object')
+            raise ComretError(f'line {line_no}: missing or empty "embeddings" object')
         channels = {}
         for name, values in embeddings.items():
             if name not in known:
-                raise MalformedLine(line_no, f"unknown channel {name!r}; expected one of {known}")
+                raise ComretError(f"line {line_no}: unknown channel {name!r}; expected one of {known}")
             field = f"channel {name!r}"
             channels[name] = finite_vector(values, EMBEDDING_DTYPE, line_no, field, f"line {line_no} {field}")
         gold = obj.get("gold", [])
         if not isinstance(gold, list) or not all(isinstance(g, str) for g in gold):
-            raise MalformedLine(line_no, '"gold" must be an array of page ids')
+            raise ComretError(f'line {line_no}: "gold" must be an array of page ids')
         if not isinstance(obj.get("text", ""), str):
-            raise MalformedLine(line_no, '"text" must be a string')
+            raise ComretError(f'line {line_no}: "text" must be a string')
         queries.append(QueryRecord(query_id, channels))
     return queries
 
@@ -212,7 +201,8 @@ def parse_query_jsonl(stream: TextIO | Iterable[str]) -> list[QueryRecord]:
 def _pack(channel: str, ids: tuple[str, ...], rows: list[np.ndarray], dim: int, normalize: bool) -> PackedMatrix:
     for rid, row in zip(ids, rows):
         if row.shape != (dim,):
-            raise DimMismatch(dim, row.shape[0] if row.ndim == 1 else row.shape, where=f"{channel} id {rid!r}")
+            got = row.shape[0] if row.ndim == 1 else row.shape
+            raise ComretError(f"{channel} id {rid!r}: expected dim {dim}, got {got}")
     data = np.empty((len(rows), dim), EMBEDDING_DTYPE)
     # Cast straight into the float32 matrix, as astype would: no stacked copy in the rows' dtype.
     np.concatenate(rows, out=data.reshape(-1), casting="unsafe")
@@ -223,11 +213,19 @@ def _pack(channel: str, ids: tuple[str, ...], rows: list[np.ndarray], dim: int, 
             block = data[start : start + NORM_ROWS].astype(np.float64)
             norms = np.linalg.norm(block, axis=1)
             if not norms.all():
-                raise ZeroVectorOnNormalize(ids[start + np.flatnonzero(norms == 0.0)[0]])
+                row_id = ids[start + np.flatnonzero(norms == 0.0)[0]]
+                raise ComretError(f"cannot L2-normalize zero vector for id {row_id!r}")
             block /= norms[:, None]
             data[start : start + NORM_ROWS] = block
     data.flags.writeable = False
     return PackedMatrix(ids=ids, data=data)
+
+
+def _one_side_only(left: Iterable[str], right: Iterable[str]) -> ComretError:
+    """The error naming the ids, at most five, that only one of two id collections holds."""
+    ids = sorted(set(left).symmetric_difference(right))
+    more = f" (+{len(ids) - 5} more)" if len(ids) > 5 else ""
+    return ComretError(f"ids present on one side only: {', '.join(ids[:5])}{more}")
 
 
 def _both(first: tuple, second: tuple) -> list:
@@ -248,20 +246,22 @@ def build_index(images: list[Record], texts: list[Record], normalize: bool = Fal
     image_ids = {r[0] for r in images}
     text_ids = {r[0] for r in texts}
     if image_ids != text_ids:
-        raise IdSetMismatch(image_ids.symmetric_difference(text_ids))
+        raise _one_side_only(image_ids, text_ids)
     if (dim := images[0][1].shape[0]) != texts[0][1].shape[0]:
-        raise DimMismatch(dim, texts[0][1].shape[0], where="texts vs images")
+        raise ComretError(f"texts vs images: expected dim {dim}, got {texts[0][1].shape[0]}")
     ids = tuple(r[0] for r in images)
 
     def pack_images() -> PackedMatrix:
         if len(image_ids) != len(ids):
             seen: set[str] = set()
-            raise DuplicateId(next(rid for rid in ids if rid in seen or seen.add(rid)))
+            dup = next(rid for rid in ids if rid in seen or seen.add(rid))
+            raise ComretError(f"duplicate id {dup!r}")
         return _pack("images", ids, [r[1] for r in images], dim, normalize)
 
     def pack_texts() -> PackedMatrix:
         if len(text_ids) != len(texts):
-            raise DuplicateId(next(rid for rid, n in Counter(r[0] for r in texts).items() if n > 1))
+            dup = next(rid for rid, n in Counter(r[0] for r in texts).items() if n > 1)
+            raise ComretError(f"duplicate id {dup!r}")
         return _pack("texts", ids, list(map(dict(texts).__getitem__, ids)), dim, normalize)
     image_matrix, text_matrix = _both((pack_images,), (pack_texts,))
     manifest = {
@@ -318,18 +318,18 @@ def _map_payload(path: Path) -> tuple[np.ndarray, bytes]:
     with open(path, "rb") as fh:
         header = fh.read(20)
         if header[:4] != MAGIC:
-            raise BadMagic(f"bad magic {header[:4]!r}")
+            raise ComretError(f"bad magic {header[:4]!r}")
         if len(header) != 20:
-            raise TruncatedFile("file ended while reading header")
+            raise ComretError("file ended while reading header")
         version, dim, count = struct.unpack_from("<IIQ", header, 4)
         if version != VERSION:
-            raise UnsupportedVersion(version)
+            raise ComretError(f"unsupported format version {version}")
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     # The payload, the footer's 8-byte length and at least one byte per id
     # plus a newline between ids must fit.
     payload_bytes = count * dim * 4
     if 20 + payload_bytes + 8 + max(2 * count - 1, 0) > len(mapped):
-        raise TruncatedFile(f"header claims {count} rows of dim {dim}, more than the file holds")
+        raise ComretError(f"header claims {count} rows of dim {dim}, more than the file holds")
     data = np.frombuffer(mapped, dtype="<f4", count=count * dim, offset=20).reshape(count, dim)
     data = data.astype(EMBEDDING_DTYPE, copy=False)
     data.flags.writeable = False
@@ -341,7 +341,7 @@ def _decode_ids(path: str | Path, footer: bytes, count: int) -> tuple[str, ...]:
     (length,) = struct.unpack_from("<Q", footer)
     raw = footer[8 : 8 + length]
     if len(raw) != length:
-        raise TruncatedFile("file ended while reading id bytes")
+        raise ComretError("file ended while reading id bytes")
     try:
         ids = tuple(raw.decode("utf-8").split("\n")) if raw else ()
     except UnicodeDecodeError as exc:
@@ -405,9 +405,9 @@ def load_index(path: str | Path) -> IndexDirectory:
     if images.ids != texts.ids:
         if sorted(images.ids) == sorted(texts.ids):
             raise ComretError(f"{root}: {TEXTS_FILE} holds the ids of {IMAGES_FILE} in a different row order")
-        raise IdSetMismatch(set(images.ids).symmetric_difference(texts.ids))
+        raise _one_side_only(images.ids, texts.ids)
     if texts.dim != images.dim:
-        raise DimMismatch(images.dim, texts.dim, where="texts vs images")
+        raise ComretError(f"texts vs images: expected dim {images.dim}, got {texts.dim}")
     if not isinstance(manifest, dict) or (manifest.get("dim"), manifest.get("M")) != (images.dim, images.count):
         raise ComretError(
             f"{manifest_path}: dim/M do not match the matrices (dim {images.dim}, M {images.count})"

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .errors import ComretError, DimMismatch
+from .errors import ComretError
 from .store import finite_vector, json_objects
 
 
@@ -46,10 +46,12 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ComretError(f"lambda must be in [0,1], got {self.lam}")
-        if self.tau_init <= 0.0:
-            raise ComretError(f"tau must be positive, got {self.tau_init}")
-        if self.learning_rate <= 0.0:
-            raise ComretError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.tau_init < math.inf:
+            raise ComretError(f"tau must be positive and finite, got {self.tau_init}")
+        if not math.isfinite(self.eta_init):
+            raise ComretError(f"eta must be finite, got {self.eta_init}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ComretError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.steps < 0:
             raise ComretError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size is not None and self.batch_size < 1:
@@ -109,7 +111,7 @@ def _stable_sigmoid(a: np.ndarray) -> np.ndarray:
 def pairwise_sigmoid_loss(query_embs: np.ndarray, cand_embs: np.ndarray, tau: float, eta: float) -> float:
     """Mean-per-row sum of softplus pair terms over the b*b score grid."""
     if query_embs.shape[1] != cand_embs.shape[1]:
-        raise DimMismatch(query_embs.shape[1], cand_embs.shape[1], where="candidate embeddings")
+        raise ComretError(f"candidate embeddings: expected dim {query_embs.shape[1]}, got {cand_embs.shape[1]}")
     b = query_embs.shape[0]
     z = query_embs @ cand_embs.T
     a = _pair_signs(b) * (-tau * z + eta)
@@ -177,7 +179,7 @@ def load_triplets(lines: Iterable[str]) -> TripletBatch:
             where = f'line {line_no} "{key}"'
             vec = finite_vector(obj.get(key), np.float64, line_no, f'"{key}"', where)
             if column and column[0].shape != vec.shape:
-                raise DimMismatch(column[0].shape[0], vec.shape[0], where=where)
+                raise ComretError(f"{where}: expected dim {column[0].shape[0]}, got {vec.shape[0]}")
             column.append(vec)
     if not rows["q"]:
         raise ComretError("triplet file contains no records")

@@ -708,6 +708,14 @@ class TestDiagnose:
         root, idx, queries, _ = built_index
         assert run_cli("diagnose", "--index", idx, "--queries", queries, "--bins", "0", "--out", root / "d") == 1
 
+    def test_too_many_bins_is_one_error_line(self, built_index, capsys):
+        # Refused before any sweep: a 10**13-bin count array is never asked for.
+        root, idx, queries, _ = built_index
+        args = ("--index", idx, "--queries", queries, "--bins", "10000000000000", "--out", root / "d")
+        assert run_cli("diagnose", *args) == 1
+        assert capsys.readouterr().err == "error: num_bins must be <= 1000000, got 10000000000000\n"
+        assert not (root / "d").exists()
+
 
 class TestTrainToy:
     @pytest.fixture
@@ -735,6 +743,13 @@ class TestTrainToy:
     def test_lambda_out_of_range_exits_one(self, triplets, tmp_path, capsys):
         assert run_cli("train-toy", "--triplets", triplets, "--lambda", "2", "--out", tmp_path / "t") == 1
         assert "lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_one_error_line(self, triplets, tmp_path, capsys, lr):
+        out = tmp_path / "t"
+        assert run_cli("train-toy", "--triplets", triplets, "--lr", lr, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: learning rate must be positive and finite, got {lr}\n"
+        assert not out.exists()
 
     def test_same_seed_byte_identical_logs(self, triplets, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

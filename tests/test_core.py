@@ -1,11 +1,18 @@
 import pickle
+import struct
 
 import numpy as np
 import pytest
 
 from comret import errors
 from comret.core import FusionConfig, QueryRecord
+from comret.diagnostics import build_histogram, kl_divergence, modality_divergence_report
 from comret.errors import ComretError
+from comret.fusion import blend, read_run, retrieve
+from comret.metrics import evaluate_run, parse_metric_spec, read_qrels
+from comret.store import MAGIC, build_index, parse_embedding_jsonl, parse_query_jsonl, read_matrix
+
+from conftest import make_index, make_query
 
 
 class TestFusionConfig:
@@ -37,39 +44,92 @@ class TestQueryRecord:
         assert q.vector_for_sweep("image") is None
 
 
-#: Constructor arguments for every error class.
-ERROR_ARGS = {
-    errors.ComretError: ("cannot read x",),
-    errors.MalformedLine: (3, "invalid JSON"),
-    errors.DimMismatch: (4, 3, "query 'q1' channel 'text-query'"),
-    errors.NonFiniteValue: ("line 2",),
-    errors.DuplicateId: ("p1",),
-    errors.IdSetMismatch: ([f"p{i}" for i in range(7)],),
-    errors.ZeroVectorOnNormalize: ("p1",),
-    errors.BadMagic: ("bad magic b'XXXX'",),
-    errors.UnsupportedVersion: (9,),
-    errors.TruncatedFile: ("file ended while reading header",),
-    errors.LengthMismatch: (2, 3),
-    errors.MissingChannel: ("ensemble-ucmr", "text-query"),
-    errors.EmptyGold: ("q1 has no relevant pages",),
-    errors.UnknownQueryInRun: ("q9",),
-    errors.MalformedRunLine: (5, "non-numeric rank or score"),
-    errors.UnknownMetric: ("map@5",),
-    errors.BadRange: ("num_bins must be >= 1, got 0",),
-    errors.BinMismatch: ("histograms have different bin edges",),
-    errors.EmptyInput: ("need at least one query",),
+def cmeb(tmp_path, raw: bytes):
+    path = tmp_path / "m.cmeb"
+    path.write_bytes(raw)
+    return read_matrix(path)
+
+
+def ones(*ids, dim=2):
+    return [(pid, np.ones(dim, np.float32)) for pid in ids]
+
+
+def histograms(*bins):
+    return [build_histogram(np.zeros(3), b, (-1.0, 1.0)) for b in bins]
+
+
+#: Every kind of failure, raised by the function that detects it, with its
+#: message. The ids name the error classes these failures had before all
+#: of them became ComretError.
+FAILURES = {
+    "ComretError": (lambda _: build_index([], []), "need at least one image and one text record"),
+    "MalformedLine": (
+        lambda _: parse_embedding_jsonl(['{"id":"p1","embedding":[1.0]}\n', "\n", '{"id"\n']),
+        "line 3: invalid JSON (Expecting ':' delimiter)",
+    ),
+    "DimMismatch": (
+        lambda _: retrieve(make_query("q1", [1.0, 0.0], [1.0]), make_index([[1.0, 0.0]], [[1.0, 0.0]]), FusionConfig()),
+        "query 'q1' channel 'text-query': expected dim 2, got 1",
+    ),
+    "NonFiniteValue": (
+        lambda _: parse_embedding_jsonl(['{"id":"p1","embedding":[1.0]}\n', '{"id":"p2","embedding":[NaN]}\n']),
+        "non-finite value in line 2",
+    ),
+    "DuplicateId": (
+        lambda _: parse_query_jsonl(['{"query_id":"p1","embeddings":{"image-query":[1.0]}}\n'] * 2),
+        "duplicate id 'p1'",
+    ),
+    "IdSetMismatch": (
+        lambda _: build_index(ones(*(f"p{i}" for i in range(9))), ones("p0", "p1")),
+        "ids present on one side only: p2, p3, p4, p5, p6 (+2 more)",
+    ),
+    "ZeroVectorOnNormalize": (
+        lambda _: build_index([("p1", np.zeros(2, np.float32))], ones("p1"), normalize=True),
+        "cannot L2-normalize zero vector for id 'p1'",
+    ),
+    "BadMagic": (lambda tmp: cmeb(tmp, b"XXXX" + bytes(28)), "bad magic b'XXXX'"),
+    "UnsupportedVersion": (lambda tmp: cmeb(tmp, MAGIC + struct.pack("<IIQ", 9, 1, 1)), "unsupported format version 9"),
+    "TruncatedFile": (lambda tmp: cmeb(tmp, MAGIC + bytes(4)), "file ended while reading header"),
+    "LengthMismatch": (lambda _: blend(np.ones(2), np.ones(3), 0.5), "score lengths differ: 2 vs 3"),
+    "MissingChannel": (
+        lambda _: retrieve(make_query("q1", [1.0]), make_index([[1.0]], [[1.0]]), FusionConfig(mode="ensemble-ucmr")),
+        "mode 'ensemble-ucmr' requires query channel 'text-query'",
+    ),
+    "EmptyGold": (
+        lambda _: evaluate_run({"q1": ["p1"]}, read_qrels(["q1\tp1\t0\n"]), ["mrr@10"]),
+        "qrels contain no queries with relevant pages",
+    ),
+    "UnknownQueryInRun": (
+        lambda _: evaluate_run({"q9": ["p1"]}, {"q1": frozenset({"p1"})}, ["mrr@10"]),
+        "run contains query 'q9' absent from qrels",
+    ),
+    "MalformedRunLine": (
+        lambda _: read_run(["q1\tp1\t1\t0\t0\t0\tucmr\n", "q1\tp2\ttwo\t0\t0\t0\tucmr\n"]),
+        "run line 2: non-numeric rank or score",
+    ),
+    "UnknownMetric": (lambda _: parse_metric_spec("map@5"), "unknown metric spec 'map@5'"),
+    "BadRange": (lambda _: histograms(0), "num_bins must be >= 1, got 0"),
+    "BinMismatch": (lambda _: kl_divergence(*histograms(2, 3)), "histograms have different bin edges"),
+    "EmptyInput": (
+        lambda _: modality_divergence_report(make_index([[1.0]], [[1.0]]), []),
+        "need at least one query",
+    ),
 }
 
 
 def test_error_args_cover_every_error_class():
-    classes = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, ComretError)}
-    assert classes == set(ERROR_ARGS)
+    classes = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, BaseException)}
+    assert classes == {ComretError}
+    assert "__reduce__" not in vars(ComretError)
 
 
-@pytest.mark.parametrize("cls", ERROR_ARGS, ids=lambda cls: cls.__name__)
-def test_error_survives_pickle(cls):
-    """An error raised in a worker process reaches the caller whole."""
-    exc = cls(*ERROR_ARGS[cls])
-    back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is cls
-    assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))
+@pytest.mark.parametrize("case", FAILURES)
+def test_error_survives_pickle(case, tmp_path):
+    """Every failure is a plain ComretError holding its message, which
+    reaches a caller in another process whole."""
+    trigger, message = FAILURES[case]
+    with pytest.raises(ComretError) as err:
+        trigger(tmp_path)
+    assert type(err.value) is ComretError and err.value.args == (message,)
+    back = pickle.loads(pickle.dumps(err.value))
+    assert type(back) is ComretError and back.args == (message,)

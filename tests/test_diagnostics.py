@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from comret.diagnostics import Histogram, build_histogram, kl_divergence, modality_divergence_report
-from comret.errors import BadRange, BinMismatch, DimMismatch, MissingChannel
+from comret.diagnostics import MAX_BINS, Histogram, build_histogram, kl_divergence, modality_divergence_report
+from comret.errors import ComretError
 
 import reference
 from conftest import make_index, make_query, random_index, unified_query
@@ -39,10 +39,15 @@ class TestBuildHistogram:
             assert (np.diff(hist.bin_edges) > 0).all()
 
     def test_bad_range(self):
-        with pytest.raises(BadRange):
+        with pytest.raises(ComretError, match=r"^num_bins must be >= 1, got 0$"):
             build_histogram(np.array([1.0]), 0, (0.0, 1.0))
-        with pytest.raises(BadRange):
+        with pytest.raises(ComretError, match=r"^invalid range \[1.0, 1.0\]$"):
             build_histogram(np.array([1.0]), 4, (1.0, 1.0))
+
+    def test_too_many_bins_refused_before_allocating(self):
+        build_histogram(np.array([1.0]), MAX_BINS, (0.0, 2.0))
+        with pytest.raises(ComretError, match=rf"^num_bins must be <= {MAX_BINS}, got {10**13}$"):
+            build_histogram(np.array([1.0]), 10**13, (0.0, 2.0))
 
 
 class TestKlDivergence:
@@ -75,7 +80,7 @@ class TestKlDivergence:
     def test_bin_mismatch(self, rng):
         p = build_histogram(rng.standard_normal(50), 10, (-3.0, 3.0))
         q = build_histogram(rng.standard_normal(50), 12, (-3.0, 3.0))
-        with pytest.raises(BinMismatch):
+        with pytest.raises(ComretError, match="^histograms have different bin edges$"):
             kl_divergence(p, q)
 
 
@@ -104,7 +109,7 @@ class TestDivergenceReport:
     def test_wrong_dim_channel_named(self, rng):
         index = random_index(rng, pages=5, dim=3)
         queries = [unified_query("q1", [1.0, 0.0, 0.0]), make_query("q2", [1.0, 0.0, 0.0], [1.0, 0.0])]
-        with pytest.raises(DimMismatch, match="^query 'q2' channel 'text-query': expected dim 3, got 2$"):
+        with pytest.raises(ComretError, match="^query 'q2' channel 'text-query': expected dim 3, got 2$"):
             modality_divergence_report(index, queries)
 
     def test_summary_reports_only_measured_statistics(self, rng):
@@ -136,7 +141,7 @@ class TestDivergenceReport:
     def test_query_without_channels_named_as_ucmr(self, rng):
         index = random_index(rng, pages=5, dim=3)
         queries = [unified_query("q1", [1.0, 0.0, 0.0]), make_query("q2")]
-        with pytest.raises(MissingChannel, match="^mode 'ucmr' requires query channel 'image-query'$"):
+        with pytest.raises(ComretError, match="^mode 'ucmr' requires query channel 'image-query'$"):
             modality_divergence_report(index, queries)
 
     def test_pools_held_once(self, rng):

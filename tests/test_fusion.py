@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from comret import _kernels
 from comret.core import MODES, FusionConfig
-from comret.errors import DimMismatch, LengthMismatch, MalformedRunLine, MissingChannel
+from comret.errors import ComretError
 from comret.fusion import (
     QUERY_BLOCK,
     SIGMA_EPS,
@@ -128,7 +128,7 @@ class TestFuse:
         np.testing.assert_array_equal(blend(zt, zi, 1.0), zt)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ComretError, match="^score lengths differ: 3 vs 2$"):
             blend(np.ones(3), np.ones(2), 0.5)
 
 
@@ -167,7 +167,7 @@ class TestInnerProductScores:
 
     def test_dim_mismatch(self):
         idx = make_index([[1, 0]], [[1, 0]])
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ComretError, match="^query: expected dim 2, got 3$"):
             inner_product_scores(np.array([1.0, 0.0, 0.0]), idx.images)
 
 
@@ -233,14 +233,13 @@ class TestRetrieve:
     def test_ensemble_requires_both_channels(self):
         idx = make_index([[1, 0]], [[1, 0]])
         q = make_query("q", image_vec=[1.0, 0.0])
-        with pytest.raises(MissingChannel) as err:
+        with pytest.raises(ComretError, match="^mode 'ensemble-ucmr' requires query channel 'text-query'$"):
             retrieve(q, idx, FusionConfig(mode="ensemble-ucmr"))
-        assert err.value.channel == "text-query"
 
     def test_missing_all_channels(self):
         idx = make_index([[1, 0]], [[1, 0]])
         q = make_query("q")
-        with pytest.raises(MissingChannel):
+        with pytest.raises(ComretError, match="^mode 'image-only' requires query channel 'image-query'$"):
             retrieve(q, idx, FusionConfig(mode="image-only"))
 
     def test_single_modality_modes_zero_other_column(self):
@@ -290,9 +289,9 @@ class TestRunFile:
         assert fields[3] == "0.333333343"  # float32 third, 9 significant digits
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(MalformedRunLine):
+        with pytest.raises(ComretError, match="^run line 1: non-numeric rank or score$"):
             read_run(["q1\tp1\tone\t0\t0\t0\tucmr"])
-        with pytest.raises(MalformedRunLine):
+        with pytest.raises(ComretError, match="^run line 1: expected 7 columns, got 5$"):
             read_run(["q1\tp1\t1\t0\t0"])
 
     def test_results_sorted_by_query_id(self, rng):
@@ -413,7 +412,7 @@ class TestQueryEngine:
         queries[QUERY_BLOCK] = make_query("q-bad", [1.0, 0.0, 0.0, 0.0], [1.0])
         calls = []
         monkeypatch.setattr(_kernels, "inner_products", lambda *a, **kw: calls.append(1))
-        with pytest.raises(DimMismatch, match=r"^query 'q-bad' channel 'text-query': expected dim 4, got 1$"):
+        with pytest.raises(ComretError, match=r"^query 'q-bad' channel 'text-query': expected dim 4, got 1$"):
             list(rank_queries(idx, queries, [FusionConfig(mode=mode)]))
         assert calls == []
 
@@ -421,9 +420,8 @@ class TestQueryEngine:
         idx = make_index([[1, 0]], [[1, 0]])
         queries = [unified_query("q1", [1.0, 0.0]), make_query("q2", image_vec=[1.0, 0.0])]
         cfgs = [FusionConfig(mode="ucmr"), FusionConfig(mode="ensemble-ucmr")]
-        with pytest.raises(MissingChannel, match="ensemble-ucmr") as err:
+        with pytest.raises(ComretError, match="^mode 'ensemble-ucmr' requires query channel 'text-query'$"):
             list(rank_queries(idx, queries, cfgs))
-        assert err.value.channel == "text-query"
 
     def test_memory_bounded_by_query_block(self, rng):
         # Scores are held one block of queries at a time: the peak grows

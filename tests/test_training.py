@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from comret.errors import ComretError, MalformedLine, NonFiniteValue
+from comret.errors import ComretError
 from comret.training import (
     NonDecreasingLossWarning,
     ToyEncoders,
@@ -247,6 +247,19 @@ class TestTrainConfig:
         with pytest.raises(ComretError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("learning_rate", "learning rate must be positive and finite"),
+            ("tau_init", "tau must be positive and finite"),
+            ("eta_init", "eta must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_values(self, field, message, value):
+        with pytest.raises(ComretError, match=f"^{message}, got {value}$"):
+            TrainConfig(**{field: value})
+
     def test_defaults_match_standard_setup(self):
         cfg = TrainConfig()
         assert cfg.lam == 0.5 and cfg.tau_init == 10.0 and cfg.eta_init == -10.0
@@ -260,7 +273,7 @@ class TestLoadTriplets:
         np.testing.assert_array_equal(batch.query[0], [1.0, 0.0])
 
     def test_missing_key_rejected(self):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(ComretError, match='^line 1: missing or empty "t" array$'):
             load_triplets(['{"q":[1.0],"i":[1.0]}\n'])
 
     def test_ragged_dims_rejected(self):
@@ -274,5 +287,5 @@ class TestLoadTriplets:
     @pytest.mark.parametrize("number", ["1" + "0" * 400, "1e400", "NaN"])
     def test_non_finite_value_names_line_and_key(self, number):
         lines = ['{"q":[1.0],"i":[1.0],"t":[1.0]}\n', f'{{"q":[1.0],"i":[1.0],"t":[{number}]}}\n']
-        with pytest.raises(NonFiniteValue, match='line 2 "t"'):
+        with pytest.raises(ComretError, match='^non-finite value in line 2 "t"$'):
             load_triplets(lines)

@@ -15,25 +15,37 @@ block of the sweep), texts in reverse order; 21 queries with distinct
 image/text channels and qrels, the last aimed at the tail duplicate, plus
 the same queries with the image channel only (fallback and the
 ensemble-ucmr error). ``ablate`` and ``diagnose`` also run with several
-threads, whose outputs must equal the single-threaded ones. Eleven inputs
+threads, whose outputs must equal the single-threaded ones. These inputs
 must fail with exit code 1:
-- ingest of an images file whose second embedding holds ``true``;
+- ingest of an images file whose second embedding holds ``true``, one
+  whose second embedding holds ``1e39`` (beyond float32), one holding
+  page ``p001`` twice, one of 15 dims, and one with a zero row under
+  ``--normalize``;
 - ingest of an images file with a non-UTF-8 byte on line 151;
 - ingest of a texts file whose second embedding holds ``true`` (parsed in
-  ingest's worker process when more than one core is usable);
+  ingest's worker process when more than one core is usable), and of one
+  missing seven of the images file's ids;
 - ingest of that texts file with the non-UTF-8 images file (the images
   error is reported);
 - retrieve on an index whose ``images.cmeb`` header claims 2**64 - 1 rows
-  of dim 0;
+  of dim 0, one whose magic is wrong, one at format version 1, and one
+  whose id footer claims a byte more than it holds;
 - retrieve and diagnose on an index of zero pages (two 0-row ``.cmeb``
   files and ``M: 0``);
 - retrieve on an index whose ``texts.cmeb`` holds the ids of
   ``images.cmeb`` in reverse row order, and on one whose ``texts.cmeb`` has
   a non-UTF-8 byte in an id (in both, the texts footer differs from the
   images one, so its ids are decoded and checked);
-- retrieve of a query file whose second image channel is ``[{}]``;
+- retrieve of a query file whose second image channel is ``[{}]``, and of
+  one that holds query ``q01`` twice;
 - an image-only retrieve whose second query carries a 1-dim text channel
-  that the mode never sweeps.
+  that the mode never sweeps;
+- eval with qrels holding a two-column line, with qrels whose every line
+  has relevance 0, with qrels lacking query ``q00``, on a run line of
+  five columns, and with ``--metrics map@5``;
+- diagnose with ``--bins 0`` and with ``--bins 10000000000000``;
+- train-toy on a triplet file whose third ``t`` has 5 dims, and with
+  ``--lr nan`` and ``--lr inf``.
 
 The ``--out`` directory is written as ``OUT`` in stdout and stderr.
 """
@@ -83,6 +95,11 @@ def make_inputs(out: Path) -> None:
     images = [{"id": p, "embedding": image[i].tolist()} for i, p in enumerate(ids)]
     write_jsonl(out / "images.jsonl", images)
     write_jsonl(out / "images_bool.jsonl", images[:1] + [{"id": ids[1], "embedding": [True, *image[1][1:]]}] + images[2:])
+    huge = {"id": ids[1], "embedding": [1e39, *image[1][1:]]}
+    write_jsonl(out / "images_huge.jsonl", images[:1] + [huge] + images[2:])
+    write_jsonl(out / "images_dup.jsonl", images + images[1:2])
+    write_jsonl(out / "images_dim.jsonl", [{**r, "embedding": r["embedding"][1:]} for r in images])
+    write_jsonl(out / "images_zero.jsonl", images[:2] + [{"id": ids[2], "embedding": [0.0] * dim}] + images[3:])
     lines = (out / "images.jsonl").read_bytes().splitlines(keepends=True)
     lines[150] = lines[150].replace(b'"id"', b'"\xffid"', 1)  # past the first read chunk
     (out / "images_not_utf8.jsonl").write_bytes(b"".join(lines))
@@ -92,13 +109,23 @@ def make_inputs(out: Path) -> None:
     for name in ("images.cmeb", "texts.cmeb"):
         (out / "idx-empty" / name).write_bytes(b"CMEB" + struct.pack("<IIQ", 2, dim, 0) + bytes(8))
     (out / "idx-empty" / "manifest.json").write_text(json.dumps({"dim": dim, "M": 0}), encoding="utf-8")
+    (out / "idx-bad-magic").mkdir()
+    (out / "idx-bad-magic" / "images.cmeb").write_bytes(b"CMEX" + struct.pack("<IIQ", 2, dim, 0) + bytes(8))
+    (out / "idx-version-1").mkdir()
+    (out / "idx-version-1" / "images.cmeb").write_bytes(b"CMEB" + struct.pack("<IIQ", 1, dim, 0) + bytes(8))
     head = [p.encode() for p in ids[:3]]
+    write_index(out / "idx-ids-truncated", image[:3], head, head)
+    cmeb = out / "idx-ids-truncated" / "images.cmeb"
+    raw = cmeb.read_bytes()
+    footer_at = 20 + 3 * dim * 4
+    cmeb.write_bytes(raw[:footer_at] + struct.pack("<Q", len(raw) - footer_at - 8 + 1) + raw[footer_at + 8 :])
     write_index(out / "idx-texts-reordered", image[:3], head, head[::-1])
     write_index(out / "idx-texts-not-utf8", image[:3], head, [head[0], b"p\xff01", head[2]])
     texts = [{"id": ids[i], "embedding": text[i].tolist()} for i in reversed(range(pages))]
     write_jsonl(out / "texts.jsonl", texts)
     bad_text = {**texts[1], "embedding": [True, *texts[1]["embedding"][1:]]}
     write_jsonl(out / "texts_bool.jsonl", texts[:1] + [bad_text] + texts[2:])
+    write_jsonl(out / "texts_missing.jsonl", texts[7:])
     queries, image_only, qrels = [], [], []
     for j in range(21):
         gold = 10 if j == 20 else int(rng.integers(pages))
@@ -116,8 +143,15 @@ def make_inputs(out: Path) -> None:
     write_jsonl(out / "queries_dict.jsonl", queries[:1] + [{**queries[1], "embeddings": {"image-query": [{}]}}] + queries[2:])
     dim_channels = {"image-query": queries[1]["embeddings"]["image-query"], "text-query": [1.0]}
     write_jsonl(out / "queries_dim.jsonl", queries[:1] + [{**queries[1], "embeddings": dim_channels}] + queries[2:])
+    write_jsonl(out / "queries_dup.jsonl", queries + queries[1:2])
     (out / "qrels.tsv").write_text("".join(qrels), encoding="utf-8")
-    write_jsonl(out / "triplets.jsonl", [{key: rng.standard_normal(6).tolist() for key in "qit"} for _ in range(12)])
+    (out / "qrels_columns.tsv").write_text("".join(qrels[:2] + ["q01\tp001\n"] + qrels[2:]), encoding="utf-8")
+    (out / "qrels_irrelevant.tsv").write_text("".join(q.replace("\t1\n", "\t0\n") for q in qrels), encoding="utf-8")
+    (out / "qrels_no_q00.tsv").write_text("".join(q for q in qrels if not q.startswith("q00\t")), encoding="utf-8")
+    (out / "run_columns.tsv").write_text("q00\tp001\t1\t0.5\t0.5\n", encoding="utf-8")
+    triplets = [{key: rng.standard_normal(6).tolist() for key in "qit"} for _ in range(12)]
+    write_jsonl(out / "triplets.jsonl", triplets)
+    write_jsonl(out / "triplets_dim.jsonl", triplets[:2] + [{**triplets[2], "t": triplets[2]["t"][:5]}] + triplets[3:])
 
 
 def commands(o: Path) -> list[tuple[str, list[str]]]:
@@ -134,6 +168,22 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                               "--out", o / "idx-texts-bad"]),
         ("ingest-both-bad", ["ingest", "--images", o / "images_not_utf8.jsonl", "--texts", o / "texts_bool.jsonl",
                              "--out", o / "idx-both-bad"]),
+        ("ingest-huge-value", ["ingest", "--images", o / "images_huge.jsonl", "--texts", o / "texts.jsonl",
+                               "--out", o / "idx-huge-value"]),
+        ("ingest-duplicate-id", ["ingest", "--images", o / "images_dup.jsonl", "--texts", o / "texts.jsonl",
+                                 "--out", o / "idx-duplicate-id"]),
+        ("ingest-missing-ids", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts_missing.jsonl",
+                                "--out", o / "idx-missing-ids"]),
+        ("ingest-dim", ["ingest", "--images", o / "images_dim.jsonl", "--texts", o / "texts.jsonl",
+                        "--out", o / "idx-dim"]),
+        ("ingest-zero-row", ["ingest", "--images", o / "images_zero.jsonl", "--texts", o / "texts.jsonl",
+                             "--normalize", "--out", o / "idx-zero-row"]),
+        ("retrieve-bad-magic", ["retrieve", "--index", o / "idx-bad-magic", "--queries", q,
+                                "--out", o / "run-bad-magic.tsv"]),
+        ("retrieve-version-1", ["retrieve", "--index", o / "idx-version-1", "--queries", q,
+                                "--out", o / "run-version-1.tsv"]),
+        ("retrieve-ids-truncated", ["retrieve", "--index", o / "idx-ids-truncated", "--queries", q,
+                                    "--out", o / "run-ids-truncated.tsv"]),
         ("retrieve-corrupt-header", ["retrieve", "--index", o / "idx-corrupt", "--queries", q,
                                      "--out", o / "run-corrupt-header.tsv"]),
         ("retrieve-empty-index", ["retrieve", "--index", o / "idx-empty", "--queries", q,
@@ -148,6 +198,8 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                                  "--out", o / "run-query-dict.tsv"]),
         ("retrieve-query-dim", ["retrieve", "--index", idx, "--queries", o / "queries_dim.jsonl",
                                 "--mode", "image-only", "--out", o / "run-query-dim.tsv"]),
+        ("retrieve-query-duplicate", ["retrieve", "--index", idx, "--queries", o / "queries_dup.jsonl",
+                                      "--out", o / "run-query-duplicate.tsv"]),
     ]
     for m in MODES:
         cmds += [
@@ -162,6 +214,11 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
     cmds += [
         ("eval", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", qrels, "--metrics", "recall@5,ndcg@5,mrr@10,hit@3"]),
         ("eval-json", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", qrels, "--json"]),
+        ("eval-qrels-columns", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", o / "qrels_columns.tsv"]),
+        ("eval-qrels-irrelevant", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", o / "qrels_irrelevant.tsv"]),
+        ("eval-qrels-no-q00", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", o / "qrels_no_q00.tsv"]),
+        ("eval-run-columns", ["eval", "--run", o / "run_columns.tsv", "--qrels", qrels]),
+        ("eval-unknown-metric", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", qrels, "--metrics", "map@5"]),
         ("ablate", ["ablate", "--index", idx, "--queries", q, "--qrels", qrels, "--modes", ",".join(MODES),
                     "--beta-sweep", "0:1:0.25", "--metrics", "mrr@10,ndcg@5"]),
         ("ablate-threads", ["ablate", "--index", idx, "--queries", q, "--qrels", qrels, "--modes", ",".join(MODES),
@@ -170,8 +227,19 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                       "--out", o / "diag"]),
         ("diagnose-threads", ["diagnose", "--index", idx, "--queries", q, "--bins", "20", "--threads", "3",
                               "--out", o / "diag-threads"]),
+        ("diagnose-zero-bins", ["diagnose", "--index", idx, "--queries", q, "--bins", "0",
+                                "--out", o / "diag-zero-bins"]),
+        ("diagnose-huge-bins", ["diagnose", "--index", idx, "--queries", q, "--bins", "10000000000000",
+                                "--out", o / "diag-huge-bins"]),
         ("train-toy", ["train-toy", "--triplets", o / "triplets.jsonl", "--steps", "30", "--seed", "3",
                        "--out", o / "train"]),
+        ("train-toy-dim", ["train-toy", "--triplets", o / "triplets_dim.jsonl", "--steps", "30",
+                           "--out", o / "train-dim"]),
+    ]
+    cmds += [
+        (f"train-toy-lr-{lr}", ["train-toy", "--triplets", o / "triplets.jsonl", "--steps", "3", "--lr", lr,
+                                "--out", o / f"train-lr-{lr}"])
+        for lr in ("nan", "inf")
     ]
     return [(name, [str(a) for a in argv]) for name, argv in cmds]
 
