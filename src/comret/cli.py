@@ -34,12 +34,15 @@ T = TypeVar("T")
 
 
 def _parse(path: str, parser: Callable[[Iterable[str]], T]) -> T:
-    """Run ``parser`` over the lines of a UTF-8 file as they are read."""
+    """Run ``parser`` over the lines of a UTF-8 file as they are read; its
+    errors are raised with ``path`` in front."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parser(fh)
     except UnicodeDecodeError:
         raise ComretError(f"cannot read {path}: not valid UTF-8")
+    except ComretError as exc:
+        raise ComretError(f"{path}: {exc}")
 
 
 def _parse_pages(images: str, texts: str) -> tuple[list[store.Record], list[store.Record]]:

@@ -111,10 +111,6 @@ def ndcg_at_k(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int) ->
 _METRIC_FNS = {"recall": recall_at_k, "hit": hit_at_k, "ndcg": ndcg_at_k, "mrr": mrr_at_k}
 
 
-def compute_metric(name: str, ranked: Sequence[str], gold, k: int) -> float:
-    return _METRIC_FNS[name](ranked, gold, k)
-
-
 @dataclass(frozen=True)
 class MetricReport:
     """Per-query metric values plus macro averages.
@@ -174,7 +170,7 @@ def evaluate_run(
             missing.append(qid)
             per_query[qid] = {spec: 0.0 for spec, _, _ in parsed}
         else:
-            per_query[qid] = {spec: compute_metric(name, ranked, qrels[qid], k) for spec, name, k in parsed}
+            per_query[qid] = {spec: _METRIC_FNS[name](ranked, qrels[qid], k) for spec, name, k in parsed}
 
     n = len(per_query)
     macro = {spec: sum(row[spec] for row in per_query.values()) / n for spec, _, _ in parsed}

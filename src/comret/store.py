@@ -16,8 +16,8 @@ No id is empty or holds a "\n", so the footer splits back into exactly
 ``count`` ids. Bytes after the ids are ignored.
 
 An index directory holds ``images.cmeb``, ``texts.cmeb`` and
-``manifest.json`` (dim, M, normalize flag, build timestamp). Loading maps
-the ``.cmeb`` files read-only; saving replaces each by rename.
+``manifest.json`` (dim, M, normalize flag, build timestamp). ``load_index``
+maps the ``.cmeb`` files read-only; ``save_index`` replaces each by rename.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import mmap
 import os
 import struct
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -178,7 +177,7 @@ def parse_query_jsonl(stream: TextIO | Iterable[str]) -> list[QueryRecord]:
     for line_no, obj in json_objects(stream):
         query_id = _check_id(obj.get("query_id"), "query_id", line_no)
         if query_id in seen_ids:
-            raise ComretError(f"duplicate id {query_id!r}")
+            raise ComretError(f"line {line_no}: duplicate id {query_id!r}")
         seen_ids.add(query_id)
         embeddings = obj.get("embeddings")
         if not isinstance(embeddings, dict) or not embeddings:
@@ -235,6 +234,13 @@ def _both(first: tuple, second: tuple) -> list:
     return [future.result() for future in futures]
 
 
+def _duplicate(channel: str, ids: Iterable[str]) -> ComretError:
+    """The error naming ``channel`` and the first id seen a second time in ``ids``, which repeat one."""
+    seen: set[str] = set()
+    dup = next(rid for rid in ids if rid in seen or seen.add(rid))
+    return ComretError(f"{channel}: duplicate id {dup!r}")
+
+
 def build_index(images: list[Record], texts: list[Record], normalize: bool = False) -> IndexDirectory:
     """Pair image and text records by id into aligned matrices.
 
@@ -253,15 +259,12 @@ def build_index(images: list[Record], texts: list[Record], normalize: bool = Fal
 
     def pack_images() -> PackedMatrix:
         if len(image_ids) != len(ids):
-            seen: set[str] = set()
-            dup = next(rid for rid in ids if rid in seen or seen.add(rid))
-            raise ComretError(f"duplicate id {dup!r}")
+            raise _duplicate("images", ids)
         return _pack("images", ids, [r[1] for r in images], dim, normalize)
 
     def pack_texts() -> PackedMatrix:
         if len(text_ids) != len(texts):
-            dup = next(rid for rid, n in Counter(r[0] for r in texts).items() if n > 1)
-            raise ComretError(f"duplicate id {dup!r}")
+            raise _duplicate("texts", (r[0] for r in texts))
         return _pack("texts", ids, list(map(dict(texts).__getitem__, ids)), dim, normalize)
     image_matrix, text_matrix = _both((pack_images,), (pack_texts,))
     manifest = {
@@ -297,20 +300,6 @@ def _write_temp(matrix: PackedMatrix, path: Path) -> None:
         fh.write(struct.pack("<Q", len(footer)) + footer)
 
 
-def write_matrix(matrix: PackedMatrix, path: str | Path) -> None:
-    """Write a temporary sibling, then rename it over ``path``: truncating
-    a mapped file in place would fault every process that has it loaded.
-    Ids that could not split back into one per row (one too many or few,
-    an empty one, one holding a "\n") are refused before anything is written.
-    """
-    path = Path(path)
-    try:
-        _write_temp(matrix, path)
-        os.replace(_temp(path), path)
-    finally:
-        _temp(path).unlink(missing_ok=True)
-
-
 def _map_payload(path: Path) -> tuple[np.ndarray, bytes]:
     """Map a .cmeb file read-only once its header fits the file. Returns
     its payload, viewed in place (copied only on a big-endian host), and
@@ -318,30 +307,30 @@ def _map_payload(path: Path) -> tuple[np.ndarray, bytes]:
     with open(path, "rb") as fh:
         header = fh.read(20)
         if header[:4] != MAGIC:
-            raise ComretError(f"bad magic {header[:4]!r}")
+            raise ComretError(f"{path}: bad magic {header[:4]!r}")
         if len(header) != 20:
-            raise ComretError("file ended while reading header")
+            raise ComretError(f"{path}: file ended while reading header")
         version, dim, count = struct.unpack_from("<IIQ", header, 4)
         if version != VERSION:
-            raise ComretError(f"unsupported format version {version}")
+            raise ComretError(f"{path}: unsupported format version {version}")
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     # The payload, the footer's 8-byte length and at least one byte per id
     # plus a newline between ids must fit.
     payload_bytes = count * dim * 4
     if 20 + payload_bytes + 8 + max(2 * count - 1, 0) > len(mapped):
-        raise ComretError(f"header claims {count} rows of dim {dim}, more than the file holds")
+        raise ComretError(f"{path}: header claims {count} rows of dim {dim}, more than the file holds")
     data = np.frombuffer(mapped, dtype="<f4", count=count * dim, offset=20).reshape(count, dim)
     data = data.astype(EMBEDDING_DTYPE, copy=False)
     data.flags.writeable = False
     return data, mapped[20 + payload_bytes :]
 
 
-def _decode_ids(path: str | Path, footer: bytes, count: int) -> tuple[str, ...]:
+def _decode_ids(path: Path, footer: bytes, count: int) -> tuple[str, ...]:
     """The ``count`` ids of a .cmeb footer, in row order."""
     (length,) = struct.unpack_from("<Q", footer)
     raw = footer[8 : 8 + length]
     if len(raw) != length:
-        raise ComretError("file ended while reading id bytes")
+        raise ComretError(f"{path}: file ended while reading id bytes")
     try:
         ids = tuple(raw.decode("utf-8").split("\n")) if raw else ()
     except UnicodeDecodeError as exc:
@@ -354,16 +343,15 @@ def _decode_ids(path: str | Path, footer: bytes, count: int) -> tuple[str, ...]:
     return ids
 
 
-def read_matrix(path: str | Path) -> PackedMatrix:
-    data, footer = _map_payload(Path(path))
-    return PackedMatrix(ids=_decode_ids(path, footer, len(data)), data=data)
-
-
 def save_index(index: IndexDirectory, path: str | Path) -> None:
     """Write images.cmeb, texts.cmeb and manifest.json under ``path``.
 
-    Both ``.cmeb`` files are renamed into place only when both were
-    written, so a failed save leaves the old index whole.
+    Each ``.cmeb`` file is written to a temporary sibling and renamed over
+    the old one: truncating a mapped file in place would kill, with SIGBUS,
+    every process that has it loaded. Both are renamed only when both were
+    written, so a failed save leaves the old index whole. Ids that could not
+    split back into one per row (one too many or few, an empty one, one
+    holding a "\n" or an unpaired surrogate) are refused first.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)

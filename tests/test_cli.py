@@ -204,9 +204,9 @@ class TestTwoProcessIngest:
     @pytest.mark.parametrize(
         ("case", "message"),
         [
-            ("bad-line", "line 2: expected a JSON object"),
-            ("non-finite", "non-finite value in line 2"),
-            ("dim-change", "line 2: expected dim 4, got 3"),
+            ("bad-line", "{texts}: line 2: expected a JSON object"),
+            ("non-finite", "{texts}: non-finite value in line 2"),
+            ("dim-change", "{texts}: line 2: expected dim 4, got 3"),
             ("not-utf8", "cannot read {texts}: not valid UTF-8"),
             ("missing", "[Errno 2] No such file or directory: '{texts}'"),
         ],
@@ -237,7 +237,7 @@ class TestTwoProcessIngest:
         for n, pools in ((1, []), (2, [1])):
             sizes = cores(n)
             code, out = self.ingest(capsys, images, texts, root / f"idx{n}")
-            assert (code, out.out, out.err, sizes) == (1, "", "error: line 3: expected a JSON object\n", pools)
+            assert (code, out.out, out.err, sizes) == (1, "", f"error: {images}: line 3: expected a JSON object\n", pools)
 
     def test_dead_worker_is_one_error_line(self, workspace, cores, capsys, monkeypatch):
         root, images, texts, _, _ = workspace
@@ -453,9 +453,7 @@ class TestIOFailures:
     def test_zero_page_index_is_one_error_line(self, built_index, command):
         root, idx, queries, _ = built_index
         empty = store.PackedMatrix(ids=(), data=np.empty((0, 4), dtype=np.float32))
-        store.write_matrix(empty, idx / "images.cmeb")
-        store.write_matrix(empty, idx / "texts.cmeb")
-        (idx / "manifest.json").write_text(json.dumps({"dim": 4, "M": 0}))
+        store.save_index(store.IndexDirectory(images=empty, texts=empty, manifest={"dim": 4, "M": 0}), idx)
         # A fresh interpreter, so stderr is all a user sees, warnings included.
         result = run_process(command, "--index", idx, "--queries", queries, "--out", root / "out")
         assert result == (1, "", f"error: {idx}: the index holds no pages\n")
@@ -469,7 +467,7 @@ class TestIOFailures:
         footer = b"".join(struct.pack("<I", len(rid)) + rid for rid in ids)
         images.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8 : 20 + count * dim * 4] + footer)
         result = run_process("retrieve", "--index", idx, "--queries", queries, "--out", root / "run.tsv")
-        assert result == (1, "", "error: unsupported format version 1\n")
+        assert result == (1, "", f"error: {images}: unsupported format version 1\n")
 
     @pytest.mark.parametrize("which", ["images", "texts"])
     def test_ingest_non_utf8_mid_file(self, workspace, capsys, which):
@@ -512,7 +510,7 @@ class TestOutOfRangeNumbers:
         images.write_text("".join(lines))
         code, out, err = run_process("ingest", "--images", images, "--texts", texts, "--out", root / "idx")
         assert (code, out) == (1, "")
-        assert err == "error: non-finite value in line 2\n"
+        assert err == f"error: {images}: non-finite value in line 2\n"
 
     NON_NUMERIC = "line 1: channel 'image-query' contains a non-numeric entry"
 
@@ -535,7 +533,7 @@ class TestOutOfRangeNumbers:
         queries.write_text(f'{{"query_id": "q1", "embeddings": {{"image-query": {embedding}}}}}\n')
         code, out, err = run_process("retrieve", "--index", idx, "--queries", queries, "--out", root / "run.tsv")
         assert (code, out) == (1, "")
-        assert err == f"error: {reason}\n"
+        assert err == f"error: {queries}: {reason}\n"
 
     @pytest.mark.parametrize("number", [BIG_INT, pytest.param("1e400", id="beyond-float64")])
     def test_train_toy_triplets(self, tmp_path, number):
@@ -543,7 +541,7 @@ class TestOutOfRangeNumbers:
         triplets.write_text('{"q": [1.0], "i": [1.0], "t": [1.0]}\n' f'{{"q": [1.0], "i": [{number}], "t": [1.0]}}\n')
         code, out, err = run_process("train-toy", "--triplets", triplets, "--out", tmp_path / "train")
         assert (code, out) == (1, "")
-        assert err == 'error: non-finite value in line 2 "i"\n'
+        assert err == f'error: {triplets}: non-finite value in line 2 "i"\n'
 
 
 def run_quiet(*argv):

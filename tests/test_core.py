@@ -4,13 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from comret import errors
+from comret import errors, store
 from comret.core import FusionConfig, QueryRecord
 from comret.diagnostics import build_histogram, kl_divergence, modality_divergence_report
 from comret.errors import ComretError
 from comret.fusion import blend, read_run, retrieve
 from comret.metrics import evaluate_run, parse_metric_spec, read_qrels
-from comret.store import MAGIC, build_index, parse_embedding_jsonl, parse_query_jsonl, read_matrix
+from comret.store import MAGIC, build_index, parse_embedding_jsonl, parse_query_jsonl
 
 from conftest import make_index, make_query
 
@@ -45,9 +45,10 @@ class TestQueryRecord:
 
 
 def cmeb(tmp_path, raw: bytes):
+    """Map ``raw`` as the .cmeb file m.cmeb in ``tmp_path``, which FAILURES writes as TMP."""
     path = tmp_path / "m.cmeb"
     path.write_bytes(raw)
-    return read_matrix(path)
+    return store._map_payload(path)
 
 
 def ones(*ids, dim=2):
@@ -77,7 +78,7 @@ FAILURES = {
     ),
     "DuplicateId": (
         lambda _: parse_query_jsonl(['{"query_id":"p1","embeddings":{"image-query":[1.0]}}\n'] * 2),
-        "duplicate id 'p1'",
+        "line 2: duplicate id 'p1'",
     ),
     "IdSetMismatch": (
         lambda _: build_index(ones(*(f"p{i}" for i in range(9))), ones("p0", "p1")),
@@ -87,9 +88,9 @@ FAILURES = {
         lambda _: build_index([("p1", np.zeros(2, np.float32))], ones("p1"), normalize=True),
         "cannot L2-normalize zero vector for id 'p1'",
     ),
-    "BadMagic": (lambda tmp: cmeb(tmp, b"XXXX" + bytes(28)), "bad magic b'XXXX'"),
-    "UnsupportedVersion": (lambda tmp: cmeb(tmp, MAGIC + struct.pack("<IIQ", 9, 1, 1)), "unsupported format version 9"),
-    "TruncatedFile": (lambda tmp: cmeb(tmp, MAGIC + bytes(4)), "file ended while reading header"),
+    "BadMagic": (lambda tmp: cmeb(tmp, b"XXXX" + bytes(28)), "TMP/m.cmeb: bad magic b'XXXX'"),
+    "UnsupportedVersion": (lambda tmp: cmeb(tmp, MAGIC + struct.pack("<IIQ", 9, 1, 1)), "TMP/m.cmeb: unsupported format version 9"),
+    "TruncatedFile": (lambda tmp: cmeb(tmp, MAGIC + bytes(4)), "TMP/m.cmeb: file ended while reading header"),
     "LengthMismatch": (lambda _: blend(np.ones(2), np.ones(3), 0.5), "score lengths differ: 2 vs 3"),
     "MissingChannel": (
         lambda _: retrieve(make_query("q1", [1.0]), make_index([[1.0]], [[1.0]]), FusionConfig(mode="ensemble-ucmr")),
@@ -128,6 +129,7 @@ def test_error_survives_pickle(case, tmp_path):
     """Every failure is a plain ComretError holding its message, which
     reaches a caller in another process whole."""
     trigger, message = FAILURES[case]
+    message = message.replace("TMP", str(tmp_path))
     with pytest.raises(ComretError) as err:
         trigger(tmp_path)
     assert type(err.value) is ComretError and err.value.args == (message,)

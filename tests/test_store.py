@@ -17,14 +17,13 @@ from comret import store
 from comret.errors import ComretError
 from comret.store import (
     MAGIC,
+    IndexDirectory,
     PackedMatrix,
     build_index,
     load_index,
     parse_embedding_jsonl,
     parse_query_jsonl,
-    read_matrix,
     save_index,
-    write_matrix,
 )
 from comret.training import load_triplets
 
@@ -167,7 +166,7 @@ class TestBuildIndex:
     def test_duplicate_id_rejected(self):
         images = [("p1", np.ones(2, np.float32)), ("p1", np.zeros(2, np.float32))]
         texts = [("p1", np.ones(2, np.float32)), ("p1", np.zeros(2, np.float32))]
-        with pytest.raises(ComretError, match="^duplicate id 'p1'$"):
+        with pytest.raises(ComretError, match="^images: duplicate id 'p1'$"):
             build_index(images, texts)
 
     def test_modality_dim_mismatch_rejected(self):
@@ -215,19 +214,17 @@ class TestBuildIndex:
             assert packed.data.dtype == np.float32 and packed.data.tobytes() == expected.tobytes()
             assert packed.ids == tuple(ids)
 
-    @pytest.mark.parametrize(
-        "images, texts, named",
-        [
-            pytest.param(["p1", "p2", "p2", "p1"], ["p1", "p2"], "p2", id="images-second-copy-first"),
-            pytest.param(["p1", "p2"], ["p1", "p2", "p2", "p1"], "p1", id="texts-first-id-repeated"),
-        ],
-    )
-    def test_duplicate_named(self, images, texts, named):
+    @pytest.mark.parametrize("channel", ["images", "texts"])
+    def test_duplicate_named(self, channel):
+        """Either channel names the first id seen a second time."""
+
         def records(ids):
             return [(pid, np.ones(2, np.float32)) for pid in ids]
 
-        with pytest.raises(ComretError, match=f"^duplicate id '{named}'$"):
-            build_index(records(images), records(texts))
+        repeated, once = records(["p1", "p2", "p2", "p1"]), records(["p1", "p2"])
+        images, texts = (repeated, once) if channel == "images" else (once, repeated)
+        with pytest.raises(ComretError, match=f"^{channel}: duplicate id 'p2'$"):
+            build_index(images, texts)
 
 
 #: build_index's checks, in the order in which their errors win.
@@ -235,10 +232,10 @@ BUILD_FAULTS = {
     "empty": "need at least one image and one text record",
     "id-sets": "ids present on one side only: p4, p9",
     "dims": "texts vs images: expected dim 3, got 5",
-    "images-dup": "duplicate id 'p2'",
+    "images-dup": "images: duplicate id 'p2'",
     "images-shape": "images id 'p3': expected dim 3, got 4",
     "images-zero": "cannot L2-normalize zero vector for id 'p4'",
-    "texts-dup": "duplicate id 'p1'",
+    "texts-dup": "texts: duplicate id 'p1'",
     "texts-shape": "texts id 'p4': expected dim 3, got 4",
     "texts-zero": "cannot L2-normalize zero vector for id 'p3'",
 }
@@ -304,6 +301,22 @@ class FullDisk:
         return self.fh.write(raw)
 
 
+def read_cmeb(path):
+    """One .cmeb file's (ids, rows), read and checked as load_index reads each file."""
+    data, footer = store._map_payload(path)
+    return store._decode_ids(path, footer, len(data)), data
+
+
+def hand_built(images, texts=None):
+    """An index directory built by hand, as save_index accepts one."""
+    return IndexDirectory(images=images, texts=texts or images, manifest={"dim": images.dim, "M": images.count})
+
+
+def error_at(path, message):
+    """The match pattern of ``message`` raised for the file at ``path``."""
+    return f"^{re.escape(f'{path}: {message}')}$"
+
+
 class TestMatrixRoundTrip:
     def test_save_load_bit_exact(self, tmp_path, rng):
         idx = make_index(rng.standard_normal((2, 3)).tolist(), rng.standard_normal((2, 3)).tolist())
@@ -323,56 +336,54 @@ class TestMatrixRoundTrip:
                 rng.standard_normal((pages, dim)).tolist(),
                 ids=[f"page/{trial}/{i}" for i in range(pages)],
             )
-            path = tmp_path / f"m{trial}.cmeb"
-            write_matrix(idx.images, path)
-            back = read_matrix(path)
-            assert back.ids == idx.images.ids
-            assert back.data.tobytes() == idx.images.data.tobytes()
+            save_index(idx, tmp_path / f"m{trial}")
+            back = load_index(tmp_path / f"m{trial}")
+            assert back.images.ids == back.texts.ids == idx.images.ids
+            assert back.images.data.tobytes() == idx.images.data.tobytes()
+            assert back.texts.data.tobytes() == idx.texts.data.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cmeb"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ComretError, match="^bad magic b'NOPE'$"):
-            read_matrix(path)
+        with pytest.raises(ComretError, match=error_at(path, "bad magic b'NOPE'")):
+            read_cmeb(path)
 
     def test_unsupported_version(self, tmp_path, rng):
-        idx = make_index([[1.0]], [[1.0]])
-        path = tmp_path / "v9.cmeb"
-        write_matrix(idx.images, path)
+        save_index(make_index([[1.0]], [[1.0]]), tmp_path)
+        path = tmp_path / "images.cmeb"
         raw = bytearray(path.read_bytes())
         raw[4] = 9
         path.write_bytes(bytes(raw))
-        with pytest.raises(ComretError, match="^unsupported format version 9$"):
-            read_matrix(path)
+        with pytest.raises(ComretError, match=error_at(path, "unsupported format version 9")):
+            load_index(tmp_path)
 
     def test_truncated_payload(self, tmp_path):
-        idx = make_index([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
-        path = tmp_path / "trunc.cmeb"
-        write_matrix(idx.images, path)
+        save_index(make_index([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]]), tmp_path)
+        path = tmp_path / "images.cmeb"
         full = path.read_bytes()
         path.write_bytes(full[: 4 + 16 + 5])  # mid-matrix
-        with pytest.raises(ComretError, match="^header claims 1 rows of dim 3, more than the file holds$"):
-            read_matrix(path)
+        with pytest.raises(ComretError, match=error_at(path, "header claims 1 rows of dim 3, more than the file holds")):
+            load_index(tmp_path)
         # A header claiming 10**12 rows must not try to allocate them.
         path.write_bytes(full[:12] + struct.pack("<Q", 10**12) + full[20:])
-        with pytest.raises(ComretError, match=f"^header claims {10**12} rows of dim 3, more than the file holds$"):
-            read_matrix(path)
+        message = f"header claims {10**12} rows of dim 3, more than the file holds"
+        with pytest.raises(ComretError, match=error_at(path, message)):
+            load_index(tmp_path)
 
     def test_row_count_beyond_footer(self, tmp_path):
         # dim 0: no payload, but 2**64 - 1 rows cannot fit their ids.
         path = tmp_path / "rows.cmeb"
         path.write_bytes(MAGIC + struct.pack("<IIQ", 2, 0, 2**64 - 1) + struct.pack("<Q", 0))
-        with pytest.raises(ComretError, match=f"^header claims {2**64 - 1} rows of dim 0, more than the file holds$"):
-            read_matrix(path)
+        message = f"header claims {2**64 - 1} rows of dim 0, more than the file holds"
+        with pytest.raises(ComretError, match=error_at(path, message)):
+            read_cmeb(path)
 
     def test_truncated_footer(self, tmp_path):
-        idx = make_index([[1.0]], [[1.0]], ids=["a-long-page-id"])
-        path = tmp_path / "trunc2.cmeb"
-        write_matrix(idx.images, path)
-        full = path.read_bytes()
-        path.write_bytes(full[:-3])
-        with pytest.raises(ComretError, match="^file ended while reading id bytes$"):
-            read_matrix(path)
+        save_index(make_index([[1.0]], [[1.0]], ids=["a-long-page-id"]), tmp_path)
+        path = tmp_path / "images.cmeb"
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ComretError, match=error_at(path, "file ended while reading id bytes")):
+            load_index(tmp_path)
 
     def test_save_over_a_loaded_index_leaves_it_intact(self, tmp_path, rng):
         first, second = random_index(rng, 40, 8), random_index(rng, 30, 8)
@@ -387,24 +398,25 @@ class TestMatrixRoundTrip:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["images.cmeb", "manifest.json", "texts.cmeb"]
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "m.cmeb"
-        write_matrix(make_index([[1.0, 2.0]], [[1.0, 2.0]]).images, path)
-        old = path.read_bytes()
+        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         monkeypatch.setattr(store, "open", FullDisk, raising=False)
         with pytest.raises(OSError, match="No space left"):
-            write_matrix(make_index([[3.0, 4.0]] * 2, [[3.0, 4.0]] * 2).images, path)
-        assert path.read_bytes() == old
-        assert [p.name for p in tmp_path.iterdir()] == ["m.cmeb"]
+            save_index(make_index([[3.0, 4.0]] * 2, [[3.0, 4.0]] * 2), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+        assert sorted(old) == ["images.cmeb", "manifest.json", "texts.cmeb"]
 
-    def test_save_index_writes_what_write_matrix_writes(self, tmp_path, rng):
-        index = random_index(rng, 150, 9)
+    def test_save_index_writes_the_documented_layout(self, tmp_path, rng):
+        pages, dim = 150, 9
+        index = random_index(rng, pages, dim)
         before = threading.active_count()
-        save_index(index, tmp_path / "idx")
+        save_index(index, tmp_path)
         assert threading.active_count() == before
-        write_matrix(index.images, tmp_path / "images.cmeb")
-        write_matrix(index.texts, tmp_path / "texts.cmeb")
-        for name in ("images.cmeb", "texts.cmeb"):
-            assert (tmp_path / "idx" / name).read_bytes() == (tmp_path / name).read_bytes()
+        for matrix, name in ((index.images, "images.cmeb"), (index.texts, "texts.cmeb")):
+            ids = "\n".join(matrix.ids).encode("utf-8")
+            header = b"CMEB" + struct.pack("<IIQ", 2, dim, pages)
+            expected = header + matrix.data.astype("<f4").tobytes() + struct.pack("<Q", len(ids)) + ids
+            assert (tmp_path / name).read_bytes() == expected
 
     def test_both_writes_failing_raise_the_images_error(self, tmp_path, monkeypatch, rng):
         texts_failed = threading.Event()
@@ -452,30 +464,31 @@ class TestMatrixRoundTrip:
     def test_version_2_layout(self, tmp_path):
         ids = ["page-a", "página-β"]
         matrix = PackedMatrix(ids=tuple(ids), data=np.arange(4, dtype=np.float32).reshape(2, 2))
-        write_matrix(matrix, tmp_path / "m.cmeb")
-        assert (tmp_path / "m.cmeb").read_bytes() == valid_cmeb(2, 2, ids)
+        save_index(hand_built(matrix), tmp_path)
+        for name in ("images.cmeb", "texts.cmeb"):
+            assert (tmp_path / name).read_bytes() == valid_cmeb(2, 2, ids)
 
     def test_last_id_short_by_one_byte_is_truncated(self, tmp_path):
-        path = tmp_path / "m.cmeb"
-        write_matrix(make_index([[1.0]] * 2, [[1.0]] * 2, ids=["page-b", "page-a"]).images, path)
+        save_index(make_index([[1.0]] * 2, [[1.0]] * 2, ids=["page-b", "page-a"]), tmp_path)
+        path = tmp_path / "images.cmeb"
         path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(ComretError, match="^file ended while reading id bytes$"):
-            read_matrix(path)
+        with pytest.raises(ComretError, match=error_at(path, "file ended while reading id bytes")):
+            load_index(tmp_path)
 
     @pytest.mark.parametrize(
         "block, message",
         [
-            pytest.param(b"a\nb\nc", "the footer holds 3 ids for 2 rows$", id="one-id-too-many"),
-            pytest.param(b"abc", "the footer holds 1 ids for 2 rows$", id="one-id-too-few"),
-            pytest.param(b"ab\n", "id of row 1 is empty$", id="empty-last-id"),
-            pytest.param(b"\nab", "id of row 0 is empty$", id="empty-first-id"),
+            pytest.param(b"a\nb\nc", "the footer holds 3 ids for 2 rows", id="one-id-too-many"),
+            pytest.param(b"abc", "the footer holds 1 ids for 2 rows", id="one-id-too-few"),
+            pytest.param(b"ab\n", "id of row 1 is empty", id="empty-last-id"),
+            pytest.param(b"\nab", "id of row 0 is empty", id="empty-first-id"),
         ],
     )
     def test_footer_must_split_into_one_id_per_row(self, tmp_path, block, message):
         path = tmp_path / "m.cmeb"
         path.write_bytes(cmeb_head(2, 1) + struct.pack("<Q", len(block)) + block)
-        with pytest.raises(ComretError, match=message):
-            read_matrix(path)
+        with pytest.raises(ComretError, match=error_at(path, message)):
+            read_cmeb(path)
 
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_non_utf8_id_names_its_row(self, tmp_path, row):
@@ -484,8 +497,8 @@ class TestMatrixRoundTrip:
         block = b"\n".join(ids)
         path = tmp_path / "m.cmeb"
         path.write_bytes(cmeb_head(3, 1) + struct.pack("<Q", len(block)) + block)
-        with pytest.raises(ComretError, match=rf"m\.cmeb: id of row {row} is not valid UTF-8$"):
-            read_matrix(path)
+        with pytest.raises(ComretError, match=error_at(path, f"id of row {row} is not valid UTF-8")):
+            read_cmeb(path)
 
     @pytest.mark.parametrize(
         "ids, reason",
@@ -497,20 +510,20 @@ class TestMatrixRoundTrip:
     )
     def test_write_rejects_an_id_the_footer_cannot_hold(self, tmp_path, ids, reason):
         matrix = PackedMatrix(ids=ids, data=np.ones((2, 3), dtype=np.float32))
-        with pytest.raises(ComretError, match=rf"m\.cmeb: id of row 1 {reason}$"):
-            write_matrix(matrix, tmp_path / "m.cmeb")
+        good = PackedMatrix(ids=("a", "b"), data=matrix.data)
+        with pytest.raises(ComretError, match=error_at(tmp_path / "texts.cmeb", f"id of row 1 {reason}")):
+            save_index(hand_built(good, matrix), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_write_rejects_ids_unlike_the_rows(self, tmp_path):
         matrix = PackedMatrix(ids=("a", "b", "c"), data=np.ones((2, 3), dtype=np.float32))
-        with pytest.raises(ComretError, match=r"m\.cmeb: 3 ids for 2 rows$"):
-            write_matrix(matrix, tmp_path / "m.cmeb")
+        with pytest.raises(ComretError, match=error_at(tmp_path / "images.cmeb", "3 ids for 2 rows")):
+            save_index(hand_built(matrix), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_unicode_ids_round_trip(self, tmp_path):
-        idx = make_index([[1.0]], [[1.0]], ids=["página-β"])
-        write_matrix(idx.images, tmp_path / "u.cmeb")
-        assert read_matrix(tmp_path / "u.cmeb").ids == ("página-β",)
+        save_index(make_index([[1.0]], [[1.0]], ids=["página-β"]), tmp_path)
+        assert load_index(tmp_path).images.ids == ("página-β",)
 
 
 def cmeb_head(rows, dim):
@@ -550,11 +563,11 @@ def test_fuzzed_cmeb_reads_or_raises_comret_error(tmp_path, raw):
     path = tmp_path / "fuzz.cmeb"
     path.write_bytes(raw)
     try:
-        matrix = read_matrix(path)
+        ids, data = read_cmeb(path)
     except ComretError:
         return
-    assert matrix.data.shape[0] == len(matrix.ids)
-    assert matrix.data.dtype == np.float32 and not matrix.data.flags.writeable
+    assert data.shape[0] == len(ids)
+    assert data.dtype == np.float32 and not data.flags.writeable
 
 
 class TestLoadIndexChecks:
@@ -562,7 +575,7 @@ class TestLoadIndexChecks:
         save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
         (tmp_path / "images.cmeb").write_bytes(b"NOPE" + b"\x00" * 32)
         (tmp_path / "texts.cmeb").write_bytes(b"CMEB")
-        with pytest.raises(ComretError, match="^bad magic b'NOPE'$"):
+        with pytest.raises(ComretError, match=error_at(tmp_path / "images.cmeb", "bad magic b'NOPE'")):
             load_index(tmp_path)
 
     def test_images_bad_magic_wins_over_truncated_texts(self, tmp_path):
@@ -570,7 +583,7 @@ class TestLoadIndexChecks:
         (tmp_path / "images.cmeb").write_bytes(b"NOPE" + b"\x00" * 32)
         texts = tmp_path / "texts.cmeb"
         texts.write_bytes(texts.read_bytes()[:-2])
-        with pytest.raises(ComretError, match="^bad magic b'NOPE'$"):
+        with pytest.raises(ComretError, match=error_at(tmp_path / "images.cmeb", "bad magic b'NOPE'")):
             load_index(tmp_path)
 
     def test_images_bad_id_wins_over_truncated_texts(self, tmp_path):
@@ -623,12 +636,12 @@ class TestLoadIndexChecks:
     def test_only_texts_bad_reports_texts(self, tmp_path):
         save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
         (tmp_path / "texts.cmeb").write_bytes(b"CMEB")
-        with pytest.raises(ComretError, match="^file ended while reading header$"):
+        with pytest.raises(ComretError, match=error_at(tmp_path / "texts.cmeb", "file ended while reading header")):
             load_index(tmp_path)
 
     def test_modality_dims_must_agree(self, tmp_path):
         save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
-        write_matrix(make_index([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]]).texts, tmp_path / "texts.cmeb")
+        (tmp_path / "texts.cmeb").write_bytes(valid_cmeb(1, 3, ["p1"]))
         with pytest.raises(ComretError, match="^texts vs images: expected dim 2, got 3$"):
             load_index(tmp_path)
 
@@ -645,8 +658,7 @@ class TestLoadIndexChecks:
     def test_reordered_rows_named_as_such(self, tmp_path):
         index = make_index([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
         save_index(index, tmp_path)
-        texts = index.texts
-        write_matrix(PackedMatrix(ids=texts.ids[::-1], data=texts.data[::-1]), tmp_path / "texts.cmeb")
+        (tmp_path / "texts.cmeb").write_bytes(valid_cmeb(2, 2, index.ids[::-1]))
         message = f"{tmp_path}: texts.cmeb holds the ids of images.cmeb in a different row order"
         with pytest.raises(ComretError, match=f"^{re.escape(message)}$"):
             load_index(tmp_path)
@@ -658,11 +670,7 @@ class TestLoadIndexChecks:
             load_index(tmp_path)
 
     def test_zero_page_index_refused(self, tmp_path):
-        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
-        empty = PackedMatrix(ids=(), data=np.empty((0, 2), dtype=np.float32))
-        write_matrix(empty, tmp_path / "images.cmeb")
-        write_matrix(empty, tmp_path / "texts.cmeb")
-        (tmp_path / "manifest.json").write_text(json.dumps({"dim": 2, "M": 0}))
+        save_index(hand_built(PackedMatrix(ids=(), data=np.empty((0, 2), dtype=np.float32))), tmp_path)
         with pytest.raises(ComretError, match="the index holds no pages$"):
             load_index(tmp_path)
 
@@ -732,8 +740,8 @@ class TestParseQueryJsonl:
 
     def test_duplicate_query_id_rejected(self):
         line = '{"query_id":"q1","embeddings":{"image-query":[1.0]}}\n'
-        with pytest.raises(ComretError, match="^duplicate id 'q1'$"):
-            parse_query_jsonl([line, line])
+        with pytest.raises(ComretError, match="^line 3: duplicate id 'q1'$"):
+            parse_query_jsonl([line, "\n", line])
 
 
 def test_load_index_peak_memory_near_matrix_bytes(tmp_path, rng):

@@ -23,8 +23,9 @@ must fail with exit code 1:
   ``--normalize``;
 - ingest of an images file with a non-UTF-8 byte on line 151;
 - ingest of a texts file whose second embedding holds ``true`` (parsed in
-  ingest's worker process when more than one core is usable), and of one
-  missing seven of the images file's ids;
+  ingest's worker process when more than one core is usable), of one
+  missing seven of the images file's ids, and of one holding page ``p001``
+  twice;
 - ingest of that texts file with the non-UTF-8 images file (the images
   error is reported);
 - retrieve on an index whose ``images.cmeb`` header claims 2**64 - 1 rows
@@ -126,6 +127,7 @@ def make_inputs(out: Path) -> None:
     bad_text = {**texts[1], "embedding": [True, *texts[1]["embedding"][1:]]}
     write_jsonl(out / "texts_bool.jsonl", texts[:1] + [bad_text] + texts[2:])
     write_jsonl(out / "texts_missing.jsonl", texts[7:])
+    write_jsonl(out / "texts_dup.jsonl", texts + texts[-2:-1])  # texts run p299 down to p000
     queries, image_only, qrels = [], [], []
     for j in range(21):
         gold = 10 if j == 20 else int(rng.integers(pages))
@@ -174,6 +176,8 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                                  "--out", o / "idx-duplicate-id"]),
         ("ingest-missing-ids", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts_missing.jsonl",
                                 "--out", o / "idx-missing-ids"]),
+        ("ingest-texts-duplicate-id", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts_dup.jsonl",
+                                       "--out", o / "idx-texts-duplicate-id"]),
         ("ingest-dim", ["ingest", "--images", o / "images_dim.jsonl", "--texts", o / "texts.jsonl",
                         "--out", o / "idx-dim"]),
         ("ingest-zero-row", ["ingest", "--images", o / "images_zero.jsonl", "--texts", o / "texts.jsonl",
