@@ -21,10 +21,8 @@ from .core import (
 from .errors import ComretError
 from .fusion import (
     blend,
-    inner_product_scores,
     retrieve,
     run_queries,
-    sigmoid_normalize,
     zscore_normalize,
 )
 from .metrics import evaluate_run, hit_at_k, mrr_at_k, ndcg_at_k, recall_at_k
@@ -45,7 +43,6 @@ __all__ = [
     "build_index",
     "evaluate_run",
     "hit_at_k",
-    "inner_product_scores",
     "load_index",
     "mrr_at_k",
     "ndcg_at_k",
@@ -53,7 +50,6 @@ __all__ = [
     "retrieve",
     "run_queries",
     "save_index",
-    "sigmoid_normalize",
     "zscore_normalize",
     "__version__",
 ]

@@ -87,8 +87,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = FusionConfig(mode=args.mode, alpha=args.alpha, beta=args.beta, top_k=args.k)
     index = store.load_index(args.index)
     queries = _parse(args.queries, store.parse_query_jsonl)
-    if not queries:
-        raise ComretError("query file contains no queries")
     results = fusion.run_queries(index, queries, cfg, threads=args.threads)
     with open(args.out, "w", encoding="utf-8") as fh:
         fusion.write_run(results, cfg.mode, fh)
@@ -97,8 +95,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     run = _parse(args.run, fusion.read_run)
-    if not run:
-        raise ComretError("run file is empty")
     qrels = _parse(args.qrels, metrics.read_qrels)
     report = metrics.evaluate_run(run, qrels, args.metrics.split(","))
     metrics.write_report(report, sys.stdout, as_json=args.json)
@@ -141,8 +137,6 @@ def _parse_sweep(spec: str) -> list[float]:
 def cmd_ablate(args: argparse.Namespace) -> int:
     index = store.load_index(args.index)
     queries = _parse(args.queries, store.parse_query_jsonl)
-    if not queries:
-        raise ComretError("query file contains no queries")
     qrels = _parse(args.qrels, metrics.read_qrels)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes:
@@ -171,8 +165,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     index = store.load_index(args.index)
     queries = _parse(args.queries, store.parse_query_jsonl)
-    if not queries:
-        raise ComretError("query file contains no queries")
     report = diagnostics.modality_divergence_report(index, queries, num_bins=args.bins, threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,8 @@ Pools the z-scored image-channel and text-channel similarity values of
 reports their KL divergence in nats. Well-aligned modalities produce
 nearly identical pooled distributions and a KL close to zero.
 
-Each channel is z-scored per query, so its pool has mean 0 and a standard
+The scores come from ``fusion.score_queries``, as retrieval's do. Each
+channel is z-scored per query, so its pool has mean 0 and a standard
 deviation fixed by the share of sigma-zero queries; the report gives
 each pool's range instead.
 """
@@ -19,9 +20,9 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import MODE_SPECS, QueryRecord
+from .core import QueryRecord
 from .errors import ComretError
-from .fusion import _check_channels, score_queries
+from .fusion import score_queries
 from .store import IndexDirectory
 
 #: Additive mass per bin before normalization; keeps every bin positive so
@@ -123,21 +124,19 @@ def modality_divergence_report(
     """Pool per-(query, page) z-scored scores for both modalities and
     compare their empirical distributions.
 
-    The channels and query vectors are those ``ucmr`` blends. Both
-    modalities are swept once per block of queries (``score_queries``);
-    ``threads`` split each sweep's page rows (None: every usable core).
-    Sigma-zero flags are listed by query id, image before text.
+    The channels and query vectors are those ``ucmr`` blends, checked and
+    swept once per block of queries by ``score_queries``; ``threads``
+    split each sweep's page rows (None: every usable core). Sigma-zero
+    flags are listed by query id, image before text.
     """
     if not queries:
         raise ComretError("need at least one query")
     _check_bins(num_bins)
-    _check_channels(queries, "ucmr")
-    modalities = MODE_SPECS["ucmr"].modalities
 
     # One (Q, M) pool per modality, filled row by row as queries are scored.
-    pools = {m: np.empty((len(queries), index.page_count)) for m in modalities}
+    pools = {m: np.empty((len(queries), index.page_count)) for m in ("image", "text")}
     flags = []
-    for row, scores in enumerate(score_queries(index, queries, modalities, modalities, threads)):
+    for row, scores in enumerate(score_queries(index, queries, ["ucmr"], threads)):
         for m, pool in pools.items():
             zscored = scores.zscored[m]
             pool[row] = zscored.values

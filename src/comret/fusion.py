@@ -12,9 +12,10 @@ contributes nothing to the blend and leaves the other modality's ranking
 intact. All statistics are computed per query on the fly; the extra cost
 over single-modality retrieval is one more O(M*d) sweep.
 
-Queries are scored in blocks: each modality's matrix is swept once per
-block of QUERY_BLOCK queries (one matrix product), and every fusion mode
-and weight asked for blends and ranks from those same scores.
+``score_queries`` is the one entry to scoring: given fusion mode names,
+it checks the queries and sweeps each modality's matrix once per block of
+QUERY_BLOCK queries (one matrix product). Every fusion mode and weight
+asked for blends and ranks from those same scores; diagnostics pools them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .core import MODE_SPECS, FusionConfig, ModeSpec, QueryRecord, RankedEntry, RankedResult
 from .errors import ComretError
-from .store import IndexDirectory, PackedMatrix
+from .store import IndexDirectory
 
 #: sigma at or below this is treated as a constant-score modality.
 SIGMA_EPS = 1e-12
@@ -36,25 +37,6 @@ SIGMA_EPS = 1e-12
 QUERY_BLOCK = 32
 
 RUN_COLUMNS = ("query_id", "page_id", "rank", "fused_score", "image_score", "text_score", "mode")
-
-
-def inner_product_scores(query: np.ndarray, matrix: PackedMatrix, threads: int | None = None) -> np.ndarray:
-    """Raw scores: one float64-accumulated inner product per page.
-
-    query is one (dim,) vector, giving (M,) scores, or a (dim, Q) block of
-    Q queries, giving (M, Q). ``threads`` split the sweep's page rows
-    (None: every usable core, see ``_kernels.default_threads``).
-    """
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim not in (1, 2) or q.shape[0] != matrix.dim:
-        got = q.shape[0] if q.ndim in (1, 2) else -1
-        raise ComretError(f"query: expected dim {matrix.dim}, got {got}")
-    return _kernels.inner_products(matrix.data, q, threads=threads)
-
-
-def sigmoid_normalize(raw: np.ndarray) -> np.ndarray:
-    """Squash raw scores into (0, 1) with the logistic function."""
-    return _kernels.logistic(np.asarray(raw, dtype=np.float64))
 
 
 class ZScored(NamedTuple):
@@ -105,7 +87,7 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 class QueryScores(NamedTuple):
     """One query's per-page scores: raw inner products for each modality
-    swept, and the z-scored logistic of those asked to be normalized."""
+    swept, and the z-scored logistic of those the modes normalize."""
 
     query: QueryRecord
     raw: dict[str, np.ndarray]
@@ -115,19 +97,25 @@ class QueryScores(NamedTuple):
 def score_queries(
     index: IndexDirectory,
     queries: Sequence[QueryRecord],
-    modalities: Sequence[str],
-    normalized: Sequence[str] = (),
+    modes: Sequence[str],
     threads: int | None = None,
 ) -> Iterator[QueryScores]:
-    """Per-page scores of every query, in input order.
+    """Per-page scores of every query, in input order, for the fusion modes
+    ``modes``.
 
-    Each modality is swept once per block of QUERY_BLOCK queries, with
-    each query's ``vector_for_sweep`` vector (callers check that it
-    exists). ``threads`` split each sweep's page rows (None: every usable
-    core); no score depends on their number. Before any sweep, every
-    channel of every query, swept or not, is checked against the index's
-    dimension.
+    ``MODE_SPECS`` says which modalities the modes sweep and which sweeps
+    are squashed and z-scored. Each such modality is swept once per block
+    of QUERY_BLOCK queries, with each query's ``vector_for_sweep`` vector.
+    ``threads`` split each sweep's page rows (None: every usable core); no
+    score depends on their number. Before any sweep, each mode in turn
+    checks that every query has the vectors it sweeps, then every channel
+    of every query, swept or not, is checked against the index's dimension.
     """
+    for mode in dict.fromkeys(modes):
+        _check_channels(queries, mode)
+    specs = [MODE_SPECS[mode] for mode in modes]
+    modalities = [m for m in ("image", "text") if any(m in s.modalities for s in specs)]
+    normalized = [m for m in modalities if any(s.normalize and m in s.modalities for s in specs)]
     for query in queries:
         for channel, vec in query.channel_embs.items():
             if vec.shape != (index.dim,):
@@ -136,7 +124,7 @@ def score_queries(
     for lo in range(0, len(queries), QUERY_BLOCK):
         block = queries[lo : lo + QUERY_BLOCK]
         raw = {m: _sweep_block(block, index, m, threads) for m in modalities}
-        squashed = {m: sigmoid_normalize(raw[m]) for m in normalized}
+        squashed = {m: _kernels.logistic(raw[m]) for m in normalized}
         for j, query in enumerate(block):
             yield QueryScores(
                 query,
@@ -146,13 +134,24 @@ def score_queries(
         del raw, squashed  # not alive while the next block is swept
 
 
+def _check_channels(queries: Sequence[QueryRecord], mode: str) -> None:
+    """Raise ComretError for the first query lacking a vector ``mode`` sweeps."""
+    spec = MODE_SPECS[mode]
+    for query in queries:
+        for modality in spec.modalities:
+            channel = f"{modality}-query"
+            vec = query.channel(channel) if spec.strict else query.vector_for_sweep(modality)
+            if vec is None:
+                raise ComretError(f"mode {mode!r} requires query channel {channel!r}")
+
+
 def _sweep_block(
     block: Sequence[QueryRecord], index: IndexDirectory, modality: str, threads: int | None
 ) -> np.ndarray:
     """(len(block), M) raw scores of one modality, one contiguous row per query."""
     matrix = index.images if modality == "image" else index.texts
-    vectors = [q.vector_for_sweep(modality) for q in block]
-    return np.ascontiguousarray(inner_product_scores(np.stack(vectors, axis=1), matrix, threads).T)
+    vectors = np.stack([q.vector_for_sweep(modality) for q in block], axis=1, dtype=np.float64)
+    return np.ascontiguousarray(_kernels.inner_products(matrix.data, vectors, threads=threads).T)
 
 
 def rank_queries(
@@ -165,33 +164,17 @@ def rank_queries(
     order, one result per config.
 
     The modalities the configs need are swept once per block of queries
-    and shared: each config only blends and ranks. ``MODE_SPECS`` says
-    which modalities a mode sweeps, whether each sweep is squashed and
-    z-scored, and which weight blends text with image; a single-modality
-    mode ranks its one sweep as is.
+    and shared (``score_queries``): each config only blends and ranks.
+    ``MODE_SPECS`` says which weight blends text with image; a
+    single-modality mode ranks its one sweep as is.
 
     The per-entry breakdown carries raw scores for the raw modes and
     z-scored values for the normalized modes; a modality the mode never
     scores is reported as 0.0.
     """
-    for mode in dict.fromkeys(cfg.mode for cfg in cfgs):
-        _check_channels(queries, mode)
     specs = [MODE_SPECS[cfg.mode] for cfg in cfgs]
-    modalities = [m for m in ("image", "text") if any(m in s.modalities for s in specs)]
-    normalized = [m for m in modalities if any(s.normalize and m in s.modalities for s in specs)]
-    for scores in score_queries(index, queries, modalities, normalized, threads):
+    for scores in score_queries(index, queries, [cfg.mode for cfg in cfgs], threads):
         yield tuple(_rank(scores, index.ids, cfg, spec) for cfg, spec in zip(cfgs, specs))
-
-
-def _check_channels(queries: Sequence[QueryRecord], mode: str) -> None:
-    """Raise ComretError for the first query lacking a vector ``mode`` sweeps."""
-    spec = MODE_SPECS[mode]
-    for query in queries:
-        for modality in spec.modalities:
-            channel = f"{modality}-query"
-            vec = query.channel(channel) if spec.strict else query.vector_for_sweep(modality)
-            if vec is None:
-                raise ComretError(f"mode {mode!r} requires query channel {channel!r}")
 
 
 def _rank(scores: QueryScores, ids: Sequence[str], cfg: FusionConfig, spec: ModeSpec) -> RankedResult:
@@ -249,7 +232,8 @@ def write_run(results: Iterable[RankedResult], mode: str, fh: TextIO) -> None:
 
 
 def read_run(lines: Iterable[str]) -> dict[str, list[str]]:
-    """Parse a run file into query_id -> page_ids ordered by rank."""
+    """Parse a run file into query_id -> page_ids ordered by rank; a run
+    without a line is refused."""
     per_query: dict[str, list[tuple[int, str]]] = {}
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
@@ -267,4 +251,6 @@ def read_run(lines: Iterable[str]) -> dict[str, list[str]]:
         if rank < 1:
             raise ComretError(f"run line {line_no}: rank must be >= 1, got {rank}")
         per_query.setdefault(query_id, []).append((rank, page_id))
+    if not per_query:
+        raise ComretError("run file is empty")
     return {qid: [pid for _, pid in sorted(entries)] for qid, entries in per_query.items()}

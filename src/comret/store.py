@@ -26,6 +26,7 @@ import json
 import mmap
 import os
 import struct
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -106,7 +107,9 @@ def _check_id(value: object, key: str, line_no: int) -> str:
 def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL stream.
 
-    Raises ComretError for invalid JSON or a value that is not an object.
+    Raises ComretError for invalid JSON, including an integer beyond
+    CPython's int-string conversion limit or an array nested past its
+    recursion limit, and for a value that is not an object.
     """
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
@@ -115,6 +118,11 @@ def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ComretError(f"line {line_no}: invalid JSON ({exc.msg})")
+        except ValueError:  # the int-string conversion limit
+            digits = sys.get_int_max_str_digits()
+            raise ComretError(f"line {line_no}: invalid JSON (an integer of more than {digits} digits)")
+        except RecursionError:
+            raise ComretError(f"line {line_no}: invalid JSON (nested too deeply)")
         if not isinstance(obj, dict):
             raise ComretError(f"line {line_no}: expected a JSON object")
         yield line_no, obj
@@ -169,7 +177,8 @@ def parse_query_jsonl(stream: TextIO | Iterable[str]) -> list[QueryRecord]:
     line, channels limited to "image-query" / "text-query".
 
     An optional "text" string and "gold" array of page ids are checked but
-    not kept: qrels, not the query file, say which pages are relevant.
+    not kept: qrels, not the query file, say which pages are relevant. A
+    stream without a query is refused.
     """
     known = (IMAGE_CHANNEL, TEXT_CHANNEL)
     queries: list[QueryRecord] = []
@@ -194,6 +203,8 @@ def parse_query_jsonl(stream: TextIO | Iterable[str]) -> list[QueryRecord]:
         if not isinstance(obj.get("text", ""), str):
             raise ComretError(f'line {line_no}: "text" must be a string')
         queries.append(QueryRecord(query_id, channels))
+    if not queries:
+        raise ComretError("query file contains no queries")
     return queries
 
 
@@ -213,7 +224,7 @@ def _pack(channel: str, ids: tuple[str, ...], rows: list[np.ndarray], dim: int, 
             norms = np.linalg.norm(block, axis=1)
             if not norms.all():
                 row_id = ids[start + np.flatnonzero(norms == 0.0)[0]]
-                raise ComretError(f"cannot L2-normalize zero vector for id {row_id!r}")
+                raise ComretError(f"{channel} id {row_id!r}: cannot L2-normalize zero vector")
             block /= norms[:, None]
             data[start : start + NORM_ROWS] = block
     data.flags.writeable = False
@@ -388,7 +399,7 @@ def load_index(path: str | Path) -> IndexDirectory:
     with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:  # invalid JSON or invalid UTF-8
+        except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, or nested too deeply
             raise ComretError(f"{manifest_path}: unreadable manifest ({exc})")
     if images.ids != texts.ids:
         if sorted(images.ids) == sorted(texts.ids):

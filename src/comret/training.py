@@ -28,6 +28,11 @@ from .errors import ComretError
 from .store import finite_vector, json_objects
 
 
+#: The temperature and bias every training run starts from.
+TAU_INIT = 10.0
+ETA_INIT = -10.0
+
+
 class NonDecreasingLossWarning(UserWarning):
     """Training finished with a loss at or above its starting value."""
 
@@ -35,8 +40,6 @@ class NonDecreasingLossWarning(UserWarning):
 @dataclass(frozen=True)
 class TrainConfig:
     lam: float = 0.5
-    tau_init: float = 10.0
-    eta_init: float = -10.0
     learning_rate: float = 0.05
     steps: int = 200
     batch_size: int | None = None  # None = full batch
@@ -46,10 +49,6 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ComretError(f"lambda must be in [0,1], got {self.lam}")
-        if not 0.0 < self.tau_init < math.inf:
-            raise ComretError(f"tau must be positive and finite, got {self.tau_init}")
-        if not math.isfinite(self.eta_init):
-            raise ComretError(f"eta must be finite, got {self.eta_init}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ComretError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.steps < 0:
@@ -255,8 +254,8 @@ def train_toy(batch: TripletBatch, cfg: TrainConfig) -> TrainResult:
         raise ComretError("need at least 2 triplets to form negative pairs")
     encoders = init_encoders(batch, cfg.seed)
     w_text = encoders.w_text.copy()
-    theta = math.log(cfg.tau_init)
-    eta = cfg.eta_init
+    theta = math.log(TAU_INIT)
+    eta = ETA_INIT
     lr = cfg.learning_rate
 
     def snapshot(step: int) -> LogRow:

@@ -409,7 +409,7 @@ class TestEval:
         empty = root / "empty.tsv"
         empty.write_text("")
         assert run_cli("eval", "--run", empty, "--qrels", qrels) == 1
-        assert "empty" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {empty}: run file is empty\n"
 
     def test_hand_computed_macro(self, tmp_path, capsys):
         # q1 hits at rank 1, q2 at rank 2: macro MRR@10 = 0.75.
@@ -428,7 +428,8 @@ class TestEval:
 class TestIOFailures:
     @pytest.mark.parametrize(
         "case",
-        ["missing-index", "out-dir-missing", "footer-not-utf8", "manifest-not-json", "header-row-count", "queries-not-utf8"],
+        ["missing-index", "out-dir-missing", "footer-not-utf8", "manifest-not-json", "manifest-too-deep",
+         "header-row-count", "queries-not-utf8"],
     )
     def test_exits_one_with_error(self, built_index, capsys, case):
         root, idx, queries, _ = built_index
@@ -442,12 +443,24 @@ class TestIOFailures:
             path.write_bytes(path.read_bytes()[:-1] + b"\xff")  # last byte of the last id
         elif case == "manifest-not-json":
             (idx / "manifest.json").write_text("{not json")
+        elif case == "manifest-too-deep":
+            (idx / "manifest.json").write_text("[" * 100_000 + "]" * 100_000)
         elif case == "header-row-count":
             (idx / "images.cmeb").write_bytes(b"CMEB" + struct.pack("<IIQ", 2, 0, 2**64 - 1) + struct.pack("<Q", 0))
         else:
             queries.write_bytes(b"\xff\xfe")
         assert run_cli("retrieve", "--index", idx, "--queries", queries, "--out", out) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["retrieve", "ablate", "diagnose"])
+    def test_empty_query_file_names_its_path(self, built_index, capsys, command):
+        root, idx, _, qrels = built_index
+        empty = root / "empty.jsonl"
+        empty.write_text("\n")
+        extra = {"retrieve": ["--out", root / "run.tsv"], "ablate": ["--qrels", qrels, "--modes", "ucmr"],
+                 "diagnose": ["--out", root / "diag"]}[command]
+        assert run_cli(command, "--index", idx, "--queries", empty, *extra) == 1
+        assert capsys.readouterr().err == f"error: {empty}: query file contains no queries\n"
 
     @pytest.mark.parametrize("command", ["retrieve", "diagnose"])
     def test_zero_page_index_is_one_error_line(self, built_index, command):
@@ -542,6 +555,40 @@ class TestOutOfRangeNumbers:
         code, out, err = run_process("train-toy", "--triplets", triplets, "--out", tmp_path / "train")
         assert (code, out) == (1, "")
         assert err == f'error: {triplets}: non-finite value in line 2 "i"\n'
+
+
+#: JSON that json.loads refuses with an error other than JSONDecodeError.
+JSON_LIMITS = [
+    pytest.param("[" + "1" * 5000 + "]", "an integer of more than 4300 digits", id="int-5000-digits"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="array-100k-deep"),
+]
+
+
+@pytest.mark.parametrize(("array", "reason"), JSON_LIMITS)
+@pytest.mark.parametrize("target", ["images", "texts", "queries", "triplets"])
+def test_json_limits_are_one_error_line(workspace, cores, capsys, target, array, reason):
+    """Each reader refuses such a line by its number, the texts file from
+    ingest's worker process too, instead of ending in a traceback."""
+    root, images, texts, queries, _ = workspace
+    sizes = cores(2)
+    if target in ("images", "texts"):
+        bad = images if target == "images" else texts
+        TestTwoProcessIngest.spoil(bad, 2, f'{{"id": "p2", "embedding": {array}}}')
+        argv = ["ingest", "--images", images, "--texts", texts, "--out", root / "idx"]
+    elif target == "queries":
+        bad = queries
+        TestTwoProcessIngest.spoil(bad, 2, f'{{"query_id": "q9", "embeddings": {{"image-query": {array}}}}}')
+        run_cli("ingest", "--images", images, "--texts", texts, "--out", root / "idx")
+        argv = ["retrieve", "--index", root / "idx", "--queries", queries, "--out", root / "run.tsv"]
+    else:
+        bad = write_jsonl(root / "triplets.jsonl", [{"q": [1.0], "i": [1.0], "t": [1.0]}] * 2)
+        TestTwoProcessIngest.spoil(bad, 2, f'{{"q": [1.0], "i": {array}, "t": [1.0]}}')
+        argv = ["train-toy", "--triplets", bad, "--out", root / "train"]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: line 2: invalid JSON ({reason})\n")
+    if target in ("images", "texts"):
+        assert sizes == [1]  # the texts file was parsed in the worker process
 
 
 def run_quiet(*argv):

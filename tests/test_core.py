@@ -86,7 +86,7 @@ FAILURES = {
     ),
     "ZeroVectorOnNormalize": (
         lambda _: build_index([("p1", np.zeros(2, np.float32))], ones("p1"), normalize=True),
-        "cannot L2-normalize zero vector for id 'p1'",
+        "images id 'p1': cannot L2-normalize zero vector",
     ),
     "BadMagic": (lambda tmp: cmeb(tmp, b"XXXX" + bytes(28)), "TMP/m.cmeb: bad magic b'XXXX'"),
     "UnsupportedVersion": (lambda tmp: cmeb(tmp, MAGIC + struct.pack("<IIQ", 9, 1, 1)), "TMP/m.cmeb: unsupported format version 9"),

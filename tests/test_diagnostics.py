@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from comret.core import FusionConfig
 from comret.diagnostics import MAX_BINS, Histogram, build_histogram, kl_divergence, modality_divergence_report
 from comret.errors import ComretError
+from comret.fusion import rank_queries
 
 import reference
 from conftest import make_index, make_query, random_index, unified_query
@@ -143,6 +145,16 @@ class TestDivergenceReport:
         queries = [unified_query("q1", [1.0, 0.0, 0.0]), make_query("q2")]
         with pytest.raises(ComretError, match="^mode 'ucmr' requires query channel 'image-query'$"):
             modality_divergence_report(index, queries)
+
+    @pytest.mark.parametrize("bad", [make_query("q2"), make_query("q2", [1.0, 0.0])], ids=["no-channel", "dim"])
+    def test_query_errors_match_retrieval(self, rng, bad):
+        index = random_index(rng, pages=5, dim=3)
+        queries = [unified_query("q1", [1.0, 0.0, 0.0]), bad]
+        with pytest.raises(ComretError) as retrieval:
+            list(rank_queries(index, queries, [FusionConfig(mode="ucmr")]))
+        with pytest.raises(ComretError) as diagnosis:
+            modality_divergence_report(index, queries)
+        assert str(diagnosis.value) == str(retrieval.value)
 
     def test_pools_held_once(self, rng):
         # One float64 value per (query, page) and modality is 2 x Q x M x 8

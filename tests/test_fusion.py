@@ -15,13 +15,11 @@ from comret.fusion import (
     SIGMA_EPS,
     _top_k,
     blend,
-    inner_product_scores,
     rank_queries,
     read_run,
     retrieve,
     run_queries,
     score_queries,
-    sigmoid_normalize,
     write_run,
     zscore_normalize,
 )
@@ -37,16 +35,22 @@ bounded_scores = st.lists(
 
 
 class TestSigmoidNormalize:
+    """The logistic squash of the normalized modes, ``_kernels.logistic``."""
+
     def test_zero_maps_to_half(self):
-        assert sigmoid_normalize(np.array([0.0]))[0] == 0.5
+        assert _kernels.logistic(np.array([0.0]))[0] == 0.5
 
     def test_symmetry_sums_to_one(self, rng):
         z = rng.standard_normal(100) * 5
-        total = sigmoid_normalize(z) + sigmoid_normalize(-z)
+        total = _kernels.logistic(z) + _kernels.logistic(-z)
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_log_nine_maps_to_point_nine(self):
-        np.testing.assert_allclose(sigmoid_normalize(np.array([math.log(9.0)])), [0.9], atol=1e-12)
+        np.testing.assert_allclose(_kernels.logistic(np.array([math.log(9.0)])), [0.9], atol=1e-12)
+
+    def test_saturated_scores_clamp_inside_open_interval(self):
+        out = _kernels.logistic(np.array([-1e4, -800.0, 800.0, 1e4]))
+        np.testing.assert_array_equal(out, [reference.SIGMOID_FLOOR] * 2 + [reference.SIGMOID_CEIL] * 2)
 
     @given(
         st.lists(st.integers(min_value=-3000, max_value=3000), min_size=2, max_size=50)
@@ -56,7 +60,7 @@ class TestSigmoidNormalize:
         # Score gaps below f64 resolution (~1e-16) cannot survive the
         # squash, so generate on a 0.01 grid spanning [-30, 30].
         z = np.asarray(hundredths, dtype=np.float64) / 100.0
-        out = sigmoid_normalize(z)
+        out = _kernels.logistic(z)
         order_in = np.argsort(-z, kind="stable")
         order_out = np.argsort(-out, kind="stable")
         np.testing.assert_array_equal(order_in, order_out)
@@ -160,15 +164,14 @@ class TestRankTopK:
 class TestInnerProductScores:
     def test_hand_values(self):
         idx = make_index([[1, 0], [0, 1], [1, 1]], [[0, 0]] * 3)
-        np.testing.assert_array_equal(inner_product_scores(np.array([1.0, 0.0]), idx.images), [1, 0, 1])
-        np.testing.assert_array_equal(
-            inner_product_scores(np.array([0.5, -0.5]), make_index([[2, 2]], [[0, 0]]).images), [0.0]
-        )
+        np.testing.assert_array_equal(_kernels.inner_products(idx.images.data, np.array([1.0, 0.0])), [1, 0, 1])
+        (scores,) = score_queries(make_index([[2, 2]], [[0, 0]]), [unified_query("q", [0.5, -0.5])], ["image-only"])
+        np.testing.assert_array_equal(scores.raw["image"], [0.0])
 
     def test_dim_mismatch(self):
         idx = make_index([[1, 0]], [[1, 0]])
-        with pytest.raises(ComretError, match="^query: expected dim 2, got 3$"):
-            inner_product_scores(np.array([1.0, 0.0, 0.0]), idx.images)
+        with pytest.raises(ComretError, match="^query 'q' channel 'image-query': expected dim 2, got 3$"):
+            list(score_queries(idx, [unified_query("q", [1.0, 0.0, 0.0])], ["image-only"]))
 
 
 class TestRetrieve:
@@ -313,10 +316,11 @@ class TestScoreVector:
     def test_pipeline_fields_consistent(self, rng):
         idx = random_index(rng, pages=15, dim=6)
         q = rng.standard_normal(6)
-        (scores,) = score_queries(idx, [unified_query("q", q)], ["image"], ["image"])
+        (scores,) = score_queries(idx, [unified_query("q", q)], ["ucmr"])
         got = scores.zscored["image"]
-        want = zscore_normalize(sigmoid_normalize(inner_product_scores(q.astype(np.float32), idx.images)))
-        np.testing.assert_array_equal(scores.raw["image"], inner_product_scores(q.astype(np.float32), idx.images))
+        raw = _kernels.inner_products(idx.images.data, q.astype(np.float32).astype(np.float64))
+        want = zscore_normalize(_kernels.logistic(raw))
+        np.testing.assert_array_equal(scores.raw["image"], raw)
         np.testing.assert_array_equal(got.values, want.values)
         assert (got.mu, got.sigma) == (want.mu, want.sigma)
 
@@ -333,7 +337,7 @@ class TestQueryEngine:
     def test_batched_scores_match_brute_force(self, rng, count):
         idx = random_index(rng, pages=150, dim=6)
         queries = two_channel_queries(rng, count, 6)
-        got = list(score_queries(idx, queries, ["image", "text"]))
+        got = list(score_queries(idx, queries, ["raw-linear"]))
         assert [s.query for s in got] == queries
         for s in got:
             for modality, matrix in (("image", idx.images), ("text", idx.texts)):
@@ -386,7 +390,7 @@ class TestQueryEngine:
         # 129 pages: one full row block and an overlapping one-row tail.
         idx = random_index(rng, pages=129, dim=1152)
         (query,) = two_channel_queries(rng, 1, 1152)
-        (scores,) = score_queries(idx, [query], ["image", "text"])
+        (scores,) = score_queries(idx, [query], ["raw-linear"])
         for modality, matrix in (("image", idx.images), ("text", idx.texts)):
             vec = query.vector_for_sweep(modality).astype(np.float64)
             assert scores.raw[modality].tobytes() == _kernels.inner_products(matrix.data, vec).tobytes()

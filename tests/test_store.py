@@ -160,7 +160,7 @@ class TestBuildIndex:
             build_index(images, images[:2])
 
     def test_zero_vector_on_normalize(self):
-        with pytest.raises(ComretError, match="^cannot L2-normalize zero vector for id 'p1'$"):
+        with pytest.raises(ComretError, match="^images id 'p1': cannot L2-normalize zero vector$"):
             make_index([[0.0, 0.0]], [[1.0, 0.0]], normalize=True)
 
     def test_duplicate_id_rejected(self):
@@ -234,10 +234,10 @@ BUILD_FAULTS = {
     "dims": "texts vs images: expected dim 3, got 5",
     "images-dup": "images: duplicate id 'p2'",
     "images-shape": "images id 'p3': expected dim 3, got 4",
-    "images-zero": "cannot L2-normalize zero vector for id 'p4'",
+    "images-zero": "images id 'p4': cannot L2-normalize zero vector",
     "texts-dup": "texts: duplicate id 'p1'",
     "texts-shape": "texts id 'p4': expected dim 3, got 4",
-    "texts-zero": "cannot L2-normalize zero vector for id 'p3'",
+    "texts-zero": "texts id 'p3': cannot L2-normalize zero vector",
 }
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from comret.errors import ComretError
 from comret.training import (
+    ETA_INIT,
+    TAU_INIT,
     NonDecreasingLossWarning,
     ToyEncoders,
     TrainConfig,
@@ -236,7 +238,7 @@ class TestTrainConfig:
         [
             {"lam": 2.0},
             {"lam": -0.1},
-            {"tau_init": 0.0},
+            {"momentum": -0.1},
             {"learning_rate": 0.0},
             {"steps": -1},
             {"batch_size": 0},
@@ -252,8 +254,6 @@ class TestTrainConfig:
         "field, message",
         [
             ("learning_rate", "learning rate must be positive and finite"),
-            ("tau_init", "tau must be positive and finite"),
-            ("eta_init", "eta must be finite"),
         ],
     )
     def test_rejects_non_finite_values(self, field, message, value):
@@ -261,8 +261,7 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
     def test_defaults_match_standard_setup(self):
-        cfg = TrainConfig()
-        assert cfg.lam == 0.5 and cfg.tau_init == 10.0 and cfg.eta_init == -10.0
+        assert TrainConfig().lam == 0.5 and (TAU_INIT, ETA_INIT) == (10.0, -10.0)
 
 
 class TestLoadTriplets:

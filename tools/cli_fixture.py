@@ -18,14 +18,17 @@ ensemble-ucmr error). ``ablate`` and ``diagnose`` also run with several
 threads, whose outputs must equal the single-threaded ones. These inputs
 must fail with exit code 1:
 - ingest of an images file whose second embedding holds ``true``, one
-  whose second embedding holds ``1e39`` (beyond float32), one holding
-  page ``p001`` twice, one of 15 dims, and one with a zero row under
-  ``--normalize``;
+  whose second embedding holds ``1e39`` (beyond float32), one whose
+  second embedding holds an integer of 5,000 digits (beyond CPython's
+  int-string conversion limit), one holding page ``p001`` twice, one of
+  15 dims, and one with a zero row under ``--normalize``;
 - ingest of an images file with a non-UTF-8 byte on line 151;
 - ingest of a texts file whose second embedding holds ``true`` (parsed in
   ingest's worker process when more than one core is usable), of one
-  missing seven of the images file's ids, and of one holding page ``p001``
-  twice;
+  whose second embedding is an array nested 100,000 deep (also parsed in
+  the worker), of one missing seven of the images file's ids, of one
+  holding page ``p001`` twice, and of one with a zero row under
+  ``--normalize``;
 - ingest of that texts file with the non-UTF-8 images file (the images
   error is reported);
 - retrieve on an index whose ``images.cmeb`` header claims 2**64 - 1 rows
@@ -37,16 +40,18 @@ must fail with exit code 1:
   ``images.cmeb`` in reverse row order, and on one whose ``texts.cmeb`` has
   a non-UTF-8 byte in an id (in both, the texts footer differs from the
   images one, so its ids are decoded and checked);
-- retrieve of a query file whose second image channel is ``[{}]``, and of
-  one that holds query ``q01`` twice;
+- retrieve of a query file whose second image channel is ``[{}]``, of one
+  whose second image channel holds an integer of 5,000 digits, of one
+  that holds query ``q01`` twice, and of an empty one;
 - an image-only retrieve whose second query carries a 1-dim text channel
   that the mode never sweeps;
 - eval with qrels holding a two-column line, with qrels whose every line
   has relevance 0, with qrels lacking query ``q00``, on a run line of
-  five columns, and with ``--metrics map@5``;
+  five columns, on an empty run file, and with ``--metrics map@5``;
 - diagnose with ``--bins 0`` and with ``--bins 10000000000000``;
-- train-toy on a triplet file whose third ``t`` has 5 dims, and with
-  ``--lr nan`` and ``--lr inf``.
+- train-toy on a triplet file whose third ``t`` has 5 dims, on one whose
+  third ``i`` is an array nested 100,000 deep, and with ``--lr nan`` and
+  ``--lr inf``.
 
 The ``--out`` directory is written as ``OUT`` in stdout and stderr.
 """
@@ -69,10 +74,22 @@ import numpy as np
 MODES = ("image-only", "text-only", "raw-linear", "ucmr", "ensemble-ucmr")
 
 
+#: JSON arrays that json.loads refuses with other errors than a syntax error.
+LONG_INT = "[" + "7" * 5000 + "]"
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+
 def write_jsonl(path: Path, objects) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objects:
             fh.write(json.dumps(obj) + "\n")
+
+
+def spoil_line(path: Path, line: int, old: str, new: str) -> None:
+    """Rewrite ``path`` with the first ``old`` of its line ``line`` (0-based) replaced by raw JSON text ``new``."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line] = lines[line].replace(old, new, 1)
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 def write_index(root: Path, rows: np.ndarray, image_ids: list[bytes], text_ids: list[bytes]) -> None:
@@ -101,6 +118,8 @@ def make_inputs(out: Path) -> None:
     write_jsonl(out / "images_dup.jsonl", images + images[1:2])
     write_jsonl(out / "images_dim.jsonl", [{**r, "embedding": r["embedding"][1:]} for r in images])
     write_jsonl(out / "images_zero.jsonl", images[:2] + [{"id": ids[2], "embedding": [0.0] * dim}] + images[3:])
+    write_jsonl(out / "images_long_int.jsonl", images[:1] + [{**images[1], "embedding": "LONG"}] + images[2:])
+    spoil_line(out / "images_long_int.jsonl", 1, '"LONG"', LONG_INT)
     lines = (out / "images.jsonl").read_bytes().splitlines(keepends=True)
     lines[150] = lines[150].replace(b'"id"', b'"\xffid"', 1)  # past the first read chunk
     (out / "images_not_utf8.jsonl").write_bytes(b"".join(lines))
@@ -127,6 +146,9 @@ def make_inputs(out: Path) -> None:
     bad_text = {**texts[1], "embedding": [True, *texts[1]["embedding"][1:]]}
     write_jsonl(out / "texts_bool.jsonl", texts[:1] + [bad_text] + texts[2:])
     write_jsonl(out / "texts_missing.jsonl", texts[7:])
+    write_jsonl(out / "texts_deep.jsonl", texts[:1] + [{**texts[1], "embedding": "DEEP"}] + texts[2:])
+    spoil_line(out / "texts_deep.jsonl", 1, '"DEEP"', DEEP_ARRAY)
+    write_jsonl(out / "texts_zero.jsonl", texts[:4] + [{"id": texts[4]["id"], "embedding": [0.0] * dim}] + texts[5:])
     write_jsonl(out / "texts_dup.jsonl", texts + texts[-2:-1])  # texts run p299 down to p000
     queries, image_only, qrels = [], [], []
     for j in range(21):
@@ -146,14 +168,21 @@ def make_inputs(out: Path) -> None:
     dim_channels = {"image-query": queries[1]["embeddings"]["image-query"], "text-query": [1.0]}
     write_jsonl(out / "queries_dim.jsonl", queries[:1] + [{**queries[1], "embeddings": dim_channels}] + queries[2:])
     write_jsonl(out / "queries_dup.jsonl", queries + queries[1:2])
+    long_int = {"image-query": "LONG", "text-query": queries[1]["embeddings"]["text-query"]}
+    write_jsonl(out / "queries_long_int.jsonl", queries[:1] + [{**queries[1], "embeddings": long_int}] + queries[2:])
+    spoil_line(out / "queries_long_int.jsonl", 1, '"LONG"', LONG_INT)
+    (out / "queries_empty.jsonl").write_text("", encoding="utf-8")
     (out / "qrels.tsv").write_text("".join(qrels), encoding="utf-8")
     (out / "qrels_columns.tsv").write_text("".join(qrels[:2] + ["q01\tp001\n"] + qrels[2:]), encoding="utf-8")
     (out / "qrels_irrelevant.tsv").write_text("".join(q.replace("\t1\n", "\t0\n") for q in qrels), encoding="utf-8")
     (out / "qrels_no_q00.tsv").write_text("".join(q for q in qrels if not q.startswith("q00\t")), encoding="utf-8")
     (out / "run_columns.tsv").write_text("q00\tp001\t1\t0.5\t0.5\n", encoding="utf-8")
+    (out / "run_empty.tsv").write_text("", encoding="utf-8")
     triplets = [{key: rng.standard_normal(6).tolist() for key in "qit"} for _ in range(12)]
     write_jsonl(out / "triplets.jsonl", triplets)
     write_jsonl(out / "triplets_dim.jsonl", triplets[:2] + [{**triplets[2], "t": triplets[2]["t"][:5]}] + triplets[3:])
+    write_jsonl(out / "triplets_deep.jsonl", triplets[:2] + [{**triplets[2], "i": "DEEP"}] + triplets[3:])
+    spoil_line(out / "triplets_deep.jsonl", 2, '"DEEP"', DEEP_ARRAY)
 
 
 def commands(o: Path) -> list[tuple[str, list[str]]]:
@@ -182,6 +211,12 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                         "--out", o / "idx-dim"]),
         ("ingest-zero-row", ["ingest", "--images", o / "images_zero.jsonl", "--texts", o / "texts.jsonl",
                              "--normalize", "--out", o / "idx-zero-row"]),
+        ("ingest-texts-zero-row", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts_zero.jsonl",
+                                   "--normalize", "--out", o / "idx-texts-zero-row"]),
+        ("ingest-long-int", ["ingest", "--images", o / "images_long_int.jsonl", "--texts", o / "texts.jsonl",
+                             "--out", o / "idx-long-int"]),
+        ("ingest-texts-deep", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts_deep.jsonl",
+                               "--out", o / "idx-texts-deep"]),
         ("retrieve-bad-magic", ["retrieve", "--index", o / "idx-bad-magic", "--queries", q,
                                 "--out", o / "run-bad-magic.tsv"]),
         ("retrieve-version-1", ["retrieve", "--index", o / "idx-version-1", "--queries", q,
@@ -204,6 +239,10 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                                 "--mode", "image-only", "--out", o / "run-query-dim.tsv"]),
         ("retrieve-query-duplicate", ["retrieve", "--index", idx, "--queries", o / "queries_dup.jsonl",
                                       "--out", o / "run-query-duplicate.tsv"]),
+        ("retrieve-query-long-int", ["retrieve", "--index", idx, "--queries", o / "queries_long_int.jsonl",
+                                     "--out", o / "run-query-long-int.tsv"]),
+        ("retrieve-queries-empty", ["retrieve", "--index", idx, "--queries", o / "queries_empty.jsonl",
+                                    "--out", o / "run-queries-empty.tsv"]),
     ]
     for m in MODES:
         cmds += [
@@ -222,6 +261,7 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
         ("eval-qrels-irrelevant", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", o / "qrels_irrelevant.tsv"]),
         ("eval-qrels-no-q00", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", o / "qrels_no_q00.tsv"]),
         ("eval-run-columns", ["eval", "--run", o / "run_columns.tsv", "--qrels", qrels]),
+        ("eval-run-empty", ["eval", "--run", o / "run_empty.tsv", "--qrels", qrels]),
         ("eval-unknown-metric", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", qrels, "--metrics", "map@5"]),
         ("ablate", ["ablate", "--index", idx, "--queries", q, "--qrels", qrels, "--modes", ",".join(MODES),
                     "--beta-sweep", "0:1:0.25", "--metrics", "mrr@10,ndcg@5"]),
@@ -239,6 +279,8 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                        "--out", o / "train"]),
         ("train-toy-dim", ["train-toy", "--triplets", o / "triplets_dim.jsonl", "--steps", "30",
                            "--out", o / "train-dim"]),
+        ("train-toy-deep", ["train-toy", "--triplets", o / "triplets_deep.jsonl", "--steps", "30",
+                            "--out", o / "train-deep"]),
     ]
     cmds += [
         (f"train-toy-lr-{lr}", ["train-toy", "--triplets", o / "triplets.jsonl", "--steps", "3", "--lr", lr,
