@@ -6,6 +6,14 @@ per modality, so the online scoring pass is a single sequential sweep.
 Page, query and triplet files share one line reader (``json_objects``)
 and one rule for number arrays (``finite_vector``).
 
+orjson reads each line, about 4x faster than ``json``, but ``json.loads``
+stays the referee: it reads every line that orjson refuses and every line
+holding more than ``ORJSON_BRACKETS`` brackets. json accepts NaN,
+infinities, numbers that overflow to inf and escaped lone surrogates,
+which orjson refuses; orjson accepts nesting of any depth, which json
+refuses. So each line gives the value or error message that ``json.loads``
+gives, except that an integer beyond 64 bits comes back as a float.
+
 Packed matrix file layout (all integers little-endian):
 
     magic "CMEB" | u32 version=2 | u32 dim | u64 count
@@ -34,6 +42,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
+import orjson
 
 from .core import EMBEDDING_DTYPE, IMAGE_CHANNEL, TEXT_CHANNEL, QueryRecord
 from .errors import ComretError
@@ -48,6 +57,10 @@ MANIFEST_FILE = "manifest.json"
 Record = tuple[str, np.ndarray]
 
 _NUMBER_TYPES = {int, float}
+
+#: Most "[" and "{" a line may hold for orjson to read it. orjson reads any
+#: depth, json.loads refuses nesting past the recursion limit, far above 64.
+ORJSON_BRACKETS = 64
 
 #: Rows normalized at a time, so the float64 temporaries stay small beside a matrix.
 NORM_ROWS = 64
@@ -104,18 +117,32 @@ def _check_id(value: object, key: str, line_no: int) -> str:
     return value
 
 
+def _loads(line: str) -> object:
+    """``json.loads(line)``, read by orjson when the line holds at most
+    ``ORJSON_BRACKETS`` brackets and orjson accepts it; an integer beyond
+    64 bits then comes back as a float."""
+    if line.count("[") + line.count("{") <= ORJSON_BRACKETS:
+        try:
+            return orjson.loads(line)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(line)
+
+
 def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL stream.
 
-    Raises ComretError for invalid JSON, including an integer beyond
-    CPython's int-string conversion limit or an array nested past its
-    recursion limit, and for a value that is not an object.
+    orjson reads a line when it can; ``json.loads`` reads the rest, so it
+    decides every error (see the module docstring). Raises ComretError for
+    invalid JSON, including an integer beyond CPython's int-string
+    conversion limit or an array nested past its recursion limit, and for
+    a value that is not an object.
     """
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _loads(line)
         except json.JSONDecodeError as exc:
             raise ComretError(f"line {line_no}: invalid JSON ({exc.msg})")
         except ValueError:  # the int-string conversion limit
@@ -137,7 +164,7 @@ def finite_vector(values: object, dtype: type, line_no: int, field: str, where: 
     """
     if not isinstance(values, list) or not values:
         raise ComretError(f"line {line_no}: missing or empty {field} array")
-    # json.loads yields exact types only, and bool is its own type.
+    # Both JSON parsers yield exact types only, and bool is its own type.
     if not set(map(type, values)) <= _NUMBER_TYPES:
         raise ComretError(f"line {line_no}: {field} contains a non-numeric entry")
     try:

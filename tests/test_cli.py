@@ -558,9 +558,12 @@ class TestOutOfRangeNumbers:
 
 
 #: JSON that json.loads refuses with an error other than JSONDecodeError.
+#: The last is an array both parsers read, then an ignored key nested
+#: 2,000 deep, which json refuses and orjson would read.
 JSON_LIMITS = [
     pytest.param("[" + "1" * 5000 + "]", "an integer of more than 4300 digits", id="int-5000-digits"),
     pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="array-100k-deep"),
+    pytest.param('[1.0, 0.0, 0.0, 0.0], "extra": ' + "[" * 2000 + "]" * 2000, "nested too deeply", id="extra-field"),
 ]
 
 

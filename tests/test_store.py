@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import itertools
 import json
@@ -7,6 +8,7 @@ import struct
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,6 +114,112 @@ def test_row_check_accepts_what_isinstance_accepted(entries):
     assert passes_row_check(parse_embedding_jsonl, {"id": "p1", "embedding": entries}) == want
     assert passes_row_check(parse_query_jsonl, {"query_id": "q1", "embeddings": {"text-query": entries}}) == want
     assert passes_row_check(load_triplets, {"q": [1.0], "i": entries, "t": [1.0]}) == want
+
+
+def read_both_ways(read) -> list:
+    """``read()``, then ``read()`` with json.loads reading every line (the
+    referee): each its result or its ComretError's message."""
+    results = []
+    for patch in (contextlib.nullcontext(), mock.patch.object(store, "_loads", json.loads)):
+        with patch:
+            try:
+                results.append(read())
+            except ComretError as exc:
+                results.append(f"ComretError: {exc}")
+    return results
+
+
+def same_json(got, want) -> bool:
+    """Equal types, float bits and key order; an integer beyond 64 bits
+    may come back as the float it rounds to."""
+    if type(want) is int and type(got) is float and not -(2**63) <= want < 2**64:
+        want = float(want)
+    if type(got) is not type(want):
+        return False
+    if type(want) is float:
+        return struct.pack("<d", got) == struct.pack("<d", want)
+    if type(want) in (list, tuple):
+        return len(got) == len(want) and all(map(same_json, got, want))
+    if type(want) is dict:
+        return list(got) == list(want) and all(same_json(got[k], want[k]) for k in want)
+    return got == want
+
+
+@st.composite
+def long_decimals(draw) -> str:
+    """A 17- to 40-digit decimal literal, most with an exponent that takes
+    it near or past float64's range."""
+    digits = draw(st.text("0123456789", min_size=16, max_size=39))
+    first = draw(st.sampled_from("123456789"))
+    point = draw(st.integers(1, len(digits) + 1))
+    mantissa = (first + digits)[:point] + ("." + (first + digits)[point:] if point <= len(digits) else "")
+    exponent = draw(st.none() | st.integers(-340, 330))
+    sign = draw(st.sampled_from(["", "-"]))
+    return sign + mantissa + ("" if exponent is None else draw(st.sampled_from("eE")) + str(exponent))
+
+
+#: Literals that json.dumps never writes, or that sit on a rounding edge.
+#: 2**70 + 2**46 + 1 is rounded twice on its way to float32.
+number_literals = long_decimals() | st.sampled_from(
+    ["1E+2", "-0", "2.4703282292062327e-324", "1.7976931348623159e308", "1180591691086155481089"]
+)
+numbers = (
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(json.dumps)
+    | st.integers(-(2**80), 2**80).map(str)
+    | number_literals
+)
+# Every code point: json.dumps escapes a lone surrogate, or writes it raw.
+any_text = st.text(st.characters(exclude_categories=()), max_size=6)
+any_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.floats(allow_subnormal=True) | any_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(any_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    objects=st.lists(st.dictionaries(any_text, any_json, max_size=4) | any_json, min_size=1, max_size=4),
+    ascii_only=st.booleans(),
+    row=st.lists(numbers, min_size=1, max_size=6),
+)
+def test_json_objects_reads_what_json_loads_reads(objects, ascii_only, row):
+    """orjson reads these lines where it can; every value, float bit, key
+    order and error message equals json.loads's."""
+    lines = [json.dumps(obj, ensure_ascii=ascii_only) + "\n" for obj in objects]
+    lines.append(f'{{"row": [{", ".join(row)}], "n": {row[0]}}}\n')
+    for line in lines:
+        got, want = read_both_ways(lambda: list(store.json_objects([line])))
+        assert same_json(got, want), line
+
+
+def same_arrays(got, want) -> bool:
+    """Equal errors, or arrays of equal dtype and bytes at every position."""
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return len(got) == len(want) and all(
+        (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()) for g, w in zip(got, want)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(numbers, min_size=1, max_size=6))
+def test_readers_give_json_loads_bits(row):
+    """Page, query and triplet readers give the arrays, bit for bit, that
+    they give with json.loads reading every line, or the same error."""
+    values = ", ".join(row)
+    readers = [
+        (parse_embedding_jsonl, f'{{"id": "p1", "embedding": [{values}]}}\n', lambda out: [r[1] for r in out]),
+        (
+            parse_query_jsonl,
+            f'{{"query_id": "q1", "embeddings": {{"image-query": [{values}], "text-query": [{values}]}}}}\n',
+            lambda out: [out[0].channel("image-query"), out[0].channel("text-query")],
+        ),
+        (load_triplets, f'{{"q": [{values}], "i": [1.0], "t": [{values}]}}\n', lambda out: [out.query, out.text]),
+    ]
+    for read, line, arrays in readers:
+        got, want = read_both_ways(lambda: arrays(read([line])))
+        assert same_arrays(got, want), line
 
 
 def id_fault(bad: str) -> str:

@@ -15,13 +15,19 @@ block of the sweep), texts in reverse order; 21 queries with distinct
 image/text channels and qrels, the last aimed at the tail duplicate, plus
 the same queries with the image channel only (fallback and the
 ensemble-ucmr error). ``ablate`` and ``diagnose`` also run with several
-threads, whose outputs must equal the single-threaded ones. These inputs
-must fail with exit code 1:
+threads, whose outputs must equal the single-threaded ones. ``ingest``
+also runs on an images file whose second embedding starts with the
+integer 2**70 + 2**46 + 1, which orjson reads as a float and json.loads
+as an int; both round it twice on the way to float32, to the same bits.
+These inputs must fail with exit code 1:
 - ingest of an images file whose second embedding holds ``true``, one
   whose second embedding holds ``1e39`` (beyond float32), one whose
-  second embedding holds an integer of 5,000 digits (beyond CPython's
-  int-string conversion limit), one holding page ``p001`` twice, one of
-  15 dims, and one with a zero row under ``--normalize``;
+  second embedding holds ``NaN``, one whose second embedding holds an
+  integer of 5,000 digits (beyond CPython's int-string conversion limit),
+  one whose second line holds an ignored key nested 2,000 deep (which
+  json.loads refuses and orjson alone would read), one holding page
+  ``p001`` twice, one of 15 dims, and one with a zero row under
+  ``--normalize``;
 - ingest of an images file with a non-UTF-8 byte on line 151;
 - ingest of a texts file whose second embedding holds ``true`` (parsed in
   ingest's worker process when more than one core is usable), of one
@@ -77,6 +83,9 @@ MODES = ("image-only", "text-only", "raw-linear", "ucmr", "ensemble-ucmr")
 #: JSON arrays that json.loads refuses with other errors than a syntax error.
 LONG_INT = "[" + "7" * 5000 + "]"
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+EXTRA_DEEP = "[" * 2000 + "]" * 2000
+#: 2**70 + 2**46 + 1, rounded twice on the way to float32.
+BIG_INT = "1180591691086155481089"
 
 
 def write_jsonl(path: Path, objects) -> None:
@@ -115,6 +124,13 @@ def make_inputs(out: Path) -> None:
     write_jsonl(out / "images_bool.jsonl", images[:1] + [{"id": ids[1], "embedding": [True, *image[1][1:]]}] + images[2:])
     huge = {"id": ids[1], "embedding": [1e39, *image[1][1:]]}
     write_jsonl(out / "images_huge.jsonl", images[:1] + [huge] + images[2:])
+    nan = {"id": ids[1], "embedding": [float("nan"), *image[1][1:]]}
+    write_jsonl(out / "images_nan.jsonl", images[:1] + [nan] + images[2:])
+    big_int = {"id": ids[1], "embedding": ["BIG", *image[1][1:]]}
+    write_jsonl(out / "images_bigint.jsonl", images[:1] + [big_int] + images[2:])
+    spoil_line(out / "images_bigint.jsonl", 1, '"BIG"', BIG_INT)
+    write_jsonl(out / "images_extra_deep.jsonl", images[:1] + [{**images[1], "extra": "DEEP"}] + images[2:])
+    spoil_line(out / "images_extra_deep.jsonl", 1, '"DEEP"', EXTRA_DEEP)
     write_jsonl(out / "images_dup.jsonl", images + images[1:2])
     write_jsonl(out / "images_dim.jsonl", [{**r, "embedding": r["embedding"][1:]} for r in images])
     write_jsonl(out / "images_zero.jsonl", images[:2] + [{"id": ids[2], "embedding": [0.0] * dim}] + images[3:])
@@ -201,6 +217,12 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                              "--out", o / "idx-both-bad"]),
         ("ingest-huge-value", ["ingest", "--images", o / "images_huge.jsonl", "--texts", o / "texts.jsonl",
                                "--out", o / "idx-huge-value"]),
+        ("ingest-nan", ["ingest", "--images", o / "images_nan.jsonl", "--texts", o / "texts.jsonl",
+                        "--out", o / "idx-nan"]),
+        ("ingest-extra-deep", ["ingest", "--images", o / "images_extra_deep.jsonl", "--texts", o / "texts.jsonl",
+                               "--out", o / "idx-extra-deep"]),
+        ("ingest-bigint", ["ingest", "--images", o / "images_bigint.jsonl", "--texts", o / "texts.jsonl",
+                           "--out", o / "idx-bigint"]),
         ("ingest-duplicate-id", ["ingest", "--images", o / "images_dup.jsonl", "--texts", o / "texts.jsonl",
                                  "--out", o / "idx-duplicate-id"]),
         ("ingest-missing-ids", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts_missing.jsonl",
