@@ -50,8 +50,8 @@ def _parse_pages(images: str, texts: str) -> tuple[list[store.Record], list[stor
     worker process while this one parses the images file.
 
     Parsing holds the GIL, so only a second process overlaps the two. On
-    a pair of 1k x 1152 files and 2 vCPUs (medians of 10), two threads took
-    0.73 s, one file after the other 0.52 s, and the forked worker 0.37 s.
+    a pair of 1k x 1152 files and 2 vCPUs (medians of 10 fresh processes),
+    one file after the other took 0.36 s and the forked worker 0.26 s.
     With one usable core, or no ``fork``, both are parsed here, one after
     the other. Either way the same function parses each file; if both are
     bad, the images file's error is raised, and no worker outlives the call.

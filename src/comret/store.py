@@ -14,6 +14,13 @@ which orjson refuses; orjson accepts nesting of any depth, which json
 refuses. So each line gives the value or error message that ``json.loads``
 gives, except that an integer beyond 64 bits comes back as a float.
 
+A page line is first read by orjson alone, with no bracket count
+(``_flat_record``). It is kept when it is an object with no repeated key,
+whose values bar a finite "embedding" array are scalars, and whose checks
+pass: such a line nests two deep, so json reads the same value. Any other
+line takes the reader above and the same checks, so its record or error
+is the referee's.
+
 Packed matrix file layout (all integers little-endian):
 
     magic "CMEB" | u32 version=2 | u32 dim | u64 count
@@ -56,7 +63,8 @@ MANIFEST_FILE = "manifest.json"
 
 Record = tuple[str, np.ndarray]
 
-_NUMBER_TYPES = {int, float}
+#: Types a flat page line may hold outside its "embedding".
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
 #: Most "[" and "{" a line may hold for orjson to read it. orjson reads any
 #: depth, json.loads refuses nesting past the recursion limit, far above 64.
@@ -129,6 +137,22 @@ def _loads(line: str) -> object:
     return json.loads(line)
 
 
+def _json_object(line: str, line_no: int) -> dict:
+    """The object on a non-blank line, read as ``json.loads`` reads it."""
+    try:
+        obj = _loads(line)
+    except json.JSONDecodeError as exc:
+        raise ComretError(f"line {line_no}: invalid JSON ({exc.msg})")
+    except ValueError:  # the int-string conversion limit
+        digits = sys.get_int_max_str_digits()
+        raise ComretError(f"line {line_no}: invalid JSON (an integer of more than {digits} digits)")
+    except RecursionError:
+        raise ComretError(f"line {line_no}: invalid JSON (nested too deeply)")
+    if not isinstance(obj, dict):
+        raise ComretError(f"line {line_no}: expected a JSON object")
+    return obj
+
+
 def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL stream.
 
@@ -139,20 +163,8 @@ def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
     a value that is not an object.
     """
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = _loads(line)
-        except json.JSONDecodeError as exc:
-            raise ComretError(f"line {line_no}: invalid JSON ({exc.msg})")
-        except ValueError:  # the int-string conversion limit
-            digits = sys.get_int_max_str_digits()
-            raise ComretError(f"line {line_no}: invalid JSON (an integer of more than {digits} digits)")
-        except RecursionError:
-            raise ComretError(f"line {line_no}: invalid JSON (nested too deeply)")
-        if not isinstance(obj, dict):
-            raise ComretError(f"line {line_no}: expected a JSON object")
-        yield line_no, obj
+        if line.strip():
+            yield line_no, _json_object(line, line_no)
 
 
 def finite_vector(values: object, dtype: type, line_no: int, field: str, where: str) -> np.ndarray:
@@ -165,12 +177,16 @@ def finite_vector(values: object, dtype: type, line_no: int, field: str, where: 
     if not isinstance(values, list) or not values:
         raise ComretError(f"line {line_no}: missing or empty {field} array")
     # Both JSON parsers yield exact types only, and bool is its own type.
-    if not set(map(type, values)) <= _NUMBER_TYPES:
+    # Counting float first is one pass over the usual all-float array;
+    # count(int) runs only when it falls short, as it compares slowly.
+    types = list(map(type, values))
+    floats = types.count(float)
+    if floats != len(types) and floats + types.count(int) != len(types):
         raise ComretError(f"line {line_no}: {field} contains a non-numeric entry")
     try:
         # A value beyond the dtype becomes inf, rejected below, not a warning.
         with np.errstate(over="ignore"):
-            vec = np.asarray(values, dtype=dtype)
+            vec = np.fromiter(values, dtype, len(values))
     except OverflowError:  # an integer literal beyond float64
         raise ComretError(f"non-finite value in {where}")
     if not np.isfinite(vec).all():
@@ -179,23 +195,65 @@ def finite_vector(values: object, dtype: type, line_no: int, field: str, where: 
     return vec
 
 
+def _page_record(obj: dict, line_no: int) -> Record:
+    rec_id = _check_id(obj.get("id"), "id", line_no)
+    return rec_id, finite_vector(obj.get("embedding"), EMBEDDING_DTYPE, line_no, '"embedding"', f"line {line_no}")
+
+
+def _flat_record(line: str, line_no: int) -> Record | None:
+    """The record on a flat page line, read by orjson alone, or None to
+    leave the line to the referee.
+
+    orjson keeps the last of a repeated key, whose earlier value may nest
+    past json's limit, so the line must hold no more quotes than its keys
+    and strings need (an escaped quote declines it too). Counting stops at
+    the last quote, before an embedding that follows the id.
+    """
+    try:
+        obj = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        return None
+    if type(obj) is not dict:
+        return None
+    strings = 0
+    for key, value in obj.items():
+        if type(value) is str:
+            strings += 1
+        elif key != "embedding" and type(value) not in _SCALAR_TYPES:
+            return None
+    if line.count('"', 0, line.rfind('"') + 1) != 2 * (len(obj) + strings):
+        return None
+    try:
+        return _page_record(obj, line_no)
+    except ComretError:
+        return None
+
+
 def parse_embedding_jsonl(stream: TextIO | Iterable[str]) -> list[Record]:
     """Parse an embedding JSONL stream, rejecting the whole file on any bad line.
 
     Returns (id, float32 vector) records in file order. Blank lines are
     ignored; every other line must be a JSON object with a string "id" and
     a numeric-array "embedding" of uniform dimension.
+
+    A flat line (see the module docstring) is read by orjson with no
+    bracket count; each other line is read and checked as ``json.loads``
+    reads it, so every record and error is the referee's.
     """
     records: list[Record] = []
     expected_dim: int | None = None
-    for line_no, obj in json_objects(stream):
-        rec_id = _check_id(obj.get("id"), "id", line_no)
-        vec = finite_vector(obj.get("embedding"), EMBEDDING_DTYPE, line_no, '"embedding"', f"line {line_no}")
+    for line_no, line in enumerate(stream, start=1):
+        record = _flat_record(line, line_no)
+        if record is None:
+            if not line.strip():
+                continue
+            record = _page_record(_json_object(line, line_no), line_no)
+        dim = record[1].shape[0]
         if expected_dim is None:
-            expected_dim = vec.shape[0]
-        elif vec.shape[0] != expected_dim:
-            raise ComretError(f"line {line_no}: expected dim {expected_dim}, got {vec.shape[0]}")
-        records.append((rec_id, vec))
+            expected_dim = dim
+        elif dim != expected_dim:
+            raise ComretError(f"line {line_no}: expected dim {expected_dim}, got {dim}")
+        records.append(record)
     return records
 
 

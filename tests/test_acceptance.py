@@ -280,17 +280,17 @@ def test_10_performance_contract():
         dual_cfg = FusionConfig(mode="ucmr", beta=0.1, top_k=3)
         single_cfg = FusionConfig(mode="image-only", top_k=3)
 
-        def best_of(cfg, repeats=3):
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                retrieve(query, index, cfg)
-                times.append(time.perf_counter() - t0)
-            return min(times)
+        def timed(cfg):
+            t0 = time.perf_counter()
+            retrieve(query, index, cfg)
+            return time.perf_counter() - t0
 
         retrieve(query, index, dual_cfg)  # warm-up: page in both matrices
-        dual = best_of(dual_cfg)
-        single = best_of(single_cfg)
+        # The modes alternate, so a burst of load from elsewhere on the
+        # host lands on both, and each keeps its best of 3.
+        pairs = [(timed(dual_cfg), timed(single_cfg)) for _ in range(3)]
+        dual = min(d for d, _ in pairs)
+        single = min(s for _, s in pairs)
         print(
             f"  [dual={dual * 1e3:.1f}ms "
             f"single={single * 1e3:.1f}ms ratio={dual / single:.2f}]"

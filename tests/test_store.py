@@ -118,9 +118,11 @@ def test_row_check_accepts_what_isinstance_accepted(entries):
 
 def read_both_ways(read) -> list:
     """``read()``, then ``read()`` with json.loads reading every line (the
-    referee): each its result or its ComretError's message."""
+    referee) and the flat page path declining each: each its result or its
+    ComretError's message."""
     results = []
-    for patch in (contextlib.nullcontext(), mock.patch.object(store, "_loads", json.loads)):
+    referee = mock.patch.multiple(store, _loads=json.loads, _flat_record=lambda line, line_no: None)
+    for patch in (contextlib.nullcontext(), referee):
         with patch:
             try:
                 results.append(read())
@@ -220,6 +222,111 @@ def test_readers_give_json_loads_bits(row):
     for read, line, arrays in readers:
         got, want = read_both_ways(lambda: arrays(read([line])))
         assert same_arrays(got, want), line
+
+
+def asarray_finite_vector(values, dtype, line_no, field, where):
+    """The body ``store.finite_vector`` replaced (a type set, then
+    ``np.asarray``): the oracle for its bits and messages."""
+    if not isinstance(values, list) or not values:
+        raise ComretError(f"line {line_no}: missing or empty {field} array")
+    if not set(map(type, values)) <= {int, float}:
+        raise ComretError(f"line {line_no}: {field} contains a non-numeric entry")
+    try:
+        with np.errstate(over="ignore"):
+            vec = np.asarray(values, dtype=dtype)
+    except OverflowError:
+        raise ComretError(f"non-finite value in {where}")
+    if not np.isfinite(vec).all():
+        raise ComretError(f"non-finite value in {where}")
+    vec.flags.writeable = False
+    return vec
+
+
+def vector_or_message(check, values, dtype):
+    try:
+        vec = check(values, dtype, 1, '"embedding"', "line 1")
+    except ComretError as exc:
+        return f"ComretError: {exc}"
+    return vec.dtype, vec.tobytes(), vec.flags.writeable
+
+
+#: Integers on float32 and float64 rounding edges and past float64's range,
+#: finite floats past float32's, and subnormals of both.
+edge_numbers = st.sampled_from(
+    [str(2**70 + 2**46 + 1), str(2**80), str(-(2**80)), str(2**60 + 1), "1e39", "-1e39", "1" + "0" * 400,
+     "5e-324", "1.401298464324817e-45", "7e-46", "1.1754942e-38"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(numbers | edge_numbers | st.sampled_from(["true", "null", '"1"', "[1]"]), max_size=6))
+def test_finite_vector_gives_the_asarray_bits(row):
+    """float32 and float64 vectors of the same dtype and bytes as the old
+    body's, or the same message; ints come as json.loads gives them."""
+    values = json.loads(f"[{', '.join(row)}]")
+    for dtype in (np.float32, np.float64):
+        got = vector_or_message(store.finite_vector, values, dtype)
+        assert got == vector_or_message(asarray_finite_vector, values, dtype), (row, dtype)
+
+
+#: An array nested past json.loads's recursion limit; orjson reads it.
+DEEP = "[" * 2000 + "]" * 2000
+
+
+@st.composite
+def page_line(draw, dim: int) -> str:
+    """One line of a page file: a flat page, or one the flat path must
+    decline (a container, repeated key, bad entry, blank or non-object line)."""
+    entry = st.floats(-1e30, 1e30, allow_subnormal=True).map(json.dumps) | edge_numbers
+    entries = draw(st.lists(entry, min_size=dim, max_size=dim))
+    page = draw(st.text(st.characters(exclude_characters='\t\r\n"\\'), min_size=1, max_size=4))
+    members = [("id", json.dumps(page)), ("embedding", None)]
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    fault = draw(st.sampled_from([
+        None, "scalar-key", "list-key", "object-key", "deep-key", "deep-entry", "bracket-id", "bad-entry",
+        "non-finite", "empty", "non-object", "blank", "embedding-twice", "deep-id-twice", "quoted-id", "no-id",
+    ]))
+    if fault == "scalar-key":
+        members += [(draw(st.sampled_from(["meta", "page", "n"])), json.dumps(draw(scalars)))]
+    elif fault in ("list-key", "object-key", "deep-key"):
+        members += [("meta", {"list-key": "[1, 2]", "object-key": '{"page": 2}', "deep-key": DEEP}[fault])]
+    elif fault in ("deep-entry", "bad-entry", "non-finite"):
+        bad = {"deep-entry": [DEEP], "bad-entry": ["true", "null", '"1.0"', "[1.0]"],
+               "non-finite": ["NaN", "Infinity", "-Infinity", "1e39", "7" * 400]}[fault]
+        entries[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(bad))
+    elif fault == "bracket-id":
+        members[0] = ("id", json.dumps(page + "[" * 65))
+    elif fault == "empty":
+        entries = []
+    elif fault == "non-object":
+        return draw(st.sampled_from(["[1.0]\n", "1\n", '"p"\n', "null\n"]))
+    elif fault == "blank":
+        return draw(st.sampled_from(["\n", "  \n", ""]))
+    elif fault == "embedding-twice":
+        members.insert(0, ("embedding", draw(st.sampled_from([DEEP, "[1.0]", "true"]))))
+    elif fault == "deep-id-twice":
+        members.insert(0, ("id", DEEP))
+    elif fault == "quoted-id":
+        members[0] = ("id", json.dumps(page + '"'))
+    elif fault == "no-id":
+        members.pop(0)
+    members = draw(st.permutations(members))
+    embedding = "[" + ", ".join(entries) + "]"
+    return "{" + ", ".join(f'"{key}": {embedding if value is None else value}' for key, value in members) + "}\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), dim=st.integers(1, 4), count=st.integers(1, 5))
+def test_flat_page_lines_read_as_json_loads_reads(data, dim, count):
+    """Page files mixing lines the flat path takes with lines it must leave
+    to json.loads give the referee's records, bit for bit, or its message."""
+    lines = [data.draw(page_line(dim)) for _ in range(count)]
+
+    def records():
+        return [(rid, vec.dtype, vec.tobytes()) for rid, vec in parse_embedding_jsonl(lines)]
+
+    got, want = read_both_ways(records)
+    assert got == want, lines
 
 
 def id_fault(bad: str) -> str:

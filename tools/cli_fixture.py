@@ -19,6 +19,12 @@ threads, whose outputs must equal the single-threaded ones. ``ingest``
 also runs on an images file whose second embedding starts with the
 integer 2**70 + 2**46 + 1, which orjson reads as a float and json.loads
 as an int; both round it twice on the way to float32, to the same bits.
+Two more ingest inputs sit on the edge of the flat page-line path and must
+succeed: an images file whose second line carries ``"meta": {"page": 2}``
+(a container the path leaves to json.loads), and a pair of files in which
+page ``p002`` is renamed to ``p002`` followed by 70 ``[`` (beyond the 64
+brackets up to which the general reader lets orjson read a line; the flat
+path reads it with orjson).
 These inputs must fail with exit code 1:
 - ingest of an images file whose second embedding holds ``true``, one
   whose second embedding holds ``1e39`` (beyond float32), one whose
@@ -131,6 +137,7 @@ def make_inputs(out: Path) -> None:
     spoil_line(out / "images_bigint.jsonl", 1, '"BIG"', BIG_INT)
     write_jsonl(out / "images_extra_deep.jsonl", images[:1] + [{**images[1], "extra": "DEEP"}] + images[2:])
     spoil_line(out / "images_extra_deep.jsonl", 1, '"DEEP"', EXTRA_DEEP)
+    write_jsonl(out / "images_extra_key.jsonl", images[:1] + [{**images[1], "meta": {"page": 2}}] + images[2:])
     write_jsonl(out / "images_dup.jsonl", images + images[1:2])
     write_jsonl(out / "images_dim.jsonl", [{**r, "embedding": r["embedding"][1:]} for r in images])
     write_jsonl(out / "images_zero.jsonl", images[:2] + [{"id": ids[2], "embedding": [0.0] * dim}] + images[3:])
@@ -166,6 +173,10 @@ def make_inputs(out: Path) -> None:
     spoil_line(out / "texts_deep.jsonl", 1, '"DEEP"', DEEP_ARRAY)
     write_jsonl(out / "texts_zero.jsonl", texts[:4] + [{"id": texts[4]["id"], "embedding": [0.0] * dim}] + texts[5:])
     write_jsonl(out / "texts_dup.jsonl", texts + texts[-2:-1])  # texts run p299 down to p000
+    bracket_id = ids[2] + "[" * 70
+    for name, rows in (("images", images), ("texts", texts)):
+        renamed = [{**r, "id": bracket_id} if r["id"] == ids[2] else r for r in rows]
+        write_jsonl(out / f"{name}_bracket_id.jsonl", renamed)
     queries, image_only, qrels = [], [], []
     for j in range(21):
         gold = 10 if j == 20 else int(rng.integers(pages))
@@ -223,6 +234,10 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                                "--out", o / "idx-extra-deep"]),
         ("ingest-bigint", ["ingest", "--images", o / "images_bigint.jsonl", "--texts", o / "texts.jsonl",
                            "--out", o / "idx-bigint"]),
+        ("ingest-extra-key", ["ingest", "--images", o / "images_extra_key.jsonl", "--texts", o / "texts.jsonl",
+                              "--out", o / "idx-extra-key"]),
+        ("ingest-bracket-id", ["ingest", "--images", o / "images_bracket_id.jsonl",
+                               "--texts", o / "texts_bracket_id.jsonl", "--out", o / "idx-bracket-id"]),
         ("ingest-duplicate-id", ["ingest", "--images", o / "images_dup.jsonl", "--texts", o / "texts.jsonl",
                                  "--out", o / "idx-duplicate-id"]),
         ("ingest-missing-ids", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts_missing.jsonl",
