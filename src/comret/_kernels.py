@@ -179,7 +179,12 @@ def inner_products(matrix: np.ndarray, query: np.ndarray, threads: int | None = 
 
 
 def logistic(values: np.ndarray) -> np.ndarray:
-    """Elementwise 1/(1+exp(-x)), clamped to stay strictly inside (0, 1)."""
+    """Elementwise 1/(1+exp(-x)) in float64, clamped to stay strictly
+    inside (0, 1). Every step writes one new buffer in place, in the order
+    of that expression, so the bits are the expression's."""
+    out = np.negative(values, dtype=np.float64)
     with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-np.asarray(values, dtype=np.float64)))
-    return np.clip(out, SIGMOID_FLOOR, SIGMOID_CEIL)
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return np.clip(out, SIGMOID_FLOOR, SIGMOID_CEIL, out=out)

@@ -20,11 +20,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
 from . import __version__, _kernels, diagnostics, fusion, metrics, store, training
-from .core import MODES, FusionConfig
+from .core import MODE_SPECS, MODES, FusionConfig
 from .errors import ComretError
 
 DEFAULT_METRICS = "recall@5,ndcg@5,mrr@10"
@@ -150,17 +151,22 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     specs = [s.strip() for s in args.metrics.split(",")]
 
     # Every (mode, beta) is ranked from the same sweeps: each modality is
-    # swept once per block of queries, not once per row of the table.
+    # swept once per block of queries, not once per row of the table. A
+    # mode that no beta weights ranks the same for every beta, and a
+    # repeated mode as its first, so each distinct ranking runs once.
     cfgs = [FusionConfig(mode=mode, alpha=args.alpha, beta=beta, top_k=args.k) for mode in modes for beta in betas]
-    runs: list[dict[str, list[str]]] = [{} for _ in cfgs]
-    for ranked in fusion.rank_queries(index, queries, cfgs, threads=args.threads):
+    rankings = [cfg if MODE_SPECS[cfg.mode].weight == "beta" else replace(cfg, beta=betas[0]) for cfg in cfgs]
+    distinct = list(dict.fromkeys(rankings))
+    runs: list[dict[str, list[str]]] = [{} for _ in distinct]
+    for ranked in fusion.rank_queries(index, queries, distinct, threads=args.threads):
         for run, result in zip(runs, ranked):
             run[result.query_id] = list(result.page_ids())
-    rows = [(cfg.mode, cfg.beta, metrics.evaluate_run(run, qrels, specs)) for cfg, run in zip(cfgs, runs)]
+    reports = {cfg: metrics.evaluate_run(run, qrels, specs) for cfg, run in zip(distinct, runs)}
 
-    print("\t".join(["mode", "beta", *rows[0][2].specs]))
-    for mode, beta, report in rows:
-        print("\t".join([mode, f"{beta:g}", *(f"{report.macro[s]:.6f}" for s in report.specs)]))
+    print("\t".join(["mode", "beta", *reports[distinct[0]].specs]))
+    for cfg, ranking in zip(cfgs, rankings):
+        report = reports[ranking]
+        print("\t".join([cfg.mode, f"{cfg.beta:g}", *(f"{report.macro[s]:.6f}" for s in report.specs)]))
     return 0
 
 

@@ -21,6 +21,12 @@ pass: such a line nests two deep, so json reads the same value. Any other
 line takes the reader above and the same checks, so its record or error
 is the referee's.
 
+Every number array becomes a vector the same way (``_vector``): one
+``struct.pack`` of its values as float64, then one cast to the vector's
+dtype. struct refuses every JSON value but a number or a bool, so a flat
+line with no ``t`` and no ``f`` around its embedding, which can then hold
+no bool, skips ``finite_vector``'s type scan.
+
 Packed matrix file layout (all integers little-endian):
 
     magic "CMEB" | u32 version=2 | u32 dim | u64 count
@@ -167,12 +173,35 @@ def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
             yield line_no, _json_object(line, line_no)
 
 
+def _vector(values: list, dtype: type) -> np.ndarray | None:
+    """A list of numbers as a read-only ``dtype`` vector, or None when
+    struct refuses an entry (anything but an int, a float or a bool, or an
+    int beyond float64) or a value is not finite in ``dtype``.
+
+    Each value is rounded to float64 and then to ``dtype``, as
+    ``np.asarray(values, dtype)`` rounds it. A bool packs as 0.0 or 1.0.
+    """
+    try:
+        packed = struct.pack(f"<{len(values)}d", *values)
+    except struct.error:
+        return None
+    # A value beyond the dtype becomes inf, refused below, not a warning.
+    with np.errstate(over="ignore"):
+        vec = np.frombuffer(packed, np.float64).astype(dtype)
+    if not np.isfinite(vec).all():
+        return None
+    vec.flags.writeable = False
+    return vec
+
+
 def finite_vector(values: object, dtype: type, line_no: int, field: str, where: str) -> np.ndarray:
     """A JSON array of numbers as a read-only, finite 1-d ``dtype`` vector.
 
     Raises ComretError naming ``field`` unless ``values`` is a non-empty
     array of numbers, and naming ``where`` for NaN, an infinity or a
-    number beyond ``dtype``.
+    number beyond ``dtype``. The type scan refuses bools, which ``_vector``
+    would read as numbers; after it, ``_vector`` declines only a value
+    that is not finite, an integer beyond float64 included.
     """
     if not isinstance(values, list) or not values:
         raise ComretError(f"line {line_no}: missing or empty {field} array")
@@ -183,15 +212,9 @@ def finite_vector(values: object, dtype: type, line_no: int, field: str, where: 
     floats = types.count(float)
     if floats != len(types) and floats + types.count(int) != len(types):
         raise ComretError(f"line {line_no}: {field} contains a non-numeric entry")
-    try:
-        # A value beyond the dtype becomes inf, rejected below, not a warning.
-        with np.errstate(over="ignore"):
-            vec = np.fromiter(values, dtype, len(values))
-    except OverflowError:  # an integer literal beyond float64
+    vec = _vector(values, dtype)
+    if vec is None:
         raise ComretError(f"non-finite value in {where}")
-    if not np.isfinite(vec).all():
-        raise ComretError(f"non-finite value in {where}")
-    vec.flags.writeable = False
     return vec
 
 
@@ -208,6 +231,14 @@ def _flat_record(line: str, line_no: int) -> Record | None:
     past json's limit, so the line must hold no more quotes than its keys
     and strings need (an escaped quote declines it too). Counting stops at
     the last quote, before an embedding that follows the id.
+
+    The embedding skips the type scan when no ``t`` and no ``f`` lies
+    between the line's first ``[`` and its last ``]``. The embedding's own
+    brackets lie in that span, so a ``true`` or ``false`` in it would be
+    found. A bool is the one value besides a number that ``struct.pack``
+    reads as a float; a string, null, array or object makes ``_vector``
+    decline, and so does a value that is not finite, as does a bad id:
+    each such line goes to the referee. Any other line takes the type scan.
     """
     try:
         obj = orjson.loads(line)
@@ -223,7 +254,12 @@ def _flat_record(line: str, line_no: int) -> Record | None:
             return None
     if line.count('"', 0, line.rfind('"') + 1) != 2 * (len(obj) + strings):
         return None
+    values = obj.get("embedding")
+    first, last = line.find("["), line.rfind("]")
     try:
+        if type(values) is list and values and line.find("t", first, last) < 0 and line.find("f", first, last) < 0:
+            vec = _vector(values, EMBEDDING_DTYPE)
+            return None if vec is None else (_check_id(obj.get("id"), "id", line_no), vec)
         return _page_record(obj, line_no)
     except ComretError:
         return None

@@ -733,6 +733,35 @@ class TestAblateEngine:
                 lines.append("\t".join([mode, f"{beta:g}", *(f"{report.macro[s]:.6f}" for s in specs)]))
         assert self.ablate(idx, queries, qrels) == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize(
+        "modes, rankings",
+        [
+            ("image-only,text-only,raw-linear,ucmr,ensemble-ucmr", 3 + 2 * 5),
+            ("ucmr,image-only,ucmr,raw-linear,image-only", 5 + 2),
+        ],
+    )
+    def test_each_distinct_ranking_runs_once(self, ablate_workspace, monkeypatch, modes, rankings):
+        # A mode no beta weights ranks once for the whole sweep, and a
+        # repeated mode not again; its rows repeat the first one's.
+        idx, queries, qrels = ablate_workspace
+        cfgs = []
+        rank = fusion._rank
+
+        def spy(scores, ids, cfg, spec):
+            cfgs.append(cfg)
+            return rank(scores, ids, cfg, spec)
+
+        monkeypatch.setattr(fusion, "_rank", spy)
+        code, out = run_quiet("ablate", "--index", idx, "--queries", queries, "--qrels", qrels, "--modes", modes,
+                              "--beta-sweep", "0:1:0.25", "--metrics", "mrr@10")
+        assert code == 0
+        assert (len(cfgs), len(set(cfgs))) == (37 * rankings, rankings)
+        rows = out.splitlines()[1:]
+        assert len(rows) == 5 * len(modes.split(","))
+        for mode in set(modes.split(",")):
+            mine = [row for row in rows if row.startswith(f"{mode}\t")]
+            assert mine == mine[:5] * (len(mine) // 5)
+
     def test_thread_count_changes_no_byte(self, ablate_workspace):
         idx, queries, qrels = ablate_workspace
         serial = self.ablate(idx, queries, qrels, "--threads", "1")

@@ -329,6 +329,23 @@ class TestLogistic:
         assert (out > 0.0).all() and (out < 1.0).all()
         assert out[2] == 0.5
 
+    def test_same_bits_as_the_one_expression(self, rng):
+        # The in-place steps against the expression they replaced, on random
+        # blocks, a float32 input and saturated values; the input is kept.
+        blocks = [
+            rng.standard_normal((8, 2000)) * 40,
+            (rng.standard_normal(1000) * 100).astype(np.float32),
+            np.array([-1e308, -1e4, -800.0, -745.2, -709.8, -50.0, -0.0, 0.0, 5e-324, 36.8, 50.0, 800.0, 1e308]),
+        ]
+        for x in blocks:
+            before = x.copy()
+            with np.errstate(over="ignore"):
+                want = 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+            want = np.clip(want, _kernels.SIGMOID_FLOOR, _kernels.SIGMOID_CEIL)
+            got = _kernels.logistic(x)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert x.tobytes() == before.tobytes()
+
     def test_monotone(self, rng):
         x = np.sort(rng.standard_normal(100) * 5)
         out = _kernels.logistic(x)

@@ -272,6 +272,10 @@ def test_finite_vector_gives_the_asarray_bits(row):
 #: An array nested past json.loads's recursion limit; orjson reads it.
 DEEP = "[" * 2000 + "]" * 2000
 
+#: Ids that put a bracket, or a t or f, in the span between a line's first
+#: "[" and its last "]", where the flat path looks for a bool.
+EDGE_IDS = ["t", "f", "p[", "p]", "p{", "[t", "t]", "f][", "{f}"]
+
 
 @st.composite
 def page_line(draw, dim: int) -> str:
@@ -279,7 +283,9 @@ def page_line(draw, dim: int) -> str:
     decline (a container, repeated key, bad entry, blank or non-object line)."""
     entry = st.floats(-1e30, 1e30, allow_subnormal=True).map(json.dumps) | edge_numbers
     entries = draw(st.lists(entry, min_size=dim, max_size=dim))
-    page = draw(st.text(st.characters(exclude_characters='\t\r\n"\\'), min_size=1, max_size=4))
+    page = draw(
+        st.text(st.characters(exclude_characters='\t\r\n"\\'), min_size=1, max_size=4) | st.sampled_from(EDGE_IDS)
+    )
     members = [("id", json.dumps(page)), ("embedding", None)]
     scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
     fault = draw(st.sampled_from([
@@ -327,6 +333,64 @@ def test_flat_page_lines_read_as_json_loads_reads(data, dim, count):
 
     got, want = read_both_ways(records)
     assert got == want, lines
+
+
+#: Embeddings on the edge of the flat path's bool check: bools at the first,
+#: a middle and the last position; ints on float32 and float64 rounding
+#: edges or past 64 bits; and the entries struct refuses.
+BOUNDARY_ROWS = [
+    "[true, 1.0, 2.0]", "[1.0, true, 2.0]", "[1.0, 2.0, true]",
+    "[false, 1.0, 2.0]", "[1.0, false, 2.0]", "[1.0, 2.0, false]", "[true]", "[false]",
+    "[1, 2, 3]", "[9223372036854775808, -9223372036854775808, 18446744073709551617]",
+    "[1180591691086155481089, -0, 1E+2]", "[1.5, 2, 5e-324]", "[-0, 1.0, 2.4703282292062327e-324]",
+    "[1.0, null, 2.0]", '[1.0, "1.0", 2.0]', "[1.0, [1.0], 2.0]",
+]
+
+
+def boundary_line(row: str, page: str, layout: str) -> str:
+    member = {"id": f'"id": {json.dumps(page)}', "embedding": f'"embedding": {row}'}
+    if layout == "id-first":
+        return f'{{{member["id"]}, {member["embedding"]}}}\n'
+    if layout == "embedding-first":
+        return f'{{{member["embedding"]}, {member["id"]}}}\n'
+    # "page" holds no t or f, so its "]" stretches the span without adding one.
+    return f'{{{member["id"]}, {member["embedding"]}, "page": "x]"}}\n'
+
+
+@pytest.mark.parametrize("layout", ["id-first", "embedding-first", "string-after"])
+@pytest.mark.parametrize("row", BOUNDARY_ROWS)
+def test_flat_path_bool_boundary(row, layout):
+    """A bool anywhere in the embedding is refused as json.loads's reader
+    refuses it, and every number gives the referee's bits, whatever the id
+    holds and wherever the embedding sits."""
+    for page in ["p1", *EDGE_IDS]:
+        line = boundary_line(row, page, layout)
+        got, want = read_both_ways(lambda: [(rid, v.tobytes()) for rid, v in parse_embedding_jsonl([line])])
+        assert got == want, line
+
+
+@pytest.mark.parametrize(
+    "line, scanned",
+    [
+        ('{"id": "p1", "embedding": [1.0, 2, -0.5e-3]}\n', False),
+        ('{"embedding": [1, 2, 3], "id": "p1"}\n', False),
+        ('{"id": "p[", "embedding": [1.0, 2.0]}\n', False),  # no t or f in the span
+        ('{"id": "p1", "embedding": [1.0, 2.0], "page": "x]"}\n', False),
+        ('{"id": "[t", "embedding": [1.0, 2.0]}\n', True),
+        ('{"embedding": [1.0, 2.0], "id": "f]"}\n', True),
+        ('{"id": "p1", "embedding": [1.0, 2.0], "meta": "x]"}\n', True),
+        ('{"id": "p1", "embedding": [1.0, true]}\n', True),
+    ],
+)
+def test_type_scan_runs_only_with_t_or_f_in_the_span(line, scanned):
+    calls = []
+    scan = store.finite_vector
+    with mock.patch.object(store, "finite_vector", lambda *args: calls.append(args) or scan(*args)):
+        try:
+            parse_embedding_jsonl([line])
+        except ComretError:
+            pass
+    assert bool(calls) == scanned
 
 
 def id_fault(bad: str) -> str:

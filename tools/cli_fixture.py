@@ -24,7 +24,12 @@ succeed: an images file whose second line carries ``"meta": {"page": 2}``
 (a container the path leaves to json.loads), and a pair of files in which
 page ``p002`` is renamed to ``p002`` followed by 70 ``[`` (beyond the 64
 brackets up to which the general reader lets orjson read a line; the flat
-path reads it with orjson).
+path reads it with orjson). Two more must succeed and write the same
+``.cmeb`` bytes whichever way a line is read: a pair of files whose
+embeddings are all integers (``p001``'s image row starts with 2**63,
+-2**63 and 2**64 + 1), and a pair whose lines put the embedding before the
+id, with page ``p003`` renamed to ``p003]t`` (so ``t`` lies between the
+line's first ``[`` and last ``]``, and the line takes the type scan).
 These inputs must fail with exit code 1:
 - ingest of an images file whose second embedding holds ``true``, one
   whose second embedding holds ``1e39`` (beyond float32), one whose
@@ -177,6 +182,12 @@ def make_inputs(out: Path) -> None:
     for name, rows in (("images", images), ("texts", texts)):
         renamed = [{**r, "id": bracket_id} if r["id"] == ids[2] else r for r in rows]
         write_jsonl(out / f"{name}_bracket_id.jsonl", renamed)
+        first = [{"embedding": r["embedding"], "id": ids[3] + "]t" if r["id"] == ids[3] else r["id"]} for r in rows]
+        write_jsonl(out / f"{name}_embedding_first.jsonl", first)
+    int_rows = {name: np.rint(rows * 1000).astype(int).tolist() for name, rows in (("images", image), ("texts", text))}
+    int_rows["images"][1][:3] = [2**63, -(2**63), 2**64 + 1]
+    for name, order in (("images", range(pages)), ("texts", reversed(range(pages)))):
+        write_jsonl(out / f"{name}_int.jsonl", [{"id": ids[i], "embedding": int_rows[name][i]} for i in order])
     queries, image_only, qrels = [], [], []
     for j in range(21):
         gold = 10 if j == 20 else int(rng.integers(pages))
@@ -238,6 +249,10 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                               "--out", o / "idx-extra-key"]),
         ("ingest-bracket-id", ["ingest", "--images", o / "images_bracket_id.jsonl",
                                "--texts", o / "texts_bracket_id.jsonl", "--out", o / "idx-bracket-id"]),
+        ("ingest-int-rows", ["ingest", "--images", o / "images_int.jsonl", "--texts", o / "texts_int.jsonl",
+                             "--out", o / "idx-int-rows"]),
+        ("ingest-embedding-first", ["ingest", "--images", o / "images_embedding_first.jsonl",
+                                    "--texts", o / "texts_embedding_first.jsonl", "--out", o / "idx-embedding-first"]),
         ("ingest-duplicate-id", ["ingest", "--images", o / "images_dup.jsonl", "--texts", o / "texts.jsonl",
                                  "--out", o / "idx-duplicate-id"]),
         ("ingest-missing-ids", ["ingest", "--images", o / "images.jsonl", "--texts", o / "texts_missing.jsonl",
