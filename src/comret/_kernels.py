@@ -10,6 +10,12 @@ several queries gets fewer rows, so that OpenBLAS multiplies it with its
 small-matrix kernel, which reads the block in place instead of packing a
 copy of it first.
 
+One call sweeps several (matrix, query block) pairs, say both channels
+of a block of queries, from one queue of row blocks: the calling thread
+and its helpers each take the next block until none is left, so a thread
+that runs late delays the call by one block at most, and the call waits
+for its threads once, not once per matrix.
+
 This module owns the sweep's thread count: ``threads=None`` means every
 core this process may run on (``default_threads``). While a sweep runs on
 more than one thread, NumPy's bundled OpenBLAS is held at one thread of
@@ -25,14 +31,14 @@ OpenBLAS already runs one thread, and a process that ran a forking
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -124,58 +130,102 @@ def blas_cap() -> BlasCap | None:
     return None
 
 
-def inner_products(matrix: np.ndarray, query: np.ndarray, threads: int | None = None) -> np.ndarray:
-    """Inner product of each query with every row of ``matrix``.
+def inner_products(
+    sweeps: Sequence[tuple[np.ndarray, np.ndarray]], threads: int | None = None
+) -> list[np.ndarray]:
+    """Inner products of each query block with every row of its matrix.
 
-    matrix is (count, dim) float32; query is one (dim,) float64 vector or
-    a (dim, Q) float64 block of Q queries. The result is (count,) or
-    (count, Q) float64, with all accumulation done in float64.
+    Each sweep is a (matrix, query) pair: matrix is (count, dim) float32;
+    query is one (dim,) float64 vector or a (dim, Q) float64 block of Q
+    queries. Each pair's result is (count,) or (Q, count) float64, one
+    contiguous row per query, with all accumulation done in float64.
 
-    Rows go to BLAS in blocks of the largest multiple of 8, from 8 to
-    ``_BLOCK_ROWS``, whose product with the Q queries stays within
-    ``_SMALL_MATRIX_MADDS``; a (dim,) query counts as one. Every BLAS
-    call of a sweep sees that same number of rows: the last, partial block
-    is computed as the last full block, overlapping the one before it.
-    A matrix product may sum a short block in another order, so without
-    this two equal rows could score differently in the last bit. With
-    ``threads`` > 1 (None: ``default_threads()``) the blocks are shared
-    out between that many threads, with BLAS capped at one thread; each
-    block is computed the same way, so the result does not depend on
-    either thread count.
+    A pair's rows go to BLAS in blocks of the largest multiple of 8, from
+    8 to ``_BLOCK_ROWS``, whose product with its Q queries stays within
+    ``_SMALL_MATRIX_MADDS``; a (dim,) query counts as one. Every BLAS call
+    of a pair sees that same number of rows: the last, partial block is
+    computed as the last full block, overlapping the one before it. A
+    matrix product may sum a short block in another order, so without
+    this two equal rows could score differently in the last bit.
+
+    The blocks of all pairs, in pair order, form one queue, which the
+    calling thread and ``threads - 1`` helpers (None: ``default_threads()``)
+    drain. Each worker upcasts into its own float64 block and multiplies
+    into its own (rows, Q) scratch, copied transposed into the result, so
+    no result depends on either thread count. An error in any worker stops
+    the queue and is raised here once every helper has joined.
     """
-    count, dim = matrix.shape
-    out = np.empty((count, *query.shape[1:]), dtype=np.float64)
-    madds_per_row = dim * (query.shape[1] if query.ndim == 2 else 1)
-    fit = _SMALL_MATRIX_MADDS // max(1, madds_per_row) // 8 * 8
-    rows = min(_BLOCK_ROWS, max(8, fit), count)
-    if rows == 0:
-        return out
-    starts = list(range(0, count - rows + 1, rows))
-    if count % rows:
-        starts.append(count - rows)
+    outs, rows_of, queue = [], [], []
+    for pair, (matrix, query) in enumerate(sweeps):
+        count, dim = matrix.shape
+        outs.append(np.empty((*query.shape[1:], count), dtype=np.float64))
+        madds_per_row = dim * (query.shape[1] if query.ndim == 2 else 1)
+        fit = _SMALL_MATRIX_MADDS // max(1, madds_per_row) // 8 * 8
+        rows = min(_BLOCK_ROWS, max(8, fit), count)
+        rows_of.append(rows)
+        if rows:
+            queue += [(pair, lo) for lo in range(0, count - rows + 1, rows)]
+            if count % rows:
+                queue.append((pair, count - rows))
 
-    def sweep(part: list[int]) -> None:
-        # One upcast buffer per worker: blocks are swept concurrently.
-        block = np.empty((rows, dim), dtype=np.float64)
-        for lo in part:
-            block[...] = matrix[lo : lo + rows]
-            if lo % rows:  # the overlapping tail: keep only its new rows
-                tail = count % rows
-                out[-tail:] = np.dot(block, query)[-tail:]
-            else:
-                np.dot(block, query, out=out[lo : lo + rows])
+    blocks, errors = collections.deque(queue), []  # popleft is thread-safe
+
+    def drain() -> None:
+        # pair -> its row count, this worker's upcast block and (rows, Q)
+        # scratch, and the (count, Q) view of the pair's result
+        plans = {}
+        try:
+            while not errors:
+                try:
+                    pair, lo = blocks.popleft()
+                except IndexError:
+                    return
+                matrix, query = sweeps[pair]
+                if pair not in plans:
+                    rows = rows_of[pair]
+                    plans[pair] = (
+                        rows,
+                        np.empty((rows, matrix.shape[1]), dtype=np.float64),
+                        np.empty((rows, *query.shape[1:]), dtype=np.float64),
+                        outs[pair].T,
+                    )
+                rows, block, scores, dest = plans[pair]
+                block[...] = matrix[lo : lo + rows]
+                np.dot(block, query, out=scores)
+                if lo % rows:  # the overlapping tail: keep only its new rows
+                    tail = len(matrix) % rows
+                    dest[-tail:] = scores[-tail:]
+                else:
+                    dest[lo : lo + rows] = scores
+        except BaseException as exc:  # raised in the caller, after the join
+            errors.append(exc)
 
     if threads is None:
         threads = default_threads()
-    workers = max(1, min(threads, len(starts)))
+    _on_workers(drain, max(1, min(threads, len(queue))))
+    if errors:
+        raise errors[0]
+    return outs
+
+
+def _on_workers(work: Callable[[], None], workers: int) -> None:
+    """Run ``work`` on the calling thread and on ``workers - 1`` helper
+    threads, BLAS capped while more than one runs; returns once every
+    helper has joined."""
     if workers == 1:
-        sweep(starts)
-    else:
-        # Contiguous runs of blocks, one per worker.
-        bounds = [len(starts) * w // workers for w in range(workers + 1)]
-        with blas_cap() or contextlib.nullcontext(), ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(sweep, [starts[a:b] for a, b in zip(bounds, bounds[1:])]))
-    return out
+        work()
+        return
+    helpers = []
+    with blas_cap() or contextlib.nullcontext():
+        try:
+            for _ in range(workers - 1):
+                helper = threading.Thread(target=work)
+                helper.start()
+                helpers.append(helper)
+            work()
+        finally:
+            for helper in helpers:
+                helper.join()
 
 
 def logistic(values: np.ndarray) -> np.ndarray:

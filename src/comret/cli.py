@@ -3,7 +3,7 @@
 
 Exit code 0 on success, 1 on any domain error (messages go to stderr).
 Data goes to stdout or the --out target. Query scoring (retrieve, ablate,
-diagnose) splits each sweep's page rows between --threads N threads,
+diagnose) shares each sweep's row blocks among --threads N threads,
 every core the process may run on by default; no output byte depends on
 their number. With more than one usable core, ingest parses its two
 embedding files at once, the texts file in a forked worker process; the
@@ -18,6 +18,7 @@ import math
 import multiprocessing
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -194,7 +195,14 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     batch = _parse(args.triplets, training.load_triplets)
-    result = training.train_toy(batch, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", training.NonDecreasingLossWarning)
+        result = training.train_toy(batch, cfg)
+    for w in caught:  # the loss warning as one line, as eval prints its own
+        if issubclass(w.category, training.NonDecreasingLossWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "training_log.csv", "w", encoding="utf-8") as fh:

@@ -126,7 +126,7 @@ def modality_divergence_report(
 
     The channels and query vectors are those ``ucmr`` blends, checked and
     swept once per block of queries by ``score_queries``; ``threads``
-    split each sweep's page rows (None: every usable core). Sigma-zero
+    share each sweep's row blocks (None: every usable core). Sigma-zero
     flags are listed by query id, image before text.
     """
     if not queries:

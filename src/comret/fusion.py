@@ -14,8 +14,10 @@ over single-modality retrieval is one more O(M*d) sweep.
 
 ``score_queries`` is the one entry to scoring: given fusion mode names,
 it checks the queries and sweeps each modality's matrix once per block of
-QUERY_BLOCK queries (one matrix product). Every fusion mode and weight
-asked for blends and ranks from those same scores; diagnostics pools them.
+QUERY_BLOCK queries (one matrix product), every modality of a block from
+one queue of row blocks (``_kernels.inner_products``). Every fusion mode
+and weight asked for blends and ranks from those same scores; diagnostics
+pools them.
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ def score_queries(
 
     ``MODE_SPECS`` says which modalities the modes sweep and which sweeps
     are squashed and z-scored. Each such modality is swept once per block
-    of QUERY_BLOCK queries, with each query's ``vector_for_sweep`` vector.
-    ``threads`` split each sweep's page rows (None: every usable core); no
+    of QUERY_BLOCK queries, with each query's ``vector_for_sweep`` vector,
+    straight into the block's (queries, pages) scores. ``threads`` share
+    the row blocks of all of a block's sweeps (None: every usable core); no
     score depends on their number. Before any sweep, each mode in turn
     checks that every query has the vectors it sweeps, then every channel
     of every query, swept or not, is checked against the index's dimension.
@@ -121,9 +124,14 @@ def score_queries(
             if vec.shape != (index.dim,):
                 where = f"query {query.query_id!r} channel {channel!r}"
                 raise ComretError(f"{where}: expected dim {index.dim}, got {vec.shape[0]}")
+    matrices = {"image": index.images.data, "text": index.texts.data}
     for lo in range(0, len(queries), QUERY_BLOCK):
         block = queries[lo : lo + QUERY_BLOCK]
-        raw = {m: _sweep_block(block, index, m, threads) for m in modalities}
+        sweeps = [
+            (matrices[m], np.stack([q.vector_for_sweep(m) for q in block], axis=1, dtype=np.float64))
+            for m in modalities
+        ]
+        raw = dict(zip(modalities, _kernels.inner_products(sweeps, threads)))
         squashed = {m: _kernels.logistic(raw[m]) for m in normalized}
         for j, query in enumerate(block):
             yield QueryScores(
@@ -143,15 +151,6 @@ def _check_channels(queries: Sequence[QueryRecord], mode: str) -> None:
             vec = query.channel(channel) if spec.strict else query.vector_for_sweep(modality)
             if vec is None:
                 raise ComretError(f"mode {mode!r} requires query channel {channel!r}")
-
-
-def _sweep_block(
-    block: Sequence[QueryRecord], index: IndexDirectory, modality: str, threads: int | None
-) -> np.ndarray:
-    """(len(block), M) raw scores of one modality, one contiguous row per query."""
-    matrix = index.images if modality == "image" else index.texts
-    vectors = np.stack([q.vector_for_sweep(modality) for q in block], axis=1, dtype=np.float64)
-    return np.ascontiguousarray(_kernels.inner_products(matrix.data, vectors, threads=threads).T)
 
 
 def rank_queries(
@@ -214,8 +213,8 @@ def run_queries(
     cfg: FusionConfig,
     threads: int | None = None,
 ) -> list[RankedResult]:
-    """Retrieve every query, output sorted by query_id; ``threads`` split
-    each sweep's page rows (None: every usable core)."""
+    """Retrieve every query, output sorted by query_id; ``threads`` share
+    each sweep's row blocks (None: every usable core)."""
     results = [result for (result,) in rank_queries(index, queries, [cfg], threads)]
     results.sort(key=lambda r: r.query_id)
     return results

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,14 +53,14 @@ def rng():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Three usable cores; lists the worker count of every sweep's thread pool."""
+    """Three usable cores; lists the worker count of every sweep's block
+    queue, the calling thread included."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    sizes = []
+    sizes, on_workers = [], _kernels._on_workers
 
-    class SpyPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def spy(work, workers):
+        sizes.append(workers)
+        on_workers(work, workers)
 
-    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(_kernels, "_on_workers", spy)
     return sizes

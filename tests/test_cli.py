@@ -338,9 +338,9 @@ class TestRetrieve:
         assert run_cli("ingest", "--images", images, "--texts", texts, "--out", tmp_path / "idx") == 0
         default, one = tmp_path / "default.tsv", tmp_path / "one.tsv"
         assert run_cli("retrieve", "--index", tmp_path / "idx", "--queries", queries, "--out", default) == 0
-        assert pool_sizes == [3, 3]
+        assert pool_sizes == [3]  # one queue holds both channels' blocks
         assert run_cli("retrieve", "--index", tmp_path / "idx", "--queries", queries, "--threads", "1", "--out", one) == 0
-        assert pool_sizes == [3, 3]
+        assert pool_sizes == [3, 1]
         assert default.read_bytes() == one.read_bytes()
 
     def test_threads_zero_writes_the_bytes_of_one(self, built_index):
@@ -827,6 +827,18 @@ class TestTrainToy:
         assert run_cli("train-toy", "--triplets", triplets, "--lr", lr, "--out", out) == 1
         assert capsys.readouterr().err == f"error: learning rate must be positive and finite, got {lr}\n"
         assert not out.exists()
+
+    def test_rising_loss_is_one_warning_line(self, rng, tmp_path):
+        # A step size far too large makes the loss rise. A fresh
+        # interpreter, so stderr is all a user sees: no path, no source line.
+        rows = [{key: rng.standard_normal(4).tolist() for key in "qit"} for _ in range(6)]
+        triplets = write_jsonl(tmp_path / "six.jsonl", rows)
+        out = tmp_path / "train"
+        code, stdout, err = run_process("train-toy", "--triplets", triplets, "--lr", "50", "--steps", "20", "--out", out)
+        report = json.loads((out / "report.json").read_text())
+        assert report["final_loss"] > report["initial_loss"]
+        assert (code, stdout.count("\n")) == (0, 1)
+        assert err == f"warning: loss did not decrease: {report['initial_loss']:.6g} -> {report['final_loss']:.6g}\n"
 
     def test_same_seed_byte_identical_logs(self, triplets, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

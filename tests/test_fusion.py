@@ -164,7 +164,8 @@ class TestRankTopK:
 class TestInnerProductScores:
     def test_hand_values(self):
         idx = make_index([[1, 0], [0, 1], [1, 1]], [[0, 0]] * 3)
-        np.testing.assert_array_equal(_kernels.inner_products(idx.images.data, np.array([1.0, 0.0])), [1, 0, 1])
+        (scores,) = _kernels.inner_products([(idx.images.data, np.array([1.0, 0.0]))])
+        np.testing.assert_array_equal(scores, [1, 0, 1])
         (scores,) = score_queries(make_index([[2, 2]], [[0, 0]]), [unified_query("q", [0.5, -0.5])], ["image-only"])
         np.testing.assert_array_equal(scores.raw["image"], [0.0])
 
@@ -318,7 +319,7 @@ class TestScoreVector:
         q = rng.standard_normal(6)
         (scores,) = score_queries(idx, [unified_query("q", q)], ["ucmr"])
         got = scores.zscored["image"]
-        raw = _kernels.inner_products(idx.images.data, q.astype(np.float32).astype(np.float64))
+        (raw,) = _kernels.inner_products([(idx.images.data, q.astype(np.float32).astype(np.float64))])
         want = zscore_normalize(_kernels.logistic(raw))
         np.testing.assert_array_equal(scores.raw["image"], raw)
         np.testing.assert_array_equal(got.values, want.values)
@@ -393,16 +394,24 @@ class TestQueryEngine:
         (scores,) = score_queries(idx, [query], ["raw-linear"])
         for modality, matrix in (("image", idx.images), ("text", idx.texts)):
             vec = query.vector_for_sweep(modality).astype(np.float64)
-            assert scores.raw[modality].tobytes() == _kernels.inner_products(matrix.data, vec).tobytes()
+            (alone,) = _kernels.inner_products([(matrix.data, vec)])
+            assert scores.raw[modality].tobytes() == alone.tobytes()
 
     def test_configs_share_one_sweep_per_block(self, rng, monkeypatch):
         idx = random_index(rng, pages=40, dim=4)
         queries = two_channel_queries(rng, QUERY_BLOCK + 1, 4)
         cfgs = [FusionConfig(mode=m, beta=b) for m in MODES for b in (0.0, 0.5, 1.0)]
         sweep, calls = _kernels.inner_products, []
-        monkeypatch.setattr(_kernels, "inner_products", lambda *a, **kw: calls.append(1) or sweep(*a, **kw))
+        names = {id(idx.images.data): "image", id(idx.texts.data): "text"}
+
+        def spy(sweeps, threads=None):
+            calls.append([(names[id(matrix)], query.shape[1]) for matrix, query in sweeps])
+            return sweep(sweeps, threads)
+
+        monkeypatch.setattr(_kernels, "inner_products", spy)
         ranked = list(rank_queries(idx, queries, cfgs))
-        assert len(calls) == 4  # two blocks of queries x two modalities
+        # two blocks of queries x two modalities = 4 matrix passes, images first
+        assert calls == [[("image", QUERY_BLOCK), ("text", QUERY_BLOCK)], [("image", 1), ("text", 1)]]
         monkeypatch.undo()
         for j, cfg in enumerate(cfgs):
             assert [r[j] for r in ranked] == [r for (r,) in rank_queries(idx, queries, [cfg])]

@@ -14,6 +14,12 @@ import reference
 from conftest import random_index, unified_query
 
 
+def sweep(matrix, query, threads=None):
+    """One (matrix, query) pair swept alone."""
+    (out,) = _kernels.inner_products([(matrix, query)], threads)
+    return out
+
+
 class TestInnerProducts:
     def test_matches_naive_reference(self, rng):
         # Random small shapes, then row counts on and around the block size.
@@ -22,17 +28,17 @@ class TestInnerProducts:
         for m, d in shapes:
             matrix = rng.standard_normal((m, d)).astype(np.float32)
             query = rng.standard_normal(d)
-            got = _kernels.inner_products(matrix, query)
+            got = sweep(matrix, query)
             want = [reference.inner(query, row) for row in matrix]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_unit_basis(self):
         matrix = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.float32)
-        np.testing.assert_array_equal(_kernels.inner_products(matrix, np.array([1.0, 0.0])), [1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(sweep(matrix, np.array([1.0, 0.0])), [1.0, 0.0, 1.0])
 
     def test_zero_query(self, rng):
         matrix = rng.standard_normal((5, 3)).astype(np.float32)
-        np.testing.assert_array_equal(_kernels.inner_products(matrix, np.zeros(3)), np.zeros(5))
+        np.testing.assert_array_equal(sweep(matrix, np.zeros(3)), np.zeros(5))
 
     def test_accumulates_in_float64(self):
         # Float32 accumulation would collapse the +1 against 2**30.
@@ -42,13 +48,13 @@ class TestInnerProducts:
         query = np.zeros(d)
         query[0] = 1.0
         query[-1] = 1.0
-        (score,) = _kernels.inner_products(row[None, :], query)
+        (score,) = sweep(row[None, :], query)
         assert score == 2.0**30 + 1.0
 
     def test_readonly_input_accepted(self):
         matrix = np.ones((2, 3), dtype=np.float32)
         matrix.flags.writeable = False
-        out = _kernels.inner_products(matrix, np.ones(3))
+        out = sweep(matrix, np.ones(3))
         np.testing.assert_array_equal(out, [3.0, 3.0])
 
     def test_concurrent_calls_match_serial(self, rng):
@@ -56,18 +62,18 @@ class TestInnerProducts:
         # would mix rows of different queries.
         matrix = rng.standard_normal((1000, 48)).astype(np.float32)
         queries = [rng.standard_normal(48) for _ in range(4)]
-        serial = [_kernels.inner_products(matrix, q) for q in queries]
+        serial = [sweep(matrix, q) for q in queries]
         results = [None] * len(queries)
         start = threading.Barrier(len(queries), timeout=60)
 
-        def sweep(i):
+        def repeat(i):
             start.wait()
             for _ in range(50):
-                results[i] = _kernels.inner_products(matrix, queries[i])
+                results[i] = sweep(matrix, queries[i])
                 if not np.array_equal(results[i], serial[i]):
                     return
 
-        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(queries))]
+        threads = [threading.Thread(target=repeat, args=(i,)) for i in range(len(queries))]
         for t in threads:
             t.start()
         for t in threads:
@@ -98,37 +104,49 @@ def blas_calls(monkeypatch):
     return spy.calls
 
 
+def with_copies(rng, count, rows, dim=1152):
+    """A (count, dim) float32 matrix with copied rows, and the (src, dst)
+    pairs copied: at another offset of a full block, on both sides of a
+    block boundary, among the overlapping tail's new rows and in the rows
+    the tail overlaps."""
+    matrix = rng.standard_normal((count, dim)).astype(np.float32)
+    pairs = [(3, rows + 7), (rows - 1, rows), (5, count - 1), (count // rows * rows - 1, count - 2)]
+    for src, dst in pairs:
+        matrix[dst] = matrix[src]
+    return matrix, pairs
+
+
 class TestQueryBlock:
     @pytest.mark.parametrize("q", [1, 7, 33])
     def test_matches_naive_reference(self, rng, q):
         matrix = rng.standard_normal((300, 12)).astype(np.float32)
         block = rng.standard_normal((12, q))
-        got = _kernels.inner_products(matrix, block)
-        assert got.shape == (300, q)
-        want = [[reference.inner(block[:, j], row) for j in range(q)] for row in matrix]
+        got = sweep(matrix, block)
+        assert got.shape == (q, 300) and got.flags.c_contiguous
+        want = [[reference.inner(block[:, j], row) for row in matrix] for j in range(q)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("q", [1, 7, 8, 16, 32, 33])
     def test_duplicate_rows_score_identically(self, rng, blas_calls, q):
-        # Two full blocks and a partial tail, at the row count the sweep
-        # picks for q queries. Copies sit at another offset of a full
-        # block, on both sides of a block boundary, among the tail's new
-        # rows and in the rows the tail overlaps; handed to BLAS as a short
-        # block, the tail would score them differently in the last bit.
-        block = rng.standard_normal(1152) if q == 1 else rng.standard_normal((1152, q))
-        _kernels.inner_products(np.zeros((_kernels._BLOCK_ROWS, 1152), dtype=np.float32), block)
+        # Two pairs in one queue, each with full blocks and a partial tail
+        # at the row count the sweep picks for q queries, and copies on
+        # both sides of their block boundaries; handed to BLAS as a short
+        # block, a tail would score them differently in the last bit.
+        def block():
+            return rng.standard_normal(1152) if q == 1 else rng.standard_normal((1152, q))
+
+        image_block, text_block = block(), block()
+        sweep(np.zeros((_kernels._BLOCK_ROWS, 1152), dtype=np.float32), image_block)
         rows = blas_calls[0][0][0]
-        count = 2 * rows + rows // 3 + 1
-        matrix = rng.standard_normal((count, 1152)).astype(np.float32)
-        pairs = [(3, rows + 7), (rows - 1, rows), (5, count - 1), (2 * rows - 1, count - 2)]
-        for src, dst in pairs:
-            matrix[dst] = matrix[src]
-        serial = _kernels.inner_products(matrix, block, threads=1)
+        images, image_copies = with_copies(rng, 2 * rows + rows // 3 + 1, rows)
+        texts, text_copies = with_copies(rng, 3 * rows + rows // 2 + 3, rows)
+        serial = [sweep(images, image_block, threads=1), sweep(texts, text_block, threads=1)]
         for threads in (1, 2, 3):
-            got = _kernels.inner_products(matrix, block, threads=threads)
-            np.testing.assert_array_equal(got, serial)
-            for src, dst in pairs:
-                np.testing.assert_array_equal(got[dst], got[src])
+            got = _kernels.inner_products([(images, image_block), (texts, text_block)], threads)
+            for scores, want, copies in zip(got, serial, (image_copies, text_copies)):
+                assert scores.tobytes() == want.tobytes()
+                for src, dst in copies:
+                    np.testing.assert_array_equal(scores[..., dst], scores[..., src])
 
     @pytest.mark.parametrize("dim, q", [(1152, q) for q in (1, 7, 8, 16, 32, 33)] + [(4000, 33)])
     def test_blocks_fit_the_small_matrix_limit(self, rng, blas_calls, dim, q):
@@ -137,7 +155,7 @@ class TestQueryBlock:
         # in steps of 8 and at most 128, that keep under that limit, and
         # 8 where even 8 rows exceed it.
         matrix = rng.standard_normal((700, dim)).astype(np.float32)
-        _kernels.inner_products(matrix, rng.standard_normal((dim, q)), threads=2)
+        sweep(matrix, rng.standard_normal((dim, q)), threads=2)
         rows = blas_calls[0][0][0]
         assert {a for a, _ in blas_calls} == {(rows, dim)}
         assert rows % 8 == 0 and 8 <= rows <= 128
@@ -146,26 +164,124 @@ class TestQueryBlock:
 
     def test_single_query_keeps_128_row_blocks(self, rng, blas_calls):
         matrix = rng.standard_normal((700, 1152)).astype(np.float32)
-        _kernels.inner_products(matrix, rng.standard_normal(1152))
-        _kernels.inner_products(matrix, rng.standard_normal((1152, 1)))
+        sweep(matrix, rng.standard_normal(1152))
+        sweep(matrix, rng.standard_normal((1152, 1)))
         assert {a for a, _ in blas_calls} == {(128, 1152)}
 
     def test_vector_sweep_unchanged_by_threads(self, rng):
         matrix = rng.standard_normal((1000, 48)).astype(np.float32)
         query = rng.standard_normal(48)
-        serial = _kernels.inner_products(matrix, query)
+        serial = sweep(matrix, query)
         for threads in (2, 3, 16):
-            np.testing.assert_array_equal(_kernels.inner_products(matrix, query, threads=threads), serial)
+            np.testing.assert_array_equal(sweep(matrix, query, threads=threads), serial)
 
     def test_empty_matrix(self):
         matrix = np.empty((0, 4), dtype=np.float32)
-        assert _kernels.inner_products(matrix, np.ones((4, 3)), threads=2).shape == (0, 3)
-        assert _kernels.inner_products(matrix, np.ones(4)).shape == (0,)
+        assert sweep(matrix, np.ones((4, 3)), threads=2).shape == (3, 0)
+        assert sweep(matrix, np.ones(4)).shape == (0,)
+
+
+class HelperFails:
+    """Stands in for NumPy inside ``_kernels``: a helper thread's first
+    ``dot`` raises, and the caller's ``dot`` waits until that helper has
+    ended."""
+
+    def __init__(self):
+        self.caller = threading.get_ident()
+        self.failed = threading.Event()
+        self.helper = None
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, a, b, out=None):
+        self.calls += 1
+        if threading.get_ident() != self.caller:
+            self.helper = threading.current_thread()
+            self.failed.set()
+            raise RuntimeError("helper block failed")
+        assert self.failed.wait(timeout=30)
+        self.helper.join(timeout=30)
+        return np.dot(a, b, out=out)
+
+
+class TestBlockQueue:
+    """One queue sweeps the blocks of several (matrix, query) pairs."""
+
+    @pytest.mark.parametrize("q", [1, 7, 8, 33])
+    def test_each_pair_matches_its_sweep_alone(self, rng, q):
+        # Row counts with an overlapping tail at every block size here; the
+        # second pair has its own query block of the same width, as
+        # ensemble-ucmr's image and text queries do, and the third another
+        # width, so its blocks take another row count.
+        def block(dim, width):
+            return rng.standard_normal(dim) if width == 1 else rng.standard_normal((dim, width))
+
+        sweeps = [
+            (rng.standard_normal((301, 1152)).astype(np.float32), block(1152, q)),
+            (rng.standard_normal((301, 1152)).astype(np.float32), block(1152, q)),
+            (rng.standard_normal((205, 1152)).astype(np.float32), block(1152, 40 - q)),
+        ]
+        alone = [sweep(matrix, query, threads=1) for matrix, query in sweeps]
+        for threads in (1, 2, 3):
+            got = _kernels.inner_products(sweeps, threads)
+            assert [g.tobytes() for g in got] == [a.tobytes() for a in alone]
+            assert all(g.flags.c_contiguous for g in got)
+
+    def test_pairs_queued_in_order(self, rng, blas_calls):
+        images = rng.standard_normal((300, 8)).astype(np.float32)
+        texts = rng.standard_normal((200, 6)).astype(np.float32)
+        _kernels.inner_products([(images, rng.standard_normal(8)), (texts, rng.standard_normal(6))], threads=1)
+        assert [a for a, _ in blas_calls] == [(128, 8)] * 3 + [(128, 6)] * 2
+
+    def test_many_workers_take_each_block_once(self, rng, blas_calls):
+        # More workers than cores and a short switch interval, so two
+        # workers taking one block, or one block taken by none (its rows
+        # left as np.empty found them), would show.
+        sweeps = [(rng.standard_normal((1000 + 7 * k, 8)).astype(np.float32), rng.standard_normal(8)) for k in range(3)]
+        want = [sweep(matrix, query, threads=1).tobytes() for matrix, query in sweeps]
+        blocks = len(blas_calls)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                del blas_calls[:]
+                assert [g.tobytes() for g in _kernels.inner_products(sweeps, threads=16)] == want
+                assert len(blas_calls) == blocks
+        finally:
+            sys.setswitchinterval(previous)
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_dim_mismatch_in_either_pair_raised(self, rng, fake_blas, bad, threads):
+        matrix = rng.standard_normal((1000, 8)).astype(np.float32)
+        queries = [rng.standard_normal((8, 4)), rng.standard_normal((8, 4))]
+        queries[bad] = rng.standard_normal((9, 4))
+        before = threading.active_count()
+        with pytest.raises(ValueError):
+            _kernels.inner_products([(matrix, queries[0]), (matrix, queries[1])], threads)
+        assert threading.active_count() == before
+        assert fake_blas.sets == ([] if threads == 1 else [1, 4])
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_helper_error_raised_in_the_caller(self, rng, fake_blas, monkeypatch, threads):
+        spy = HelperFails()
+        monkeypatch.setattr(_kernels, "np", spy)
+        matrix = rng.standard_normal((1000, 8)).astype(np.float32)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^helper block failed$"):
+            _kernels.inner_products([(matrix, rng.standard_normal(8)), (matrix, rng.standard_normal(8))], threads)
+        assert threading.active_count() == before
+        assert fake_blas.sets == [1, 4]
+        # The error stops the queue: of its 16 blocks, each worker took one.
+        assert spy.calls <= threads
 
 
 class TestDefaultThreads:
     """With no thread count given, every entry point sweeps on the usable
-    cores (three here, by ``pool_sizes``); 400 pages are four blocks."""
+    cores (three here, by ``pool_sizes``); 400 pages are four blocks per
+    channel, and one queue holds both channels' blocks."""
 
     def test_usable_cores(self, pool_sizes):
         assert _kernels.default_threads() == 3
@@ -173,13 +289,13 @@ class TestDefaultThreads:
     def test_retrieve(self, rng, pool_sizes):
         index = random_index(rng, pages=400, dim=4)
         retrieve(unified_query("q", rng.standard_normal(4).tolist()), index, FusionConfig(mode="ucmr"))
-        assert pool_sizes == [3, 3]
+        assert pool_sizes == [3]  # one queue: both channels' eight blocks
 
     def test_divergence_report(self, rng, pool_sizes):
         index = random_index(rng, pages=400, dim=4)
         queries = [unified_query(f"q{i}", rng.standard_normal(4).tolist()) for i in range(2)]
         modality_divergence_report(index, queries)
-        assert pool_sizes == [3, 3]
+        assert pool_sizes == [3]
 
 
 class FakeBlas:
@@ -208,20 +324,20 @@ def fake_blas(monkeypatch):
 class TestBlasCap:
     def test_multi_threaded_sweep_caps_then_restores(self, rng, fake_blas):
         matrix = rng.standard_normal((1000, 8)).astype(np.float32)
-        _kernels.inner_products(matrix, rng.standard_normal(8), threads=2)
+        sweep(matrix, rng.standard_normal(8), threads=2)
         assert fake_blas.sets == [1, 4]
 
     def test_single_threaded_sweep_leaves_blas_alone(self, rng, fake_blas):
         matrix = rng.standard_normal((1000, 8)).astype(np.float32)
-        _kernels.inner_products(matrix, rng.standard_normal(8), threads=1)
+        sweep(matrix, rng.standard_normal(8), threads=1)
         assert fake_blas.sets == []
 
     def test_restored_after_a_sweep_that_raises(self, rng, fake_blas):
         matrix = rng.standard_normal((1000, 8)).astype(np.float32)
         with pytest.raises(ValueError):
-            _kernels.inner_products(matrix, rng.standard_normal(9), threads=2)
+            sweep(matrix, rng.standard_normal(9), threads=2)
         assert fake_blas.sets == [1, 4]
-        _kernels.inner_products(matrix, rng.standard_normal(8), threads=2)
+        sweep(matrix, rng.standard_normal(8), threads=2)
         assert fake_blas.sets == [1, 4, 1, 4]
 
     def test_blas_at_one_thread_is_never_set(self, rng, monkeypatch):
@@ -230,7 +346,7 @@ class TestBlasCap:
         cap = _kernels.BlasCap(blas.get, blas.set)
         monkeypatch.setattr(_kernels, "blas_cap", lambda: cap)
         matrix = rng.standard_normal((1000, 8)).astype(np.float32)
-        _kernels.inner_products(matrix, rng.standard_normal(8), threads=2)
+        sweep(matrix, rng.standard_normal(8), threads=2)
         assert blas.sets == []
 
     def test_pin_holds_one_thread_past_a_running_sweep(self):
@@ -286,10 +402,10 @@ class TestBlasCap:
         matrix = rng.standard_normal((1000, 8)).astype(np.float32)
         try:
             cap.set_threads(2)
-            _kernels.inner_products(matrix, rng.standard_normal((8, 4)), threads=2)
+            sweep(matrix, rng.standard_normal((8, 4)), threads=2)
             assert cap.get_threads() == 2
             with pytest.raises(ValueError):
-                _kernels.inner_products(matrix, rng.standard_normal((9, 4)), threads=2)
+                sweep(matrix, rng.standard_normal((9, 4)), threads=2)
             assert cap.get_threads() == 2
         finally:
             cap.set_threads(before)
@@ -298,7 +414,7 @@ class TestBlasCap:
     def test_capped_uncapped_and_absent_give_identical_bits(self, rng, monkeypatch, q):
         matrix = rng.standard_normal((2000, 96)).astype(np.float32)
         query = rng.standard_normal(96) if q == 1 else rng.standard_normal((96, q))
-        want = _kernels.inner_products(matrix, query, threads=1)
+        want = sweep(matrix, query, threads=1)
         cap = _kernels.blas_cap()
         if cap is not None:
             before = cap.get_threads()
@@ -306,11 +422,11 @@ class TestBlasCap:
                 for blas_threads in (1, 2):
                     cap.set_threads(blas_threads)
                     for threads in (1, 2):
-                        np.testing.assert_array_equal(_kernels.inner_products(matrix, query, threads=threads), want)
+                        np.testing.assert_array_equal(sweep(matrix, query, threads=threads), want)
             finally:
                 cap.set_threads(before)
         monkeypatch.setattr(_kernels, "blas_cap", lambda: None)
-        np.testing.assert_array_equal(_kernels.inner_products(matrix, query, threads=2), want)
+        np.testing.assert_array_equal(sweep(matrix, query, threads=2), want)
 
     def test_backend_says_whether_the_cap_attached(self):
         want = "numpy" if _kernels.blas_cap() is None else "numpy+blas-cap"

@@ -30,6 +30,8 @@ embeddings are all integers (``p001``'s image row starts with 2**63,
 -2**63 and 2**64 + 1), and a pair whose lines put the embedding before the
 id, with page ``p003`` renamed to ``p003]t`` (so ``t`` lies between the
 line's first ``[`` and last ``]``, and the line takes the type scan).
+``train-toy`` with ``--lr 50`` on six 4-dim triplets must succeed with a
+rising loss, and print it as one ``warning:`` line that names no path.
 These inputs must fail with exit code 1:
 - ingest of an images file whose second embedding holds ``true``, one
   whose second embedding holds ``1e39`` (beyond float32), one whose
@@ -221,6 +223,7 @@ def make_inputs(out: Path) -> None:
     write_jsonl(out / "triplets_dim.jsonl", triplets[:2] + [{**triplets[2], "t": triplets[2]["t"][:5]}] + triplets[3:])
     write_jsonl(out / "triplets_deep.jsonl", triplets[:2] + [{**triplets[2], "i": "DEEP"}] + triplets[3:])
     spoil_line(out / "triplets_deep.jsonl", 2, '"DEEP"', DEEP_ARRAY)
+    write_jsonl(out / "triplets_rises.jsonl", [{key: rng.standard_normal(4).tolist() for key in "qit"} for _ in range(6)])
 
 
 def commands(o: Path) -> list[tuple[str, list[str]]]:
@@ -333,6 +336,8 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                            "--out", o / "train-dim"]),
         ("train-toy-deep", ["train-toy", "--triplets", o / "triplets_deep.jsonl", "--steps", "30",
                             "--out", o / "train-deep"]),
+        ("train-toy-loss-rises", ["train-toy", "--triplets", o / "triplets_rises.jsonl", "--lr", "50",
+                                  "--steps", "20", "--out", o / "train-loss-rises"]),
     ]
     cmds += [
         (f"train-toy-lr-{lr}", ["train-toy", "--triplets", o / "triplets.jsonl", "--steps", "3", "--lr", lr,
