@@ -22,7 +22,6 @@ from .errors import ComretError
 from .fusion import (
     blend,
     retrieve,
-    run_queries,
     zscore_normalize,
 )
 from .metrics import evaluate_run, hit_at_k, mrr_at_k, ndcg_at_k, recall_at_k
@@ -48,7 +47,6 @@ __all__ = [
     "ndcg_at_k",
     "recall_at_k",
     "retrieve",
-    "run_queries",
     "save_index",
     "zscore_normalize",
     "__version__",

@@ -91,9 +91,10 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = FusionConfig(mode=args.mode, alpha=args.alpha, beta=args.beta, top_k=args.k)
     index = store.load_index(args.index)
     queries = _parse(args.queries, store.parse_query_jsonl)
-    results = fusion.run_queries(index, queries, cfg, threads=args.threads)
+    rankings = [ranking for (ranking,) in fusion.rank_queries(index, queries, [cfg], threads=args.threads)]
+    rankings.sort(key=lambda r: r.query_id)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fusion.write_run(results, cfg.mode, fh)
+        fusion.write_run(rankings, index.ids, cfg.mode, fh)
     return 0
 
 
@@ -160,8 +161,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     distinct = list(dict.fromkeys(rankings))
     runs: list[dict[str, list[str]]] = [{} for _ in distinct]
     for ranked in fusion.rank_queries(index, queries, distinct, threads=args.threads):
-        for run, result in zip(runs, ranked):
-            run[result.query_id] = list(result.page_ids())
+        for run, ranking in zip(runs, ranked):
+            run[ranking.query_id] = [index.ids[row] for row in ranking.rows.tolist()]
     reports = {cfg: metrics.evaluate_run(run, qrels, specs) for cfg, run in zip(distinct, runs)}
 
     print("\t".join(["mode", "beta", *reports[distinct[0]].specs]))

@@ -123,6 +123,3 @@ class RankedResult:
 
     query_id: str
     entries: tuple[RankedEntry, ...]
-
-    def page_ids(self) -> tuple[str, ...]:
-        return tuple(e.page_id for e in self.entries)

@@ -17,7 +17,9 @@ it checks the queries and sweeps each modality's matrix once per block of
 QUERY_BLOCK queries (one matrix product), every modality of a block from
 one queue of row blocks (``_kernels.inner_products``). Every fusion mode
 and weight asked for blends and ranks from those same scores; diagnostics
-pools them.
+pools them. ``rank_queries`` is the batch entry: per query and config, a
+``Ranking`` of the top-k page rows and their score columns. ``retrieve``
+ranks one query into ``RankedEntry`` objects.
 """
 
 from __future__ import annotations
@@ -153,85 +155,76 @@ def _check_channels(queries: Sequence[QueryRecord], mode: str) -> None:
                 raise ComretError(f"mode {mode!r} requires query channel {channel!r}")
 
 
+class Ranking(NamedTuple):
+    """One query's top k under one config: the page rows, best first, and
+    the fused, image and text scores at them.
+
+    The image and text columns carry raw scores for the raw modes and
+    z-scored values for the normalized modes; a modality the mode never
+    scores is 0.0.
+    """
+
+    query_id: str
+    rows: np.ndarray
+    fused: np.ndarray
+    image: np.ndarray
+    text: np.ndarray
+
+    def entries(self, ids: Sequence[str]) -> Iterator[tuple[int, str, float, float, float]]:
+        """(rank, page id, fused, image, text) per row, as Python values."""
+        columns = zip(self.rows.tolist(), self.fused.tolist(), self.image.tolist(), self.text.tolist())
+        for rank, (row, fused, image, text) in enumerate(columns, start=1):
+            yield rank, ids[row], fused, image, text
+
+
 def rank_queries(
     index: IndexDirectory,
     queries: Sequence[QueryRecord],
     cfgs: Sequence[FusionConfig],
     threads: int | None = None,
-) -> Iterator[tuple[RankedResult, ...]]:
+) -> Iterator[tuple[Ranking, ...]]:
     """Rank every query under every config; yields, per query in input
-    order, one result per config.
+    order, one ``Ranking`` per config. This is the batch entry: page ids
+    are ``index.ids[row]``, and ``write_run`` writes rankings as a run.
 
     The modalities the configs need are swept once per block of queries
     and shared (``score_queries``): each config only blends and ranks.
     ``MODE_SPECS`` says which weight blends text with image; a
     single-modality mode ranks its one sweep as is.
-
-    The per-entry breakdown carries raw scores for the raw modes and
-    z-scored values for the normalized modes; a modality the mode never
-    scores is reported as 0.0.
     """
     specs = [MODE_SPECS[cfg.mode] for cfg in cfgs]
     for scores in score_queries(index, queries, [cfg.mode for cfg in cfgs], threads):
-        yield tuple(_rank(scores, index.ids, cfg, spec) for cfg, spec in zip(cfgs, specs))
+        yield tuple(_rank(scores, cfg, spec) for cfg, spec in zip(cfgs, specs))
 
 
-def _rank(scores: QueryScores, ids: Sequence[str], cfg: FusionConfig, spec: ModeSpec) -> RankedResult:
+def _rank(scores: QueryScores, cfg: FusionConfig, spec: ModeSpec) -> Ranking:
     """Blend (or pass through) one query's channels and take the top k."""
     channels = {m: scores.zscored[m].values if spec.normalize else scores.raw[m] for m in spec.modalities}
     if spec.weight is None:
         (fused,) = channels.values()
-        zeros = np.zeros_like(fused)
-        channels = {"image": zeros, "text": zeros, **channels}
     else:
         fused = blend(channels["text"], channels["image"], getattr(cfg, spec.weight))
-    image_col, text_col = channels["image"], channels["text"]
-
-    order = _top_k(fused, cfg.top_k)
-    entries = tuple(
-        RankedEntry(
-            rank=rank,
-            page_id=ids[i],
-            fused_score=float(fused[i]),
-            image_score=float(image_col[i]),
-            text_score=float(text_col[i]),
-        )
-        for rank, i in enumerate(order, start=1)
-    )
-    return RankedResult(query_id=scores.query.query_id, entries=entries)
+    rows = _top_k(fused, cfg.top_k)
+    image, text = (channels[m][rows] if m in channels else np.zeros(len(rows)) for m in ("image", "text"))
+    return Ranking(scores.query.query_id, rows, fused[rows], image, text)
 
 
 def retrieve(query: QueryRecord, index: IndexDirectory, cfg: FusionConfig) -> RankedResult:
     """Score, fuse and rank one query against the index (see ``rank_queries``)."""
-    ((result,),) = rank_queries(index, [query], [cfg])
-    return result
+    ((ranking,),) = rank_queries(index, [query], [cfg])
+    return RankedResult(ranking.query_id, tuple(RankedEntry(*e) for e in ranking.entries(index.ids)))
 
 
-def run_queries(
-    index: IndexDirectory,
-    queries: Sequence[QueryRecord],
-    cfg: FusionConfig,
-    threads: int | None = None,
-) -> list[RankedResult]:
-    """Retrieve every query, output sorted by query_id; ``threads`` share
-    each sweep's row blocks (None: every usable core)."""
-    results = [result for (result,) in rank_queries(index, queries, [cfg], threads)]
-    results.sort(key=lambda r: r.query_id)
-    return results
-
-
-def write_run(results: Iterable[RankedResult], mode: str, fh: TextIO) -> None:
-    """Write run lines as TSV, scores printed with 9 significant digits."""
-    for result in results:
-        for e in result.entries:
-            fh.write(
-                f"{result.query_id}\t{e.page_id}\t{e.rank}\t"
-                f"{e.fused_score:.9g}\t{e.image_score:.9g}\t{e.text_score:.9g}\t{mode}\n"
-            )
+def write_run(rankings: Iterable[Ranking], ids: Sequence[str], mode: str, fh: TextIO) -> None:
+    """Write run lines as TSV, page ids ``ids[row]``, scores printed with 9
+    significant digits."""
+    for ranking in rankings:
+        for rank, page_id, fused, image, text in ranking.entries(ids):
+            fh.write(f"{ranking.query_id}\t{page_id}\t{rank}\t{fused:.9g}\t{image:.9g}\t{text:.9g}\t{mode}\n")
 
 
 def read_run(lines: Iterable[str]) -> dict[str, list[str]]:
-    """Parse a run file into query_id -> page_ids ordered by rank; a run
+    """Parse a run file into query_id -> page ids ordered by rank; a run
     without a line is refused."""
     per_query: dict[str, list[tuple[int, str]]] = {}
     for line_no, line in enumerate(lines, start=1):

@@ -150,7 +150,7 @@ def evaluate_run(
     qrels: Qrels,
     specs: Sequence[str],
 ) -> MetricReport:
-    """Score a parsed run (query_id -> ranked page_ids) against qrels.
+    """Score a parsed run (query_id -> ranked page ids) against qrels.
 
     Every run query must appear in the qrels. Qrels queries missing from
     the run are flagged and scored zero.

@@ -39,6 +39,20 @@ def random_index(rng, pages, dim) -> IndexDirectory:
     )
 
 
+def page_ids(result) -> tuple[str, ...]:
+    """The page ids of a ``RankedResult``, best first."""
+    return tuple(e.page_id for e in result.entries)
+
+
+def same_rankings(got, want) -> bool:
+    """Field-by-field equality of two sequences of ``fusion.Ranking``
+    (``==`` on a tuple of arrays has no single truth value)."""
+    return len(got) == len(want) and all(
+        a.query_id == b.query_id and all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
+        for a, b in zip(got, want)
+    )
+
+
 def write_jsonl(path, objects):
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objects:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from comret.core import RankedEntry, RankedResult
+
 # Contract bounds for the logistic squash: smallest normal double, largest
 # double below 1.
 SIGMOID_FLOOR = 2.2250738585072014e-308
@@ -57,6 +59,46 @@ def normalized_fusion_ranking(query_img, query_txt, image_rows, text_rows, beta)
 
 def raw_ranking(scores):
     return sorted(range(len(scores)), key=lambda idx: (-scores[idx], idx))
+
+
+#: mode -> (modalities ranked, z-scored or raw, FusionConfig field weighting text).
+RANK_MODES = {
+    "image-only": (("image",), False, None),
+    "text-only": (("text",), False, None),
+    "raw-linear": (("image", "text"), False, "alpha"),
+    "ucmr": (("image", "text"), True, "beta"),
+    "ensemble-ucmr": (("image", "text"), True, "beta"),
+}
+
+
+def ranked_result(scores, ids, cfg):
+    """Entry-based ranking of one query's ``fusion.QueryScores``: blend
+    page by page, sort every page stably, build ``top_k`` entries. A
+    modality the mode never scores is reported as 0.0."""
+    modalities, zscored, weight = RANK_MODES[cfg.mode]
+    channels = {m: (scores.zscored[m].values if zscored else scores.raw[m]).tolist() for m in modalities}
+    if weight is None:
+        (fused,) = channels.values()
+    else:
+        w = getattr(cfg, weight)
+        fused = [w * t + (1.0 - w) * i for i, t in zip(channels["image"], channels["text"])]
+    zeros = [0.0] * len(fused)
+    image, text = channels.get("image", zeros), channels.get("text", zeros)
+    entries = tuple(
+        RankedEntry(rank, ids[i], fused[i], image[i], text[i])
+        for rank, i in enumerate(raw_ranking(fused)[: cfg.top_k], start=1)
+    )
+    return RankedResult(scores.query.query_id, entries)
+
+
+def write_run(results, mode, fh):
+    """Run lines of ``RankedResult`` objects, scores with 9 significant digits."""
+    for result in results:
+        for e in result.entries:
+            fh.write(
+                f"{result.query_id}\t{e.page_id}\t{e.rank}\t"
+                f"{e.fused_score:.9g}\t{e.image_score:.9g}\t{e.text_score:.9g}\t{mode}\n"
+            )
 
 
 def recall_at_k(ranked, gold, k):

@@ -359,6 +359,21 @@ class TestRetrieve:
         assert run_cli("retrieve", "--index", idx, "--queries", queries, "--mode", "image-only", "--out", run) == 1
         assert capsys.readouterr().err == "error: query 'q2' channel 'text-query': expected dim 4, got 1\n"
 
+    def test_run_sorted_by_query_id(self, built_index):
+        # The run is in query-id order whatever the order of the query file.
+        root, idx, queries, _ = built_index
+        backward = root / "reversed.jsonl"
+        backward.write_text("".join(reversed(queries.read_text().splitlines(keepends=True))))
+        runs = []
+        for path in (queries, backward):
+            out = root / f"{path.stem}.tsv"
+            argv = ["--index", idx, "--queries", path, "--k", "4", "--threads", "3", "--out", out]
+            assert run_cli("retrieve", *argv) == 0
+            runs.append([line.split("\t")[:3] for line in out.read_text().splitlines()])
+        forward, reversed_run = runs
+        assert [row[0] for row in reversed_run] == ["q1"] * 4 + ["q2"] * 4 + ["q3"] * 4
+        assert reversed_run == forward
+
     def test_four_page_fixture_top_page(self, tmp_path):
         # Image scores [0, 1, 0.5, 0], constant text channel: p2 must rank
         # first under normalized fusion (sigma=0 text contributes nothing).
@@ -718,7 +733,7 @@ class TestAblateEngine:
         return out
 
     def test_table_equals_one_run_per_mode_and_beta(self, ablate_workspace):
-        # The oracle ranks every (mode, beta) with its own run_queries call.
+        # The oracle ranks every (mode, beta) with its own rank_queries call.
         idx, queries, qrels = ablate_workspace
         index = store.load_index(idx)
         records = store.parse_query_jsonl(queries.read_text().splitlines())
@@ -728,7 +743,8 @@ class TestAblateEngine:
         for mode in self.MODES.split(","):
             for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
                 cfg = FusionConfig(mode=mode, alpha=0.3, beta=beta, top_k=10)
-                run = {r.query_id: list(r.page_ids()) for r in fusion.run_queries(index, records, cfg)}
+                ranked = fusion.rank_queries(index, records, [cfg])
+                run = {r.query_id: [index.ids[i] for i in r.rows] for (r,) in ranked}
                 report = metrics.evaluate_run(run, qrel_map, specs)
                 lines.append("\t".join([mode, f"{beta:g}", *(f"{report.macro[s]:.6f}" for s in specs)]))
         assert self.ablate(idx, queries, qrels) == "\n".join(lines) + "\n"
@@ -747,9 +763,9 @@ class TestAblateEngine:
         cfgs = []
         rank = fusion._rank
 
-        def spy(scores, ids, cfg, spec):
+        def spy(scores, cfg, spec):
             cfgs.append(cfg)
-            return rank(scores, ids, cfg, spec)
+            return rank(scores, cfg, spec)
 
         monkeypatch.setattr(fusion, "_rank", spy)
         code, out = run_quiet("ablate", "--index", idx, "--queries", queries, "--qrels", qrels, "--modes", modes,

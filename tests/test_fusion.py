@@ -18,14 +18,13 @@ from comret.fusion import (
     rank_queries,
     read_run,
     retrieve,
-    run_queries,
     score_queries,
     write_run,
     zscore_normalize,
 )
 
 import reference
-from conftest import make_index, make_query, random_index, unified_query
+from conftest import make_index, make_query, page_ids, random_index, same_rankings, unified_query
 
 bounded_scores = st.lists(
     st.floats(min_value=-30, max_value=30, allow_nan=False, allow_infinity=False),
@@ -186,7 +185,7 @@ class TestRetrieve:
         order, fused = reference.normalized_fusion_ranking(
             [1.0, 0.0], [1.0, 0.0], image_rows, text_rows, beta=0.1
         )
-        assert result.page_ids() == tuple(f"p{i + 1}" for i in order[:3])
+        assert page_ids(result) == tuple(f"p{i + 1}" for i in order[:3])
         assert result.entries[0].page_id == "p2"
         for entry, idx_ref in zip(result.entries, order):
             assert entry.fused_score == pytest.approx(fused[idx_ref], abs=1e-12)
@@ -202,14 +201,14 @@ class TestRetrieve:
         q = unified_query("q", rng.standard_normal(8).tolist())
         ucmr = retrieve(q, idx, FusionConfig(mode="ucmr", beta=0.0, top_k=30))
         image = retrieve(q, idx, FusionConfig(mode="image-only", top_k=30))
-        assert ucmr.page_ids() == image.page_ids()
+        assert page_ids(ucmr) == page_ids(image)
 
     def test_beta_one_matches_text_only_permutation(self, rng):
         idx = random_index(rng, pages=30, dim=8)
         q = unified_query("q", rng.standard_normal(8).tolist())
         ucmr = retrieve(q, idx, FusionConfig(mode="ucmr", beta=1.0, top_k=30))
         text = retrieve(q, idx, FusionConfig(mode="text-only", top_k=30))
-        assert ucmr.page_ids() == text.page_ids()
+        assert page_ids(ucmr) == page_ids(text)
 
     def test_matches_brute_force_on_random_instances(self, rng):
         for _ in range(25):
@@ -225,7 +224,7 @@ class TestRetrieve:
             stored_t = idx.texts.data.tolist()
             q32 = np.asarray(qvec, dtype=np.float32).tolist()
             order, _ = reference.normalized_fusion_ranking(q32, q32, stored_i, stored_t, beta)
-            assert result.page_ids() == tuple(f"p{i + 1}" for i in order)
+            assert page_ids(result) == tuple(f"p{i + 1}" for i in order)
 
     def test_ensemble_uses_each_channel(self):
         idx = make_index([[1, 0], [0, 1]], [[1, 0], [0, 1]])
@@ -270,7 +269,7 @@ class TestRetrieve:
         q = unified_query("q", rng.standard_normal(4).tolist())
         with_const = retrieve(q, idx_const, FusionConfig(mode="ucmr", beta=0.4, top_k=12))
         image_only = retrieve(q, idx_const, FusionConfig(mode="image-only", top_k=12))
-        assert with_const.page_ids() == image_only.page_ids()
+        assert page_ids(with_const) == page_ids(image_only)
         assert all(e.text_score == 0.0 for e in with_const.entries)
 
 
@@ -278,17 +277,18 @@ class TestRunFile:
     def test_write_read_round_trip(self, rng):
         idx = random_index(rng, pages=6, dim=3)
         queries = [unified_query(f"q{i}", rng.standard_normal(3).tolist()) for i in range(3)]
-        results = run_queries(idx, queries, FusionConfig(mode="ucmr", top_k=4))
+        rankings = [r for (r,) in rank_queries(idx, queries, [FusionConfig(mode="ucmr", top_k=4)])]
         buf = io.StringIO()
-        write_run(results, "ucmr", buf)
+        write_run(rankings, idx.ids, "ucmr", buf)
         parsed = read_run(buf.getvalue().splitlines())
-        assert parsed == {r.query_id: list(r.page_ids()) for r in results}
+        assert parsed == {r.query_id: [idx.ids[i] for i in r.rows] for r in rankings}
 
     def test_scores_use_nine_significant_digits(self):
         idx = make_index([[1.0, 0.0]], [[1.0, 0.0]])
         q = unified_query("q1", [1 / 3, 0.0])
         buf = io.StringIO()
-        write_run([retrieve(q, idx, FusionConfig(mode="image-only", top_k=1))], "image-only", buf)
+        rankings = next(rank_queries(idx, [q], [FusionConfig(mode="image-only", top_k=1)]))
+        write_run(rankings, idx.ids, "image-only", buf)
         fields = buf.getvalue().strip().split("\t")
         assert fields[3] == "0.333333343"  # float32 third, 9 significant digits
 
@@ -298,19 +298,61 @@ class TestRunFile:
         with pytest.raises(ComretError, match="^run line 1: expected 7 columns, got 5$"):
             read_run(["q1\tp1\t1\t0\t0"])
 
-    def test_results_sorted_by_query_id(self, rng):
-        idx = random_index(rng, pages=4, dim=2)
-        queries = [unified_query(qid, rng.standard_normal(2).tolist()) for qid in ("qz", "qa", "qm")]
-        results = run_queries(idx, queries, FusionConfig(top_k=1), threads=3)
-        assert [r.query_id for r in results] == ["qa", "qm", "qz"]
-
     def test_threaded_matches_serial(self, rng):
         idx = random_index(rng, pages=20, dim=5)
         queries = [unified_query(f"q{i}", rng.standard_normal(5).tolist()) for i in range(8)]
         cfg = FusionConfig(mode="ucmr", top_k=5)
-        serial = run_queries(idx, queries, cfg, threads=1)
-        threaded = run_queries(idx, queries, cfg, threads=4)
-        assert [r.page_ids() for r in serial] == [r.page_ids() for r in threaded]
+        serial = [r for (r,) in rank_queries(idx, queries, [cfg], threads=1)]
+        threaded = [r for (r,) in rank_queries(idx, queries, [cfg], threads=4)]
+        assert same_rankings(threaded, serial)
+
+
+@st.composite
+def ranking_cases(draw):
+    """An index, queries and a config where ties are common: small integer
+    or float32 cells, maybe two exact-duplicate pages, maybe one channel
+    whose rows are all equal (sigma 0), and k from 1 to pages + 2."""
+    pages, dim = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    cell = st.integers(-3, 3).map(float) | st.floats(-2, 2, width=32)
+    vector = st.lists(cell, min_size=dim, max_size=dim)
+    rows = {m: draw(st.lists(vector, min_size=pages, max_size=pages)) for m in ("image", "text")}
+    if draw(st.booleans()):
+        src, dst = draw(st.integers(0, pages - 1)), draw(st.integers(0, pages - 1))
+        for m in rows:
+            rows[m][dst] = rows[m][src]
+    constant = draw(st.sampled_from([None, "image", "text"]))
+    if constant:
+        rows[constant] = [rows[constant][0]] * pages
+    queries = [make_query(f"q{j}", *draw(st.tuples(vector, vector))) for j in range(draw(st.integers(1, 3)))]
+    unit = st.floats(0, 1)
+    cfg = FusionConfig(
+        mode=draw(st.sampled_from(MODES)), alpha=draw(unit), beta=draw(unit), top_k=draw(st.integers(1, pages + 2))
+    )
+    return make_index(rows["image"], rows["text"]), queries, cfg
+
+
+class TestRankingCore:
+    @given(ranking_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_entry_reference(self, case):
+        # Run bytes and retrieve's entries equal those of the entry-based
+        # ranking and run writer on the same scores.
+        idx, queries, cfg = case
+        want = [reference.ranked_result(s, idx.ids, cfg) for s in score_queries(idx, queries, [cfg.mode])]
+        got, ref = io.StringIO(), io.StringIO()
+        write_run([r for (r,) in rank_queries(idx, queries, [cfg])], idx.ids, cfg.mode, got)
+        reference.write_run(want, cfg.mode, ref)
+        assert got.getvalue() == ref.getvalue()
+        for query in queries:
+            (scores,) = score_queries(idx, [query], [cfg.mode])
+            assert retrieve(query, idx, cfg) == reference.ranked_result(scores, idx.ids, cfg)
+
+    def test_unscored_modality_is_k_zeros(self):
+        idx = make_index([[1.0], [2.0], [3.0]], [[3.0], [2.0], [1.0]])
+        (ranking,) = next(rank_queries(idx, [unified_query("q", [1.0])], [FusionConfig(mode="image-only", top_k=2)]))
+        assert ranking.rows.tolist() == [2, 1]
+        np.testing.assert_array_equal(ranking.image, [3.0, 2.0])
+        np.testing.assert_array_equal(ranking.text, np.zeros(2))
 
 
 class TestScoreVector:
@@ -352,10 +394,10 @@ class TestQueryEngine:
         idx = random_index(rng, pages=pages, dim=dim)
         queries = two_channel_queries(rng, 2 * QUERY_BLOCK + 3, dim)
         cfg = FusionConfig(mode=mode, alpha=0.3, beta=0.35, top_k=pages)
-        results = run_queries(idx, queries, cfg)
-        assert [r.query_id for r in results] == sorted(q.query_id for q in queries)
+        results = [r for (r,) in rank_queries(idx, queries, [cfg])]
+        assert [r.query_id for r in results] == [q.query_id for q in queries]
         stored_i, stored_t = idx.images.data.tolist(), idx.texts.data.tolist()
-        for query, result in zip(sorted(queries, key=lambda q: q.query_id), results):
+        for query, result in zip(queries, results):
             vec_i, vec_t = query.channel("image-query").tolist(), query.channel("text-query").tolist()
             if cfg.mode in ("ucmr", "ensemble-ucmr"):
                 order, _ = reference.normalized_fusion_ranking(vec_i, vec_t, stored_i, stored_t, cfg.beta)
@@ -368,12 +410,12 @@ class TestQueryEngine:
                     "raw-linear": [cfg.alpha * t + (1 - cfg.alpha) * i for i, t in zip(raw_i, raw_t)],
                 }[cfg.mode]
                 order = reference.raw_ranking(fused)
-            assert result.page_ids() == tuple(f"p{i + 1}" for i in order)
+            assert result.rows.tolist() == order
             alone = retrieve(query, idx, cfg)
-            assert alone.page_ids() == result.page_ids()
-            for a, b in zip(alone.entries, result.entries):
-                for field in ("fused_score", "image_score", "text_score"):
-                    assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-12, abs=1e-12)
+            assert page_ids(alone) == tuple(f"p{i + 1}" for i in order)
+            for a, fused, image, text in zip(alone.entries, result.fused, result.image, result.text):
+                want = (a.fused_score, a.image_score, a.text_score)
+                assert (fused, image, text) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_thread_count_changes_no_bit(self, rng):
         # 300 pages at a dimension where a matrix product's summation order
@@ -383,9 +425,9 @@ class TestQueryEngine:
         queries = two_channel_queries(rng, QUERY_BLOCK + 5, 1152)
         for mode in MODES:
             cfg = FusionConfig(mode=mode, top_k=10)
-            serial = run_queries(idx, queries, cfg, threads=1)
+            serial = [r for (r,) in rank_queries(idx, queries, [cfg], threads=1)]
             for threads in (2, 3):
-                assert run_queries(idx, queries, cfg, threads=threads) == serial
+                assert same_rankings([r for (r,) in rank_queries(idx, queries, [cfg], threads=threads)], serial)
 
     def test_one_query_is_swept_as_a_matrix_vector_product(self, rng):
         # 129 pages: one full row block and an overlapping one-row tail.
@@ -414,7 +456,7 @@ class TestQueryEngine:
         assert calls == [[("image", QUERY_BLOCK), ("text", QUERY_BLOCK)], [("image", 1), ("text", 1)]]
         monkeypatch.undo()
         for j, cfg in enumerate(cfgs):
-            assert [r[j] for r in ranked] == [r for (r,) in rank_queries(idx, queries, [cfg])]
+            assert same_rankings([r[j] for r in ranked], [r for (r,) in rank_queries(idx, queries, [cfg])])
 
     @pytest.mark.parametrize("mode", MODES)
     def test_every_channel_checked_before_any_sweep(self, rng, monkeypatch, mode):
@@ -446,7 +488,7 @@ class TestQueryEngine:
         assert len(queries) >= 4 * QUERY_BLOCK
         tracemalloc.start()
         try:
-            run_queries(idx, queries, FusionConfig(mode="ucmr", top_k=3), threads=2)
+            list(rank_queries(idx, queries, [FusionConfig(mode="ucmr", top_k=3)], threads=2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -14,7 +14,8 @@ exact-duplicate pairs (ties; one copy sits in the last, partial 128-row
 block of the sweep), texts in reverse order; 21 queries with distinct
 image/text channels and qrels, the last aimed at the tail duplicate, plus
 the same queries with the image channel only (fallback and the
-ensemble-ucmr error). ``ablate`` and ``diagnose`` also run with several
+ensemble-ucmr error) and the same queries in reverse order (a ``ucmr``
+retrieve that must write its run sorted by query id). ``ablate`` and ``diagnose`` also run with several
 threads, whose outputs must equal the single-threaded ones. ``ingest``
 also runs on an images file whose second embedding starts with the
 integer 2**70 + 2**46 + 1, which orjson reads as a float and json.loads
@@ -204,6 +205,7 @@ def make_inputs(out: Path) -> None:
             qrels.append(f"{qid}\t{ids[(gold + 1) % pages]}\t1\n")
     write_jsonl(out / "queries.jsonl", queries)
     write_jsonl(out / "queries_image.jsonl", image_only)
+    write_jsonl(out / "queries_reversed.jsonl", queries[::-1])
     write_jsonl(out / "queries_dict.jsonl", queries[:1] + [{**queries[1], "embeddings": {"image-query": [{}]}}] + queries[2:])
     dim_channels = {"image-query": queries[1]["embeddings"]["image-query"], "text-query": [1.0]}
     write_jsonl(out / "queries_dim.jsonl", queries[:1] + [{**queries[1], "embeddings": dim_channels}] + queries[2:])
@@ -296,6 +298,8 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                                       "--out", o / "run-query-duplicate.tsv"]),
         ("retrieve-query-long-int", ["retrieve", "--index", idx, "--queries", o / "queries_long_int.jsonl",
                                      "--out", o / "run-query-long-int.tsv"]),
+        ("retrieve-queries-reversed", ["retrieve", "--index", idx, "--queries", o / "queries_reversed.jsonl",
+                                       "--mode", "ucmr", "--k", "7", "--out", o / "run-queries-reversed.tsv"]),
         ("retrieve-queries-empty", ["retrieve", "--index", idx, "--queries", o / "queries_empty.jsonl",
                                     "--out", o / "run-queries-empty.tsv"]),
     ]
