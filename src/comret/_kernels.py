@@ -10,11 +10,12 @@ several queries gets fewer rows, so that OpenBLAS multiplies it with its
 small-matrix kernel, which reads the block in place instead of packing a
 copy of it first.
 
-One call sweeps several (matrix, query block) pairs, say both channels
-of a block of queries, from one queue of row blocks: the calling thread
-and its helpers each take the next block until none is left, so a thread
-that runs late delays the call by one block at most, and the call waits
-for its threads once, not once per matrix.
+One call sweeps several (matrix, query block) pairs of one shape, the
+index's two aligned channels for one block of queries, from one queue of
+row blocks planned once: the calling thread and its helpers each take the
+next block until none is left, so a thread that runs late delays the call
+by one block at most, and the call waits for its threads once, not once
+per matrix.
 
 This module owns the sweep's thread count: ``threads=None`` means every
 core this process may run on (``default_threads``). While a sweep runs on
@@ -135,68 +136,57 @@ def inner_products(
 ) -> list[np.ndarray]:
     """Inner products of each query block with every row of its matrix.
 
-    Each sweep is a (matrix, query) pair: matrix is (count, dim) float32;
-    query is one (dim,) float64 vector or a (dim, Q) float64 block of Q
-    queries. Each pair's result is (count,) or (Q, count) float64, one
+    Each sweep is a (matrix, query) pair, and every pair of one call shares
+    one shape: matrix is (count, dim) float32 and query a (dim, Q) float64
+    block of Q queries, as the index's two aligned channels are for one
+    block of queries. Each pair's result is (Q, count) float64, one
     contiguous row per query, with all accumulation done in float64.
 
-    A pair's rows go to BLAS in blocks of the largest multiple of 8, from
-    8 to ``_BLOCK_ROWS``, whose product with its Q queries stays within
-    ``_SMALL_MATRIX_MADDS``; a (dim,) query counts as one. Every BLAS call
-    of a pair sees that same number of rows: the last, partial block is
-    computed as the last full block, overlapping the one before it. A
-    matrix product may sum a short block in another order, so without
-    this two equal rows could score differently in the last bit.
+    Once per call, the rows are planned as blocks of the largest multiple
+    of 8, from 8 to ``_BLOCK_ROWS``, whose product with the Q queries stays
+    within ``_SMALL_MATRIX_MADDS``. Every BLAS call sees that same number
+    of rows: the last, partial block is computed as the last full block,
+    overlapping the one before it. A matrix product may sum a short block
+    in another order, so without this two equal rows could score
+    differently in the last bit.
 
     The blocks of all pairs, in pair order, form one queue, which the
     calling thread and ``threads - 1`` helpers (None: ``default_threads()``)
-    drain. Each worker upcasts into its own float64 block and multiplies
-    into its own (rows, Q) scratch, copied transposed into the result, so
-    no result depends on either thread count. An error in any worker stops
-    the queue and is raised here once every helper has joined.
+    drain. Before its first block, each worker makes its own float64 upcast
+    block and (rows, Q) scratch, whose rows it copies into the (count, Q)
+    view of a result, so no result depends on either thread count. An error
+    in any worker stops the queue and is raised here once every helper has
+    joined.
     """
-    outs, rows_of, queue = [], [], []
-    for pair, (matrix, query) in enumerate(sweeps):
-        count, dim = matrix.shape
-        outs.append(np.empty((*query.shape[1:], count), dtype=np.float64))
-        madds_per_row = dim * (query.shape[1] if query.ndim == 2 else 1)
-        fit = _SMALL_MATRIX_MADDS // max(1, madds_per_row) // 8 * 8
-        rows = min(_BLOCK_ROWS, max(8, fit), count)
-        rows_of.append(rows)
-        if rows:
-            queue += [(pair, lo) for lo in range(0, count - rows + 1, rows)]
-            if count % rows:
-                queue.append((pair, count - rows))
-
+    if not sweeps:
+        return []
+    (count, dim), width = sweeps[0][0].shape, sweeps[0][1].shape[1]
+    fit = _SMALL_MATRIX_MADDS // max(1, dim * width) // 8 * 8
+    rows = max(1, min(_BLOCK_ROWS, max(8, fit), count))  # 1 only for an empty matrix, which has no block
+    tail = count % rows
+    starts = list(range(0, count - rows + 1, rows)) + ([count - rows] if tail else [])
+    outs = [np.empty((width, count), dtype=np.float64) for _ in sweeps]
+    queue = [(matrix, query, out.T, lo) for (matrix, query), out in zip(sweeps, outs) for lo in starts]
     blocks, errors = collections.deque(queue), []  # popleft is thread-safe
 
     def drain() -> None:
-        # pair -> its row count, this worker's upcast block and (rows, Q)
-        # scratch, and the (count, Q) view of the pair's result
-        plans = {}
         try:
-            while not errors:
-                try:
-                    pair, lo = blocks.popleft()
-                except IndexError:
-                    return
-                matrix, query = sweeps[pair]
-                if pair not in plans:
-                    rows = rows_of[pair]
-                    plans[pair] = (
-                        rows,
-                        np.empty((rows, matrix.shape[1]), dtype=np.float64),
-                        np.empty((rows, *query.shape[1:]), dtype=np.float64),
-                        outs[pair].T,
-                    )
-                rows, block, scores, dest = plans[pair]
-                block[...] = matrix[lo : lo + rows]
-                np.dot(block, query, out=scores)
-                if lo % rows:  # the overlapping tail: keep only its new rows
-                    tail = len(matrix) % rows
-                    dest[-tail:] = scores[-tail:]
-                else:
-                    dest[lo : lo + rows] = scores
+            block, scores = np.empty((rows, dim)), np.empty((rows, width))  # float64
+            # A NaN or an infinity in the inputs makes a score that is not
+            # finite, which the caller refuses. NumPy's warning about it is
+            # silenced per thread, so each worker silences its own.
+            with np.errstate(invalid="ignore", over="ignore"):
+                while not errors:
+                    try:
+                        matrix, query, dest, lo = blocks.popleft()
+                    except IndexError:
+                        return
+                    block[...] = matrix[lo : lo + rows]
+                    np.dot(block, query, out=scores)
+                    if lo % rows:  # the overlapping tail: keep only its new rows
+                        dest[-tail:] = scores[-tail:]
+                    else:
+                        dest[lo : lo + rows] = scores
         except BaseException as exc:  # raised in the caller, after the join
             errors.append(exc)
 

@@ -75,8 +75,8 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k highest scores, best first, ties by ascending index.
 
     Equal to ``np.argsort(-scores, kind="stable")[:k]`` but sorts only the
-    pages scoring at or above the k-th score. Scores are never NaN: every
-    stored and query vector is validated finite.
+    pages scoring at or above the k-th score. Scores are never NaN:
+    ``score_queries`` refuses a raw score that is not finite.
     """
     k = min(k, len(scores))
     if k == 0:
@@ -115,6 +115,9 @@ def score_queries(
     score depends on their number. Before any sweep, each mode in turn
     checks that every query has the vectors it sweeps, then every channel
     of every query, swept or not, is checked against the index's dimension.
+    After each block's sweep, a raw score that is not finite (a NaN or an
+    infinity in the index or a query met it) raises one ComretError naming
+    the query, the page and the modality.
     """
     for mode in dict.fromkeys(modes):
         _check_channels(queries, mode)
@@ -134,6 +137,10 @@ def score_queries(
             for m in modalities
         ]
         raw = dict(zip(modalities, _kernels.inner_products(sweeps, threads)))
+        for m, scores in raw.items():
+            if not np.isfinite(scores).all():
+                j, row = np.argwhere(~np.isfinite(scores))[0]
+                raise ComretError(f"query {block[j].query_id!r}: {m} score of page {index.ids[row]!r} is not finite")
         squashed = {m: _kernels.logistic(raw[m]) for m in normalized}
         for j, query in enumerate(block):
             yield QueryScores(

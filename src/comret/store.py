@@ -33,8 +33,10 @@ Packed matrix file layout (all integers little-endian):
     | count*dim little-endian float32
     | footer: u64 byte length + the UTF-8 ids joined by "\n"
 
-No id is empty or holds a "\n", so the footer splits back into exactly
-``count`` ids. Bytes after the ids are ignored.
+Every id is a non-empty string free of tabs, CRs, "\n"s and unpaired
+surrogates, as ingest's ids are (``_check_id``), so the footer splits back
+into exactly ``count`` ids that each fit in one TSV field. Bytes after the
+ids are ignored.
 
 An index directory holds ``images.cmeb``, ``texts.cmeb`` and
 ``manifest.json`` (dim, M, normalize flag, build timestamp). ``load_index``
@@ -416,10 +418,15 @@ def _write_temp(matrix: PackedMatrix, path: Path) -> None:
     """Write ``matrix`` to the temporary sibling of ``path``; a caller renames or removes it."""
     if len(matrix.ids) != matrix.count:
         raise ComretError(f"{path}: {len(matrix.ids)} ids for {matrix.count} rows")
-    block = "\n".join(matrix.ids)
-    if "" in matrix.ids or block.count("\n") > max(matrix.count - 1, 0):
-        row = next(row for row, rid in enumerate(matrix.ids) if not rid or "\n" in rid)
-        raise ComretError(f"{path}: id of row {row} is empty or holds a line break")
+    try:
+        block = "\n".join(matrix.ids)
+    except TypeError:
+        row = next(row for row, rid in enumerate(matrix.ids) if not isinstance(rid, str))
+        raise ComretError(f"{path}: id of row {row} is not a string")
+    # The joined ids are scanned, not each id: an index may hold millions.
+    if "" in matrix.ids or block.count("\n") > max(matrix.count - 1, 0) or "\t" in block or "\r" in block:
+        row = next(row for row, rid in enumerate(matrix.ids) if not rid or any(c in rid for c in "\t\r\n"))
+        raise ComretError(f"{path}: id of row {row} is empty or holds a tab or a line break")
     try:
         footer = block.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -481,9 +488,10 @@ def save_index(index: IndexDirectory, path: str | Path) -> None:
     Each ``.cmeb`` file is written to a temporary sibling and renamed over
     the old one: truncating a mapped file in place would kill, with SIGBUS,
     every process that has it loaded. Both are renamed only when both were
-    written, so a failed save leaves the old index whole. Ids that could not
-    split back into one per row (one too many or few, an empty one, one
-    holding a "\n" or an unpaired surrogate) are refused first.
+    written, so a failed save leaves the old index whole. Ids that ingest
+    would refuse (a non-string, an empty id, one holding a tab, a CR, a
+    "\n" or an unpaired surrogate) are refused first, as are one id too
+    many or too few.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)

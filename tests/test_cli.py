@@ -497,6 +497,23 @@ class TestIOFailures:
         result = run_process("retrieve", "--index", idx, "--queries", queries, "--out", root / "run.tsv")
         assert result == (1, "", f"error: {images}: unsupported format version 1\n")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "minus-inf"])
+    @pytest.mark.parametrize(
+        "command", [["retrieve", "--mode", "ucmr"], ["retrieve", "--mode", "image-only"], ["diagnose"]],
+        ids=["retrieve-ucmr", "retrieve-image-only", "diagnose"],
+    )
+    def test_non_finite_index_value_is_one_error_line(self, built_index, value, command):
+        # One payload float of page p2's image row; the index loads, and the
+        # first query to meet it is refused.
+        root, idx, queries, _ = built_index
+        images = idx / "images.cmeb"
+        raw = bytearray(images.read_bytes())
+        (dim,) = struct.unpack_from("<I", raw, 8)
+        struct.pack_into("<f", raw, 20 + 4 * dim, value)
+        images.write_bytes(raw)
+        result = run_process(*command, "--index", idx, "--queries", queries, "--out", root / "out")
+        assert result == (1, "", "error: query 'q1': image score of page 'p2' is not finite\n")
+
     @pytest.mark.parametrize("which", ["images", "texts"])
     def test_ingest_non_utf8_mid_file(self, workspace, capsys, which):
         root, images, texts, _, _ = workspace

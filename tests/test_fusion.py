@@ -163,8 +163,8 @@ class TestRankTopK:
 class TestInnerProductScores:
     def test_hand_values(self):
         idx = make_index([[1, 0], [0, 1], [1, 1]], [[0, 0]] * 3)
-        (scores,) = _kernels.inner_products([(idx.images.data, np.array([1.0, 0.0]))])
-        np.testing.assert_array_equal(scores, [1, 0, 1])
+        (scores,) = _kernels.inner_products([(idx.images.data, np.array([[1.0], [0.0]]))])
+        np.testing.assert_array_equal(scores, [[1, 0, 1]])
         (scores,) = score_queries(make_index([[2, 2]], [[0, 0]]), [unified_query("q", [0.5, -0.5])], ["image-only"])
         np.testing.assert_array_equal(scores.raw["image"], [0.0])
 
@@ -172,6 +172,31 @@ class TestInnerProductScores:
         idx = make_index([[1, 0]], [[1, 0]])
         with pytest.raises(ComretError, match="^query 'q' channel 'image-query': expected dim 2, got 3$"):
             list(score_queries(idx, [unified_query("q", [1.0, 0.0, 0.0])], ["image-only"]))
+
+
+@pytest.mark.filterwarnings("error")  # refused with no NumPy warning, on any thread
+class TestNonFiniteScores:
+    """A NaN or an infinity in the index or a library-built query makes a
+    raw score that is not finite, which scoring refuses."""
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_query_entry_refused(self, value):
+        idx = make_index([[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.5, 0.5]])
+        query = unified_query("q", [value, 1.0])
+        for mode in MODES:
+            modality = "text" if mode == "text-only" else "image"
+            with pytest.raises(ComretError, match=f"^query 'q': {modality} score of page 'p1' is not finite$"):
+                retrieve(query, idx, FusionConfig(mode=mode))
+
+    def test_index_value_refused_where_a_sweep_meets_it(self, rng):
+        # The NaN sits in the text row of p3; queries in the second block.
+        rows = rng.standard_normal((2, 5, 3))
+        rows[1][2][1] = math.nan
+        idx = make_index(rows[0].tolist(), rows[1].tolist())
+        queries = [unified_query(f"q{j:02d}", rng.standard_normal(3).tolist()) for j in range(QUERY_BLOCK + 2)]
+        with pytest.raises(ComretError, match=r"^query 'q00': text score of page 'p3' is not finite$"):
+            list(rank_queries(idx, queries, [FusionConfig(mode="ucmr")]))
+        assert len(list(rank_queries(idx, queries, [FusionConfig(mode="image-only")]))) == len(queries)
 
 
 class TestRetrieve:
@@ -361,7 +386,7 @@ class TestScoreVector:
         q = rng.standard_normal(6)
         (scores,) = score_queries(idx, [unified_query("q", q)], ["ucmr"])
         got = scores.zscored["image"]
-        (raw,) = _kernels.inner_products([(idx.images.data, q.astype(np.float32).astype(np.float64))])
+        ((raw,),) = _kernels.inner_products([(idx.images.data, q.astype(np.float32).astype(np.float64)[:, None])])
         want = zscore_normalize(_kernels.logistic(raw))
         np.testing.assert_array_equal(scores.raw["image"], raw)
         np.testing.assert_array_equal(got.values, want.values)
@@ -428,16 +453,6 @@ class TestQueryEngine:
             serial = [r for (r,) in rank_queries(idx, queries, [cfg], threads=1)]
             for threads in (2, 3):
                 assert same_rankings([r for (r,) in rank_queries(idx, queries, [cfg], threads=threads)], serial)
-
-    def test_one_query_is_swept_as_a_matrix_vector_product(self, rng):
-        # 129 pages: one full row block and an overlapping one-row tail.
-        idx = random_index(rng, pages=129, dim=1152)
-        (query,) = two_channel_queries(rng, 1, 1152)
-        (scores,) = score_queries(idx, [query], ["raw-linear"])
-        for modality, matrix in (("image", idx.images), ("text", idx.texts)):
-            vec = query.vector_for_sweep(modality).astype(np.float64)
-            (alone,) = _kernels.inner_products([(matrix.data, vec)])
-            assert scores.raw[modality].tobytes() == alone.tobytes()
 
     def test_configs_share_one_sweep_per_block(self, rng, monkeypatch):
         idx = random_index(rng, pages=40, dim=4)

@@ -15,9 +15,10 @@ from conftest import random_index, unified_query
 
 
 def sweep(matrix, query, threads=None):
-    """One (matrix, query) pair swept alone."""
-    (out,) = _kernels.inner_products([(matrix, query)], threads)
-    return out
+    """One (matrix, query) pair swept alone; a (dim,) query is swept as a
+    (dim, 1) block and gives its one row of scores."""
+    (out,) = _kernels.inner_products([(matrix, query.reshape(len(query), -1))], threads)
+    return out[0] if query.ndim == 1 else out
 
 
 class TestInnerProducts:
@@ -88,12 +89,14 @@ class DotSpy:
 
     def __init__(self):
         self.calls = []
+        self.operands = []  # each dot's query block
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def dot(self, a, b, out=None):
         self.calls.append((a.shape, b.shape))
+        self.operands.append(b)
         return np.dot(a, b, out=out)
 
 
@@ -128,25 +131,24 @@ class TestQueryBlock:
 
     @pytest.mark.parametrize("q", [1, 7, 8, 16, 32, 33])
     def test_duplicate_rows_score_identically(self, rng, blas_calls, q):
-        # Two pairs in one queue, each with full blocks and a partial tail
-        # at the row count the sweep picks for q queries, and copies on
-        # both sides of their block boundaries; handed to BLAS as a short
-        # block, a tail would score them differently in the last bit.
-        def block():
-            return rng.standard_normal(1152) if q == 1 else rng.standard_normal((1152, q))
-
-        image_block, text_block = block(), block()
+        # Two pairs in one queue, with full blocks and a partial tail at the
+        # row count the sweep picks for q queries, and copies on both sides
+        # of their block boundaries; handed to BLAS as a short block, a tail
+        # would score them differently in the last bit. Two row counts give
+        # two tails, each swept in a call of its own.
+        image_block, text_block = rng.standard_normal((1152, q)), rng.standard_normal((1152, q))
         sweep(np.zeros((_kernels._BLOCK_ROWS, 1152), dtype=np.float32), image_block)
         rows = blas_calls[0][0][0]
-        images, image_copies = with_copies(rng, 2 * rows + rows // 3 + 1, rows)
-        texts, text_copies = with_copies(rng, 3 * rows + rows // 2 + 3, rows)
-        serial = [sweep(images, image_block, threads=1), sweep(texts, text_block, threads=1)]
-        for threads in (1, 2, 3):
-            got = _kernels.inner_products([(images, image_block), (texts, text_block)], threads)
-            for scores, want, copies in zip(got, serial, (image_copies, text_copies)):
-                assert scores.tobytes() == want.tobytes()
-                for src, dst in copies:
-                    np.testing.assert_array_equal(scores[..., dst], scores[..., src])
+        for count in (2 * rows + rows // 3 + 1, 3 * rows + rows // 2 + 3):
+            images, image_copies = with_copies(rng, count, rows)
+            texts, text_copies = with_copies(rng, count, rows)
+            serial = [sweep(images, image_block, threads=1), sweep(texts, text_block, threads=1)]
+            for threads in (1, 2, 3):
+                got = _kernels.inner_products([(images, image_block), (texts, text_block)], threads)
+                for scores, want, copies in zip(got, serial, (image_copies, text_copies)):
+                    assert scores.tobytes() == want.tobytes()
+                    for src, dst in copies:
+                        np.testing.assert_array_equal(scores[:, dst], scores[:, src])
 
     @pytest.mark.parametrize("dim, q", [(1152, q) for q in (1, 7, 8, 16, 32, 33)] + [(4000, 33)])
     def test_blocks_fit_the_small_matrix_limit(self, rng, blas_calls, dim, q):
@@ -164,7 +166,6 @@ class TestQueryBlock:
 
     def test_single_query_keeps_128_row_blocks(self, rng, blas_calls):
         matrix = rng.standard_normal((700, 1152)).astype(np.float32)
-        sweep(matrix, rng.standard_normal(1152))
         sweep(matrix, rng.standard_normal((1152, 1)))
         assert {a for a, _ in blas_calls} == {(128, 1152)}
 
@@ -212,34 +213,37 @@ class TestBlockQueue:
     @pytest.mark.parametrize("q", [1, 7, 8, 33])
     def test_each_pair_matches_its_sweep_alone(self, rng, q):
         # Row counts with an overlapping tail at every block size here; the
-        # second pair has its own query block of the same width, as
-        # ensemble-ucmr's image and text queries do, and the third another
-        # width, so its blocks take another row count.
-        def block(dim, width):
-            return rng.standard_normal(dim) if width == 1 else rng.standard_normal((dim, width))
+        # second pair has its own query block, as ensemble-ucmr's image and
+        # text queries do. Three pairs of another row count and width, so
+        # of another block size, go in a call of their own.
+        def pairs(count, width, n):
+            return [
+                (rng.standard_normal((count, 1152)).astype(np.float32), rng.standard_normal((1152, width)))
+                for _ in range(n)
+            ]
 
-        sweeps = [
-            (rng.standard_normal((301, 1152)).astype(np.float32), block(1152, q)),
-            (rng.standard_normal((301, 1152)).astype(np.float32), block(1152, q)),
-            (rng.standard_normal((205, 1152)).astype(np.float32), block(1152, 40 - q)),
-        ]
-        alone = [sweep(matrix, query, threads=1) for matrix, query in sweeps]
-        for threads in (1, 2, 3):
-            got = _kernels.inner_products(sweeps, threads)
-            assert [g.tobytes() for g in got] == [a.tobytes() for a in alone]
-            assert all(g.flags.c_contiguous for g in got)
+        for sweeps in (pairs(301, q, 2), pairs(205, 40 - q, 3)):
+            alone = [sweep(matrix, query, threads=1) for matrix, query in sweeps]
+            for threads in (1, 2, 3):
+                got = _kernels.inner_products(sweeps, threads)
+                assert [(g.shape, g.tobytes()) for g in got] == [(a.shape, a.tobytes()) for a in alone]
+                assert all(g.flags.c_contiguous for g in got)
 
-    def test_pairs_queued_in_order(self, rng, blas_calls):
-        images = rng.standard_normal((300, 8)).astype(np.float32)
-        texts = rng.standard_normal((200, 6)).astype(np.float32)
-        _kernels.inner_products([(images, rng.standard_normal(8)), (texts, rng.standard_normal(6))], threads=1)
-        assert [a for a, _ in blas_calls] == [(128, 8)] * 3 + [(128, 6)] * 2
+    def test_pairs_queued_in_order(self, rng, monkeypatch):
+        # Every block of the first pair, the images, before any of the second.
+        spy = DotSpy()
+        monkeypatch.setattr(_kernels, "np", spy)
+        images, texts = (rng.standard_normal((300, 8)).astype(np.float32) for _ in range(2))
+        queries = [rng.standard_normal((8, 1)) for _ in range(2)]
+        _kernels.inner_products([(images, queries[0]), (texts, queries[1])], threads=1)
+        assert [a for a, _ in spy.calls] == [(128, 8)] * 6
+        assert [id(b) for b in spy.operands] == [id(queries[0])] * 3 + [id(queries[1])] * 3
 
     def test_many_workers_take_each_block_once(self, rng, blas_calls):
         # More workers than cores and a short switch interval, so two
         # workers taking one block, or one block taken by none (its rows
         # left as np.empty found them), would show.
-        sweeps = [(rng.standard_normal((1000 + 7 * k, 8)).astype(np.float32), rng.standard_normal(8)) for k in range(3)]
+        sweeps = [(rng.standard_normal((1007, 8)).astype(np.float32), rng.standard_normal((8, 1))) for _ in range(3)]
         want = [sweep(matrix, query, threads=1).tobytes() for matrix, query in sweeps]
         blocks = len(blas_calls)
         previous = sys.getswitchinterval()
@@ -271,7 +275,7 @@ class TestBlockQueue:
         matrix = rng.standard_normal((1000, 8)).astype(np.float32)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^helper block failed$"):
-            _kernels.inner_products([(matrix, rng.standard_normal(8)), (matrix, rng.standard_normal(8))], threads)
+            _kernels.inner_products([(matrix, rng.standard_normal((8, 1))), (matrix, rng.standard_normal((8, 1)))], threads)
         assert threading.active_count() == before
         assert fake_blas.sets == [1, 4]
         # The error stops the queue: of its 16 blocks, each worker took one.

@@ -782,17 +782,27 @@ class TestMatrixRoundTrip:
     @pytest.mark.parametrize(
         "ids, reason",
         [
-            pytest.param(("a", ""), "is empty or holds a line break", id="empty"),
-            pytest.param(("a", "b\nc"), "is empty or holds a line break", id="line-break"),
+            pytest.param(("a", ""), "is empty or holds a tab or a line break", id="empty"),
+            pytest.param(("a", "b\nc"), "is empty or holds a tab or a line break", id="line-break"),
+            pytest.param(("a", "b\tc"), "is empty or holds a tab or a line break", id="tab"),
+            pytest.param(("a", "b\r"), "is empty or holds a tab or a line break", id="carriage-return"),
+            pytest.param(("a", 2), "is not a string", id="int"),
             pytest.param(("a", "\ud800"), "holds an unpaired surrogate", id="surrogate"),
         ],
     )
-    def test_write_rejects_an_id_the_footer_cannot_hold(self, tmp_path, ids, reason):
+    def test_write_rejects_an_id_the_footer_cannot_hold(self, tmp_path, rng, ids, reason):
+        # Ids a library caller chose, which ingest refuses: the old index stays whole.
+        old = random_index(rng, 3, 4)
+        save_index(old, tmp_path)
         matrix = PackedMatrix(ids=ids, data=np.ones((2, 3), dtype=np.float32))
         good = PackedMatrix(ids=("a", "b"), data=matrix.data)
         with pytest.raises(ComretError, match=error_at(tmp_path / "texts.cmeb", f"id of row 1 {reason}")):
             save_index(hand_built(good, matrix), tmp_path)
-        assert list(tmp_path.iterdir()) == []
+        loaded = load_index(tmp_path)
+        assert loaded.ids == old.ids
+        assert loaded.images.data.tobytes() == old.images.data.tobytes()
+        assert loaded.texts.data.tobytes() == old.texts.data.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["images.cmeb", "manifest.json", "texts.cmeb"]
 
     def test_write_rejects_ids_unlike_the_rows(self, tmp_path):
         matrix = PackedMatrix(ids=("a", "b", "c"), data=np.ones((2, 3), dtype=np.float32))

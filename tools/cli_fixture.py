@@ -56,6 +56,9 @@ These inputs must fail with exit code 1:
   whose id footer claims a byte more than it holds;
 - retrieve and diagnose on an index of zero pages (two 0-row ``.cmeb``
   files and ``M: 0``);
+- a ``ucmr`` retrieve on a copy of the fixture index whose image row of
+  page ``p001`` starts with a NaN (the index loads; the first query to
+  meet the NaN is refused);
 - retrieve on an index whose ``texts.cmeb`` holds the ids of
   ``images.cmeb`` in reverse row order, and on one whose ``texts.cmeb`` has
   a non-UTF-8 byte in an id (in both, the texts footer differs from the
@@ -115,13 +118,18 @@ def spoil_line(path: Path, line: int, old: str, new: str) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
-def write_index(root: Path, rows: np.ndarray, image_ids: list[bytes], text_ids: list[bytes]) -> None:
-    """A hand-built index directory, so the ``.cmeb`` footers can be damaged."""
+def write_index(
+    root: Path, rows: np.ndarray, image_ids: list[bytes], text_ids: list[bytes], text_rows: np.ndarray | None = None
+) -> None:
+    """A hand-built index directory, so the ``.cmeb`` footers and payloads
+    can be damaged; the texts file holds ``rows`` too unless ``text_rows``
+    is given."""
     root.mkdir()
-    for name, ids in (("images.cmeb", image_ids), ("texts.cmeb", text_ids)):
+    text_rows = rows if text_rows is None else text_rows
+    for name, ids, data in (("images.cmeb", image_ids, rows), ("texts.cmeb", text_ids, text_rows)):
         footer = b"\n".join(ids)
-        header = b"CMEB" + struct.pack("<IIQ", 2, rows.shape[1], rows.shape[0])
-        (root / name).write_bytes(header + rows.astype("<f4").tobytes() + struct.pack("<Q", len(footer)) + footer)
+        header = b"CMEB" + struct.pack("<IIQ", 2, data.shape[1], data.shape[0])
+        (root / name).write_bytes(header + data.astype("<f4").tobytes() + struct.pack("<Q", len(footer)) + footer)
     (root / "manifest.json").write_text(json.dumps({"dim": rows.shape[1], "M": rows.shape[0]}), encoding="utf-8")
 
 
@@ -172,6 +180,10 @@ def make_inputs(out: Path) -> None:
     cmeb.write_bytes(raw[:footer_at] + struct.pack("<Q", len(raw) - footer_at - 8 + 1) + raw[footer_at + 8 :])
     write_index(out / "idx-texts-reordered", image[:3], head, head[::-1])
     write_index(out / "idx-texts-not-utf8", image[:3], head, [head[0], b"p\xff01", head[2]])
+    nan_image = image.copy()
+    nan_image[1, 0] = np.nan
+    every_id = [p.encode() for p in ids]
+    write_index(out / "idx-nan", nan_image, every_id, every_id, text_rows=text)
     texts = [{"id": ids[i], "embedding": text[i].tolist()} for i in reversed(range(pages))]
     write_jsonl(out / "texts.jsonl", texts)
     bad_text = {**texts[1], "embedding": [True, *texts[1]["embedding"][1:]]}
@@ -302,6 +314,8 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                                        "--mode", "ucmr", "--k", "7", "--out", o / "run-queries-reversed.tsv"]),
         ("retrieve-queries-empty", ["retrieve", "--index", idx, "--queries", o / "queries_empty.jsonl",
                                     "--out", o / "run-queries-empty.tsv"]),
+        ("retrieve-nan-index", ["retrieve", "--index", o / "idx-nan", "--queries", q, "--mode", "ucmr",
+                                "--out", o / "run-nan-index.tsv"]),
     ]
     for m in MODES:
         cmds += [
