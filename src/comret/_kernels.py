@@ -18,22 +18,25 @@ by one block at most, and the call waits for its threads once, not once
 per matrix.
 
 This module owns the sweep's thread count: ``threads=None`` means every
-core this process may run on (``default_threads``). While a sweep runs on
-more than one thread, NumPy's bundled OpenBLAS is held at one thread of
-its own (``blas_cap``), so the two kinds of threads do not compete for
-the cores; no score depends on either count.
+core this process may run on (``default_threads``). The first sweep on
+more than one thread pins NumPy's bundled OpenBLAS at one thread for the
+rest of the process (``pin_blas``), so the two kinds of threads do not
+compete for the cores, and ``ingest`` pins it the same way before its
+fork; other BLAS work of such a process then runs on one thread too. No
+score depends on either count. The pin sets nothing when OpenBLAS already
+runs one thread: OpenBLAS shuts its pool down whenever the process forks,
+and any later call that sets its thread count starts a new pool, whose
+thread busy-waits beside the sweep's own threads.
 
-OpenBLAS shuts its thread pool down whenever the process forks, and any
-later call that sets its thread count starts a new pool, whose thread
-busy-waits beside the sweep's own threads. So the cap sets nothing when
-OpenBLAS already runs one thread, and a process that ran a forking
-``ingest`` keeps OpenBLAS at one thread afterwards (``BlasCap.pin``).
+The row rule for several queries is tuned for the SkylakeX kernel that
+OpenBLAS picks on an AVX-512 CPU, whose small-matrix path runs each block
+on the calling thread. Its Haswell kernel packs every multi-query block,
+and there the rule and plain 128-row blocks read within noise.
 """
 
 from __future__ import annotations
 
 import collections
-import contextlib
 import ctypes
 import functools
 import os
@@ -70,65 +73,47 @@ def default_threads() -> int:
 
 
 class BlasCap:
-    """Holds a BLAS library at one thread while any capped sweep runs.
-
-    The library's thread count is process-wide, so overlapping sweeps
-    share one cap: the first to enter saves the count and sets 1, the
-    last to leave restores the saved count. Neither sets anything when
-    the library already runs one thread: after a fork, that call would
-    start a pool of threads that only spin.
-    """
+    """A BLAS library's process-wide thread count, behind the library's
+    own get and set functions."""
 
     def __init__(self, get_threads: Callable[[], int], set_threads: Callable[[int], None]):
         self.get_threads = get_threads
         self.set_threads = set_threads
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 1
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._depth == 0:
-                self._saved = self.get_threads()
-                if self._saved != 1:
-                    self.set_threads(1)
-            self._depth += 1
-
-    def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._saved != 1:
-                self.set_threads(self._saved)
 
     def pin(self) -> None:
-        """Hold the library at one thread for the rest of the process;
-        a sweep running now restores nothing when it ends."""
-        with self._lock:
-            self._saved = 1
-            if self.get_threads() != 1:
-                self.set_threads(1)
+        """Hold the library at one thread. Sets nothing when it runs one
+        already: after a fork, that call would start a pool of threads
+        that only spin. Two first pins racing both set 1, which is
+        harmless, so no lock is taken."""
+        if self.get_threads() != 1:
+            self.set_threads(1)
 
 
 @functools.cache
 def blas_cap() -> BlasCap | None:
-    """The cap on NumPy's bundled OpenBLAS, found on first use.
+    """The thread count of NumPy's bundled OpenBLAS, found on first use.
 
     None when the wheel carries no OpenBLAS with these thread-count
-    functions; sweeps then run uncapped, slower but with the same bits.
+    functions; sweeps then run unpinned, slower but with the same bits.
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))  # already loaded by NumPy: the same handle
-        except OSError:
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or without these functions
             continue
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return BlasCap(get, set_)
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return BlasCap(get, set_)
     return None
+
+
+def pin_blas() -> None:
+    """Hold NumPy's OpenBLAS, if found, at one thread for the rest of the
+    process."""
+    if (cap := blas_cap()) is not None:
+        cap.pin()
 
 
 def inner_products(
@@ -200,22 +185,22 @@ def inner_products(
 
 def _on_workers(work: Callable[[], None], workers: int) -> None:
     """Run ``work`` on the calling thread and on ``workers - 1`` helper
-    threads, BLAS capped while more than one runs; returns once every
+    threads, BLAS pinned first when more than one runs; returns once every
     helper has joined."""
     if workers == 1:
         work()
         return
+    pin_blas()
     helpers = []
-    with blas_cap() or contextlib.nullcontext():
-        try:
-            for _ in range(workers - 1):
-                helper = threading.Thread(target=work)
-                helper.start()
-                helpers.append(helper)
-            work()
-        finally:
-            for helper in helpers:
-                helper.join()
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
 
 
 def logistic(values: np.ndarray) -> np.ndarray:

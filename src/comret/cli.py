@@ -63,11 +63,9 @@ def _parse_pages(images: str, texts: str) -> tuple[list[store.Record], list[stor
     # fork, not spawn: the worker starts without a fresh import of NumPy.
     # No thread of comret's runs here. OpenBLAS shuts its pool down at the
     # fork, and any later change of its thread count would start a pool
-    # that spins beside every sweep; so it stays at one thread from here
-    # on, as each sweep holds it anyway.
-    cap = _kernels.blas_cap()
-    if cap is not None:
-        cap.pin()
+    # that spins beside every sweep; so it is pinned at one thread from
+    # here on, as the first multi-threaded sweep would pin it anyway.
+    _kernels.pin_blas()
     with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork")) as pool:
         text_records = pool.submit(_parse, texts, store.parse_embedding_jsonl)
         image_records = _parse(images, store.parse_embedding_jsonl)

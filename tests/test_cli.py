@@ -25,6 +25,8 @@ from comret.core import FusionConfig
 
 from conftest import write_jsonl
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def embedding_obj(pid, vec):
     return {"id": pid, "embedding": vec}
@@ -287,6 +289,81 @@ def test_retrieve_after_a_forking_ingest_starts_no_blas_thread(tmp_path, rng):
     assert run == retrieve(1)
 
 
+#: The environment of a fresh interpreter whose OpenBLAS runs its Haswell
+#: kernel, which packs every multi-query block, and which can import this
+#: module.
+HASWELL_ENV = dict(
+    os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)])
+)
+
+
+def haswell_probe(root, case):
+    """Run in a fresh interpreter by ``TestHaswellKernel``; prints its BLAS
+    facts as one JSON line. "after-fork": a forking ``ingest``, then
+    two-thread sweeps of 8 and of 32 queries over 4,000 x 1152 rows, each
+    against the one-thread sweep's bits. "unforked": OpenBLAS set to two
+    threads, then one two-thread sweep."""
+    rng = np.random.default_rng(11)
+    matrix = rng.standard_normal((4000, 1152)).astype(np.float32)
+    if case == "unforked":
+        cap = _kernels.blas_cap()
+        cap.set_threads(2)
+        before = cap.get_threads()
+        _kernels.inner_products([(matrix, rng.standard_normal((1152, 8)))], 2)
+        print(json.dumps({"before": before, "after": cap.get_threads()}))
+        return
+    root = Path(root)
+    ids = [f"p{i:03d}" for i in range(50)]
+    rows = rng.standard_normal((2, len(ids), 8))
+    images = write_jsonl(root / "i.jsonl", [embedding_obj(p, r.tolist()) for p, r in zip(ids, rows[0])])
+    texts = write_jsonl(root / "t.jsonl", [embedding_obj(p, r.tolist()) for p, r in zip(ids, rows[1])])
+    assert main(["ingest", "--images", str(images), "--texts", str(texts), "--out", str(root / "idx")]) == 0
+    facts = {"tasks": settled_task_count()}
+    for q in (8, 32):
+        query = rng.standard_normal((1152, q))
+        (two,) = _kernels.inner_products([(matrix, query)], 2)
+        tasks = settled_task_count()
+        (one,) = _kernels.inner_products([(matrix, query)], 1)
+        facts[q] = {"tasks": tasks, "same_bits": two.tobytes() == one.tobytes()}
+    print(json.dumps(facts))
+
+
+@pytest.fixture(scope="module")
+def haswell():
+    """Skips unless this OpenBLAS runs its Haswell kernel when asked to,
+    and a forking ingest can run; returns a runner of ``haswell_probe``."""
+    if _kernels.blas_cap() is None or _kernels.default_threads() < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs NumPy's OpenBLAS, two usable cores and fork")
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("needs Linux's /proc/self/task")
+    env = dict(HASWELL_ENV, OPENBLAS_VERBOSE="2")
+    proc = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True, timeout=60)
+    if "Core: Haswell" not in proc.stdout + proc.stderr:
+        pytest.skip("this OpenBLAS does not run its Haswell kernel")
+
+    def probe(root, case):
+        argv = [sys.executable, "-c", "import sys, test_cli; test_cli.haswell_probe(*sys.argv[1:])", str(root), case]
+        proc = subprocess.run(argv, env=HASWELL_ENV, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])  # after ingest's summary line
+
+    return probe
+
+
+class TestHaswellKernel:
+    """OpenBLAS's SkylakeX kernel runs each sweep block on the calling
+    thread, so on an AVX-512 CPU an unpinned sweep starts no pool either;
+    its Haswell kernel packs multi-query blocks, on a pool when it may."""
+
+    def test_sweeps_after_a_forking_ingest_start_no_blas_thread(self, tmp_path, haswell):
+        facts = haswell(tmp_path, "after-fork")
+        for q in ("8", "32"):
+            assert facts[q] == {"tasks": facts["tasks"], "same_bits": True}
+
+    def test_first_two_thread_sweep_pins_blas(self, tmp_path, haswell):
+        assert haswell(tmp_path, "unforked") == {"before": 2, "after": 1}
+
+
 @pytest.fixture
 def built_index(workspace):
     root, images, texts, queries, qrels = workspace
@@ -426,6 +503,24 @@ class TestEval:
         assert run_cli("eval", "--run", empty, "--qrels", qrels) == 1
         assert capsys.readouterr().err == f"error: {empty}: run file is empty\n"
 
+    def test_rank_zero_exits_one(self, workspace, capsys):
+        root, _, _, _, qrels = workspace
+        run = root / "run.tsv"
+        run.write_text("q1\tp2\t1\t1.0\t1.0\t0\tucmr\nq1\tp1\t0\t0.9\t0.9\t0\tucmr\n")
+        assert run_cli("eval", "--run", run, "--qrels", qrels) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {run}: run line 2: rank must be >= 1, got 0\n")
+
+    def test_missing_queries_warned(self, workspace, capsys):
+        # The qrels hold q1-q3 and the run q1 only: q2 and q3 score 0.
+        root, _, _, _, qrels = workspace
+        run = root / "run.tsv"
+        run.write_text("q1\tp2\t1\t1.0\t1.0\t0\tucmr\n")
+        assert run_cli("eval", "--run", run, "--qrels", qrels, "--metrics", "mrr@10", "--json") == 0
+        out = capsys.readouterr()
+        assert out.err == "warning: 2 qrels queries missing from run, scored 0\n"
+        assert json.loads(out.out)["macro"]["mrr@10"] == pytest.approx(1 / 3)
+
     def test_hand_computed_macro(self, tmp_path, capsys):
         # q1 hits at rank 1, q2 at rank 2: macro MRR@10 = 0.75.
         run = tmp_path / "run.tsv"
@@ -523,9 +618,6 @@ class TestIOFailures:
         bad.write_bytes(b"".join(lines))
         assert run_cli("ingest", "--images", images, "--texts", texts, "--out", root / "idx") == 1
         assert capsys.readouterr().err == f"error: cannot read {bad}: not valid UTF-8\n"
-
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Numbers beyond float32 or float64, as JSON text.
 BIG_INT = pytest.param("1" + "0" * 400, id="int-beyond-float64")
@@ -706,6 +798,22 @@ class TestAblate:
         root, idx, queries, qrels = built_index
         assert run_cli("ablate", "--index", idx, "--queries", queries, "--qrels", qrels, *args) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ("0:1", "--beta-sweep expects LO:HI:STEP, got '0:1'"),
+            ("1:0:0.1", "bad sweep '1:0:0.1': need step > 0 and HI >= LO"),
+            ("0:1:0", "bad sweep '0:1:0': need step > 0 and HI >= LO"),
+            ("0:2:1", "sweep value 2.0 outside [0,1]"),
+        ],
+    )
+    def test_bad_sweep_is_one_error_line(self, built_index, capsys, sweep, message):
+        root, idx, queries, qrels = built_index
+        code = run_cli("ablate", "--index", idx, "--queries", queries, "--qrels", qrels,
+                       "--modes", "ucmr", "--beta-sweep", sweep)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("sweep", ["0:1:1e-6", "0:1:1e-9", "0:0:1e-300", "0:1:5e-324"])
     def test_oversized_sweep_exits_one(self, built_index, capsys, sweep):

@@ -198,6 +198,15 @@ class TestNonFiniteScores:
             list(rank_queries(idx, queries, [FusionConfig(mode="ucmr")]))
         assert len(list(rank_queries(idx, queries, [FusionConfig(mode="image-only")]))) == len(queries)
 
+    def test_entry_in_a_later_query_of_a_block_refused(self, rng):
+        # Queries q1-q3 and q5 are finite; every row of the block is checked.
+        idx = random_index(rng, pages=6, dim=3)
+        vectors = rng.standard_normal((5, 3))
+        vectors[3][0] = math.inf
+        queries = [unified_query(f"q{j + 1}", v.tolist()) for j, v in enumerate(vectors)]
+        with pytest.raises(ComretError, match=r"^query 'q4': image score of page 'p1' is not finite$"):
+            list(rank_queries(idx, queries, [FusionConfig(mode="ucmr")]))
+
 
 class TestRetrieve:
     def test_four_page_fixture_matches_reference_pipeline(self):
@@ -322,6 +331,12 @@ class TestRunFile:
             read_run(["q1\tp1\tone\t0\t0\t0\tucmr"])
         with pytest.raises(ComretError, match="^run line 1: expected 7 columns, got 5$"):
             read_run(["q1\tp1\t1\t0\t0"])
+        with pytest.raises(ComretError, match="^run line 2: rank must be >= 1, got 0$"):
+            read_run(["q1\tp1\t1\t0\t0\t0\tucmr", "q1\tp2\t0\t0\t0\t0\tucmr"])
+
+    def test_blank_lines_skipped(self):
+        lines = ["\n", "q1\tp2\t2\t0\t0\t0\tucmr\n", " \n", "q1\tp1\t1\t0\t0\t0\tucmr\n"]
+        assert read_run(lines) == {"q1": ["p1", "p2"]}
 
     def test_threaded_matches_serial(self, rng):
         idx = random_index(rng, pages=20, dim=5)

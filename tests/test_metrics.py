@@ -34,6 +34,11 @@ class TestRecall:
         with pytest.raises(ComretError, match="^recall needs a non-empty gold set$"):
             recall_at_k(["a"], set(), 1)
 
+    @pytest.mark.parametrize("name, metric", [("hit", hit_at_k), ("mrr", mrr_at_k), ("ndcg", ndcg_at_k)])
+    def test_empty_gold_raises_in_hit_mrr_and_ndcg(self, name, metric):
+        with pytest.raises(ComretError, match=f"^{name} needs a non-empty gold set$"):
+            metric(["a"], set(), 1)
+
     def test_hit_is_any_match(self):
         assert hit_at_k(["a", "x"], {"a", "b", "c"}, 2) == 1.0
         assert hit_at_k(["x", "y"], {"a"}, 2) == 0.0
@@ -141,11 +146,19 @@ class TestQrels:
         qrels = read_qrels(["q1\tp1\t1\n", "q1\tp2\t0\n", "q2\tp3\t1\n"])
         assert qrels == {"q1": frozenset({"p1"}), "q2": frozenset({"p3"})}
 
+    def test_blank_lines_skipped(self):
+        assert read_qrels(["\n", "q1\tp1\t1\n", "  \n"]) == {"q1": frozenset({"p1"})}
+
     def test_malformed_line(self):
         with pytest.raises(ComretError, match="^line 1: expected 3 columns, got 2$"):
             read_qrels(["q1\tp1\n"])
         with pytest.raises(ComretError, match="^line 1: relevance must be 0 or 1, got '2'$"):
             read_qrels(["q1\tp1\t2\n"])
+
+    @pytest.mark.parametrize("line", ["\tp1\t1\n", "q1\t\t1\n"])
+    def test_empty_id(self, line):
+        with pytest.raises(ComretError, match="^line 2: empty query_id or page_id$"):
+            read_qrels(["q1\tp1\t1\n", line])
 
 
 class TestEvaluateRun:

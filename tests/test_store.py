@@ -944,6 +944,12 @@ class TestLoadIndexChecks:
         with pytest.raises(ComretError, match="dim/M"):
             load_index(tmp_path)
 
+    def test_ids_on_one_side_only_named(self, tmp_path):
+        save_index(make_index([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]), tmp_path)
+        (tmp_path / "texts.cmeb").write_bytes(valid_cmeb(2, 2, ["p1", "p9"]))
+        with pytest.raises(ComretError, match="^ids present on one side only: p2, p9$"):
+            load_index(tmp_path)
+
     def test_reordered_rows_named_as_such(self, tmp_path):
         index = make_index([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
         save_index(index, tmp_path)

@@ -91,6 +91,10 @@ class TestPairwiseSigmoidLoss:
             want = reference.pair_loss_double_loop(q.tolist(), c.tolist(), tau, eta)
             assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
 
+    def test_dim_mismatch_rejected(self):
+        with pytest.raises(ComretError, match="^candidate embeddings: expected dim 2, got 3$"):
+            pairwise_sigmoid_loss(np.ones((2, 2)), np.ones((2, 3)), TAU0, ETA0)
+
     def test_nonnegative(self, rng):
         for _ in range(50):
             b, d = int(rng.integers(1, 7)), int(rng.integers(1, 10))
@@ -217,6 +221,16 @@ class TestTrainToy:
         with pytest.warns(NonDecreasingLossWarning):
             train_toy(batch, TrainConfig(learning_rate=1e-300, steps=1))
 
+    def test_image_map_seeded_when_dims_differ(self, rng):
+        # 5-dim image features against 3-dim queries: the frozen image map
+        # is a Gaussian drawn from the seed, not the identity.
+        batch = TripletBatch(rng.standard_normal((6, 3)), rng.standard_normal((6, 5)), rng.standard_normal((6, 4)))
+        runs = [train_toy(batch, TrainConfig(steps=5, seed=seed)) for seed in (0, 0, 1)]
+        assert runs[0].encoders.w_image.shape == (5, 3)
+        assert runs[0].log == runs[1].log
+        assert runs[0].encoders.w_image.tobytes() == runs[1].encoders.w_image.tobytes()
+        assert not np.array_equal(runs[0].encoders.w_image, runs[2].encoders.w_image)
+
     def test_needs_two_triplets(self):
         batch = TripletBatch(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)))
         with pytest.raises(ComretError):
@@ -262,6 +276,16 @@ class TestTrainConfig:
 
     def test_defaults_match_standard_setup(self):
         assert TrainConfig().lam == 0.5 and (TAU_INIT, ETA_INIT) == (10.0, -10.0)
+
+
+class TestTripletBatch:
+    @pytest.mark.parametrize(
+        "rows", [(0, 0, 0), (2, 1, 2), (2, 2, 3)], ids=["empty", "image-short", "text-long"]
+    )
+    def test_row_counts_must_agree(self, rows):
+        q, i, t = (np.ones((n, 2)) for n in rows)
+        with pytest.raises(ComretError, match="^triplet fields must have the same non-zero row count$"):
+            TripletBatch(q, i, t)
 
 
 class TestLoadTriplets:
