@@ -414,8 +414,8 @@ def _temp(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
-def _write_temp(matrix: PackedMatrix, path: Path) -> None:
-    """Write ``matrix`` to the temporary sibling of ``path``; a caller renames or removes it."""
+def _footer(matrix: PackedMatrix, path: Path) -> bytes:
+    """The id footer of ``matrix``, once each id is one ingest would accept."""
     if len(matrix.ids) != matrix.count:
         raise ComretError(f"{path}: {len(matrix.ids)} ids for {matrix.count} rows")
     try:
@@ -432,6 +432,11 @@ def _write_temp(matrix: PackedMatrix, path: Path) -> None:
     except UnicodeEncodeError as exc:
         row = block.count("\n", 0, exc.start)
         raise ComretError(f"{path}: id of row {row} holds an unpaired surrogate")
+    return footer
+
+
+def _write_temp(matrix: PackedMatrix, footer: bytes, path: Path) -> None:
+    """Write ``matrix`` to the temporary sibling of ``path``; a caller renames or removes it."""
     data = np.ascontiguousarray(matrix.data, dtype="<f4")
     with open(_temp(path), "wb") as fh:
         fh.write(MAGIC + struct.pack("<IIQ", VERSION, matrix.dim, matrix.count))
@@ -479,7 +484,28 @@ def _decode_ids(path: Path, footer: bytes, count: int) -> tuple[str, ...]:
         raise ComretError(f"{path}: the footer holds {len(ids)} ids for {count} rows")
     if "" in ids:
         raise ComretError(f"{path}: id of row {ids.index('')} is empty")
+    if b"\t" in raw or b"\r" in raw:
+        row = next(row for row, rid in enumerate(ids) if "\t" in rid or "\r" in rid)
+        raise ComretError(f"{path}: id of row {row} holds a tab or a CR")
     return ids
+
+
+def _check_agreement(root: Path, images: PackedMatrix, texts: PackedMatrix, manifest: object) -> None:
+    """Refuse an index under ``root`` whose files disagree: other ids or
+    another row order in the two matrices, other dims, a manifest whose
+    dim/M do not match, or no pages at all."""
+    if tuple(images.ids) != tuple(texts.ids):
+        if sorted(images.ids) == sorted(texts.ids):
+            raise ComretError(f"{root}: {TEXTS_FILE} holds the ids of {IMAGES_FILE} in a different row order")
+        raise _one_side_only(images.ids, texts.ids)
+    if texts.dim != images.dim:
+        raise ComretError(f"texts vs images: expected dim {images.dim}, got {texts.dim}")
+    if not isinstance(manifest, dict) or (manifest.get("dim"), manifest.get("M")) != (images.dim, images.count):
+        raise ComretError(
+            f"{root / MANIFEST_FILE}: dim/M do not match the matrices (dim {images.dim}, M {images.count})"
+        )
+    if images.count == 0:
+        raise ComretError(f"{root}: the index holds no pages")
 
 
 def save_index(index: IndexDirectory, path: str | Path) -> None:
@@ -491,14 +517,17 @@ def save_index(index: IndexDirectory, path: str | Path) -> None:
     written, so a failed save leaves the old index whole. Ids that ingest
     would refuse (a non-string, an empty id, one holding a tab, a CR, a
     "\n" or an unpaired surrogate) are refused first, as are one id too
-    many or too few.
+    many or too few, and then an index whose files ``load_index`` would
+    refuse to pair; a refused index writes nothing.
     """
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     paths = (root / IMAGES_FILE, root / TEXTS_FILE)
+    footers = [_footer(matrix, target) for matrix, target in zip((index.images, index.texts), paths)]
+    _check_agreement(root, index.images, index.texts, index.manifest)
+    root.mkdir(parents=True, exist_ok=True)
     try:
         # A large write releases the GIL, so the two files are written at once.
-        _both((_write_temp, index.images, paths[0]), (_write_temp, index.texts, paths[1]))
+        _both((_write_temp, index.images, footers[0], paths[0]), (_write_temp, index.texts, footers[1], paths[1]))
         for target in paths:
             os.replace(_temp(target), target)
     finally:
@@ -530,16 +559,5 @@ def load_index(path: str | Path) -> IndexDirectory:
             manifest = json.load(fh)
         except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, or nested too deeply
             raise ComretError(f"{manifest_path}: unreadable manifest ({exc})")
-    if images.ids != texts.ids:
-        if sorted(images.ids) == sorted(texts.ids):
-            raise ComretError(f"{root}: {TEXTS_FILE} holds the ids of {IMAGES_FILE} in a different row order")
-        raise _one_side_only(images.ids, texts.ids)
-    if texts.dim != images.dim:
-        raise ComretError(f"texts vs images: expected dim {images.dim}, got {texts.dim}")
-    if not isinstance(manifest, dict) or (manifest.get("dim"), manifest.get("M")) != (images.dim, images.count):
-        raise ComretError(
-            f"{manifest_path}: dim/M do not match the matrices (dim {images.dim}, M {images.count})"
-        )
-    if images.count == 0:
-        raise ComretError(f"{root}: the index holds no pages")
+    _check_agreement(root, images, texts, manifest)
     return IndexDirectory(images=images, texts=texts, manifest=manifest)

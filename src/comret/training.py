@@ -1,24 +1,25 @@
 """Desk-scale trainer for the pairwise sigmoid alignment objective.
 
-A batch of b (query, image, text) feature triplets is embedded by three
-linear maps. For each modality the b*b pair grid is scored by inner
-product and every pair contributes a sigmoid-contrastive term
+A batch of b (query, image, text) feature triplets is embedded into the
+query feature space: queries are used as they are, images and texts go
+through a linear map each. For each modality the b*b pair grid is scored
+by inner product and every pair contributes a sigmoid-contrastive term
 
     softplus( gamma_ij * (-tau * z_ij + eta) ) / b
 
 with gamma_ij = +1 on the diagonal (matched pairs) and -1 elsewhere; tau
 and eta are a learnable temperature and bias initialized to 10 and -10.
 The text-side and image-side losses are blended with weight ``lam`` on
-text. Only the text map is trained; the query and image maps stay frozen
-to preserve their pretrained alignment, so the text-map gradient of the
+text. Only the text map is trained; the image map stays frozen to
+preserve its pretrained alignment, so the text-map gradient of the
 blended loss is lam times the text-side gradient. tau stays positive by
-training log(tau).
+training log(tau). A run returns its loss log; ``train-toy`` prints one
+``warning:`` line when the final loss is not below the initial one.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, TextIO
 
@@ -31,10 +32,6 @@ from .store import finite_vector, json_objects
 #: The temperature and bias every training run starts from.
 TAU_INIT = 10.0
 ETA_INIT = -10.0
-
-
-class NonDecreasingLossWarning(UserWarning):
-    """Training finished with a loss at or above its starting value."""
 
 
 @dataclass(frozen=True)
@@ -82,17 +79,16 @@ class TripletBatch:
 
 @dataclass
 class ToyEncoders:
-    """Three linear maps into a shared embedding space.
+    """Linear maps of image and text features into the query feature space.
 
-    w_query and w_image are frozen; only w_text receives updates.
+    w_image is frozen; only w_text receives updates.
     """
 
-    w_query: np.ndarray
     w_image: np.ndarray
     w_text: np.ndarray
 
     def embed(self, batch: TripletBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return batch.query @ self.w_query, batch.image @ self.w_image, batch.text @ self.w_text
+        return batch.query, batch.image @ self.w_image, batch.text @ self.w_text
 
 
 def _pair_signs(b: int) -> np.ndarray:
@@ -102,19 +98,19 @@ def _pair_signs(b: int) -> np.ndarray:
     return signs
 
 
-def _stable_sigmoid(a: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-a))
+def _pair_grid(query_embs: np.ndarray, cand_embs: np.ndarray, tau: float, eta: float):
+    """The b x b score grid z, its pair signs and the softplus arguments signs * (-tau * z + eta)."""
+    if query_embs.shape[1] != cand_embs.shape[1]:
+        raise ComretError(f"candidate embeddings: expected dim {query_embs.shape[1]}, got {cand_embs.shape[1]}")
+    z = query_embs @ cand_embs.T
+    signs = _pair_signs(len(z))
+    return z, signs, signs * (-tau * z + eta)
 
 
 def pairwise_sigmoid_loss(query_embs: np.ndarray, cand_embs: np.ndarray, tau: float, eta: float) -> float:
     """Mean-per-row sum of softplus pair terms over the b*b score grid."""
-    if query_embs.shape[1] != cand_embs.shape[1]:
-        raise ComretError(f"candidate embeddings: expected dim {query_embs.shape[1]}, got {cand_embs.shape[1]}")
-    b = query_embs.shape[0]
-    z = query_embs @ cand_embs.T
-    a = _pair_signs(b) * (-tau * z + eta)
-    return float(np.logaddexp(0.0, a).sum() / b)
+    _, _, a = _pair_grid(query_embs, cand_embs, tau, eta)
+    return float(np.logaddexp(0.0, a).sum() / len(a))
 
 
 def combined_loss(
@@ -127,8 +123,7 @@ def combined_loss(
     return lam * loss_t + (1.0 - lam) * loss_i, loss_t, loss_i
 
 
-@dataclass(frozen=True)
-class Gradients:
+class Gradients(NamedTuple):
     """Gradients of the blended loss w.r.t. the trained parameters."""
 
     w_text: np.ndarray
@@ -136,14 +131,13 @@ class Gradients:
     eta: float
 
 
-def _grid_terms(q_embs: np.ndarray, c_embs: np.ndarray, tau: float, eta: float):
-    b = q_embs.shape[0]
-    z = q_embs @ c_embs.T
-    signs = _pair_signs(b)
-    s = _stable_sigmoid(signs * (-tau * z + eta))
-    g_tau = -float(np.sum(s * signs * z)) / b
-    g_eta = float(np.sum(s * signs)) / b
-    return z, signs, s, g_tau, g_eta
+def _grid_gradients(query_embs: np.ndarray, cand_embs: np.ndarray, tau: float, eta: float):
+    """Gradients of one modality's pair loss w.r.t. its score grid z, tau and eta."""
+    z, signs, a = _pair_grid(query_embs, cand_embs, tau, eta)
+    b = len(z)
+    with np.errstate(over="ignore"):
+        d_a = 1.0 / (1.0 + np.exp(-a)) * signs  # softplus'(a) = sigmoid(a), times d a / d(-tau * z + eta)
+    return -(tau / b) * d_a, -float(np.sum(d_a * z)) / b, float(np.sum(d_a)) / b
 
 
 def loss_gradients(
@@ -152,19 +146,13 @@ def loss_gradients(
     """Analytic gradients of combined_loss w.r.t. w_text, tau and eta.
 
     The image-side loss never touches w_text, so the w_text gradient is
-    lam times the text-side gradient; w_query and w_image are frozen.
+    lam times the text-side gradient; w_image is frozen.
     """
     q, i_embs, t_embs = encoders.embed(batch)
-    b = batch.size
-
-    _, signs_t, s_t, g_tau_t, g_eta_t = _grid_terms(q, t_embs, tau, eta)
-    d_z = -(tau / b) * (s_t * signs_t)
-    g_w_text = lam * (batch.text.T @ (d_z.T @ q))
-
-    _, _, _, g_tau_i, g_eta_i = _grid_terms(q, i_embs, tau, eta)
-
+    d_z, g_tau_t, g_eta_t = _grid_gradients(q, t_embs, tau, eta)
+    _, g_tau_i, g_eta_i = _grid_gradients(q, i_embs, tau, eta)
     return Gradients(
-        w_text=g_w_text,
+        w_text=lam * (batch.text.T @ (d_z.T @ q)),
         tau=lam * g_tau_t + (1.0 - lam) * g_tau_i,
         eta=lam * g_eta_t + (1.0 - lam) * g_eta_i,
     )
@@ -186,22 +174,12 @@ def load_triplets(lines: Iterable[str]) -> TripletBatch:
 
 
 def init_encoders(batch: TripletBatch, seed: int = 0) -> ToyEncoders:
-    """Frozen identity query map (d = query feature dim), frozen image map
-    (identity when dims allow, else a seeded Gaussian), zero text map."""
-    d = batch.query.shape[1]
-    fi = batch.image.shape[1]
-    if fi == d:
-        w_image = np.eye(d)
-    else:
-        w_image = np.random.default_rng(seed).standard_normal((fi, d)) / math.sqrt(fi)
-    encoders = ToyEncoders(
-        w_query=np.eye(d),
-        w_image=w_image,
-        w_text=np.zeros((batch.text.shape[1], d)),
-    )
-    encoders.w_query.flags.writeable = False
-    encoders.w_image.flags.writeable = False
-    return encoders
+    """Frozen image map into the query feature space (identity when the
+    dims agree, else a seeded Gaussian) and a zero text map."""
+    d, fi = batch.query.shape[1], batch.image.shape[1]
+    w_image = np.eye(d) if fi == d else np.random.default_rng(seed).standard_normal((fi, d)) / math.sqrt(fi)
+    w_image.flags.writeable = False
+    return ToyEncoders(w_image, np.zeros((batch.text.shape[1], d)))
 
 
 class LogRow(NamedTuple):
@@ -217,21 +195,18 @@ class LogRow(NamedTuple):
 class TrainResult:
     log: list[LogRow]
     encoders: ToyEncoders
-    tau: float
-    eta: float
-    initial_loss: float
-    final_loss: float
     mrr_at_1: float
 
     def report(self) -> dict:
+        first, last = self.log[0], self.log[-1]
         return {
-            "steps": self.log[-1].step,
-            "initial_loss": self.initial_loss,
-            "final_loss": self.final_loss,
-            "loss_ratio": self.final_loss / self.initial_loss if self.initial_loss else math.nan,
+            "steps": last.step,
+            "initial_loss": first.loss,
+            "final_loss": last.loss,
+            "loss_ratio": last.loss / first.loss if first.loss else math.nan,
             "self_retrieval_mrr_at_1": self.mrr_at_1,
-            "tau": self.tau,
-            "eta": self.eta,
+            "tau": last.tau,
+            "eta": last.eta,
         }
 
 
@@ -244,7 +219,7 @@ def self_retrieval_mrr_at_1(batch: TripletBatch, encoders: ToyEncoders) -> float
 
 
 def train_toy(batch: TripletBatch, cfg: TrainConfig) -> TrainResult:
-    """Gradient descent on (w_text, log tau, eta) with frozen query/image maps.
+    """Gradient descent on (w_text, log tau, eta) with a frozen image map.
 
     Full-batch by default; with cfg.batch_size set, mini-batches are drawn
     from a seeded shuffle each epoch. The log holds the full-batch loss at
@@ -253,22 +228,20 @@ def train_toy(batch: TripletBatch, cfg: TrainConfig) -> TrainResult:
     if batch.size < 2:
         raise ComretError("need at least 2 triplets to form negative pairs")
     encoders = init_encoders(batch, cfg.seed)
-    w_text = encoders.w_text.copy()
     theta = math.log(TAU_INIT)
     eta = ETA_INIT
     lr = cfg.learning_rate
 
     def snapshot(step: int) -> LogRow:
-        current = ToyEncoders(encoders.w_query, encoders.w_image, w_text)
-        loss, loss_t, loss_i = combined_loss(batch, current, cfg.lam, math.exp(theta), eta)
-        return LogRow(step, loss, loss_t, loss_i, math.exp(theta), eta)
+        tau = math.exp(theta)
+        return LogRow(step, *combined_loss(batch, encoders, cfg.lam, tau, eta), tau, eta)
 
     log = [snapshot(0)]
 
     rng = np.random.default_rng(cfg.seed)
     minibatch = cfg.batch_size is not None and cfg.batch_size < batch.size
     order: list[int] = []
-    v_w = np.zeros_like(w_text)
+    v_w = np.zeros_like(encoders.w_text)
     v_theta = 0.0
     v_eta = 0.0
 
@@ -280,34 +253,18 @@ def train_toy(batch: TripletBatch, cfg: TrainConfig) -> TrainResult:
             sub = batch.take(np.asarray(take))
         else:
             sub = batch
-        current = ToyEncoders(encoders.w_query, encoders.w_image, w_text)
         tau = math.exp(theta)
-        grads = loss_gradients(sub, current, cfg.lam, tau, eta)
+        grads = loss_gradients(sub, encoders, cfg.lam, tau, eta)
 
         v_w = cfg.momentum * v_w + grads.w_text
         v_theta = cfg.momentum * v_theta + tau * grads.tau  # chain rule for log-tau
         v_eta = cfg.momentum * v_eta + grads.eta
-        w_text = w_text - lr * v_w
+        encoders = ToyEncoders(encoders.w_image, encoders.w_text - lr * v_w)
         theta -= lr * v_theta
         eta -= lr * v_eta
         log.append(snapshot(step))
 
-    final_encoders = ToyEncoders(encoders.w_query, encoders.w_image, w_text)
-    initial_loss, final_loss = log[0].loss, log[-1].loss
-    if cfg.steps > 0 and final_loss >= initial_loss:
-        warnings.warn(
-            f"loss did not decrease: {initial_loss:.6g} -> {final_loss:.6g}",
-            NonDecreasingLossWarning,
-        )
-    return TrainResult(
-        log=log,
-        encoders=final_encoders,
-        tau=math.exp(theta),
-        eta=eta,
-        initial_loss=initial_loss,
-        final_loss=final_loss,
-        mrr_at_1=self_retrieval_mrr_at_1(batch, final_encoders),
-    )
+    return TrainResult(log=log, encoders=encoders, mrr_at_1=self_retrieval_mrr_at_1(batch, encoders))
 
 
 def write_log_csv(log: list[LogRow], fh: TextIO) -> None:

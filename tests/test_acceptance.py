@@ -162,7 +162,7 @@ def test_06_gradient_check():
             )
             base = init_encoders(batch, seed=0)
             w0 = rng.standard_normal((d, d)) * 0.4
-            enc = ToyEncoders(base.w_query, base.w_image, w0)
+            enc = ToyEncoders(base.w_image, w0)
             lam = float(rng.uniform(0.0, 1.0))
             tau = float(rng.uniform(0.5, 12.0))
             eta = float(rng.uniform(-11.0, 3.0))
@@ -173,8 +173,8 @@ def test_06_gradient_check():
                 hi[idx] += eps
                 lo[idx] -= eps
                 fd = (
-                    combined_loss(batch, ToyEncoders(base.w_query, base.w_image, hi), lam, tau, eta)[0]
-                    - combined_loss(batch, ToyEncoders(base.w_query, base.w_image, lo), lam, tau, eta)[0]
+                    combined_loss(batch, ToyEncoders(base.w_image, hi), lam, tau, eta)[0]
+                    - combined_loss(batch, ToyEncoders(base.w_image, lo), lam, tau, eta)[0]
                 ) / (2 * eps)
                 assert rel_err(grads.w_text[idx], fd) < 1e-4
             fd_tau = (
@@ -200,7 +200,8 @@ def test_07_toy_training():
             text=np.eye(n),
         )
         result = train_toy(batch, TrainConfig(learning_rate=0.05, steps=200))
-        assert result.final_loss <= 0.5 * result.initial_loss
+        report = result.report()
+        assert report["final_loss"] <= 0.5 * report["initial_loss"]
         assert result.mrr_at_1 == 1.0
         assert time.perf_counter() - started < 10.0
 

@@ -575,8 +575,10 @@ class TestIOFailures:
     @pytest.mark.parametrize("command", ["retrieve", "diagnose"])
     def test_zero_page_index_is_one_error_line(self, built_index, command):
         root, idx, queries, _ = built_index
-        empty = store.PackedMatrix(ids=(), data=np.empty((0, 4), dtype=np.float32))
-        store.save_index(store.IndexDirectory(images=empty, texts=empty, manifest={"dim": 4, "M": 0}), idx)
+        # save_index refuses an index of no pages, so its files are written by hand.
+        for name in ("images.cmeb", "texts.cmeb"):
+            (idx / name).write_bytes(b"CMEB" + struct.pack("<IIQ", 2, 4, 0) + struct.pack("<Q", 0))
+        (idx / "manifest.json").write_text(json.dumps({"dim": 4, "M": 0}))
         # A fresh interpreter, so stderr is all a user sees, warnings included.
         result = run_process(command, "--index", idx, "--queries", queries, "--out", root / "out")
         assert result == (1, "", f"error: {idx}: the index holds no pages\n")
@@ -980,6 +982,16 @@ class TestTrainToy:
         assert report["final_loss"] > report["initial_loss"]
         assert (code, stdout.count("\n")) == (0, 1)
         assert err == f"warning: loss did not decrease: {report['initial_loss']:.6g} -> {report['final_loss']:.6g}\n"
+
+    def test_unchanged_loss_is_one_warning_line(self, triplets, tmp_path, capsys):
+        # A step far below float64 resolution leaves the loss where it was,
+        # and a loss that did not fall is warned of as one that rose.
+        out = tmp_path / "train"
+        assert run_cli("train-toy", "--triplets", triplets, "--lr", "1e-300", "--steps", 1, "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["final_loss"] == report["initial_loss"]
+        loss = f"{report['initial_loss']:.6g}"
+        assert capsys.readouterr().err == f"warning: loss did not decrease: {loss} -> {loss}\n"
 
     def test_same_seed_byte_identical_logs(self, triplets, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

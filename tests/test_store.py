@@ -965,7 +965,10 @@ class TestLoadIndexChecks:
             load_index(tmp_path)
 
     def test_zero_page_index_refused(self, tmp_path):
-        save_index(hand_built(PackedMatrix(ids=(), data=np.empty((0, 2), dtype=np.float32))), tmp_path)
+        # save_index refuses an index of no pages, so its files are written by hand.
+        for name in ("images.cmeb", "texts.cmeb"):
+            (tmp_path / name).write_bytes(valid_cmeb(0, 2, []))
+        (tmp_path / "manifest.json").write_text(json.dumps({"dim": 2, "M": 0}))
         with pytest.raises(ComretError, match="the index holds no pages$"):
             load_index(tmp_path)
 
@@ -977,6 +980,67 @@ class TestLoadIndexChecks:
         (tmp_path / "manifest.json").write_text(json.dumps({"dim": 2, "M": 0}))
         with pytest.raises(ComretError, match="the index holds no pages$"):
             load_index(tmp_path)
+
+    @pytest.mark.parametrize("char", ["\t", "\r"], ids=["tab", "carriage-return"])
+    @pytest.mark.parametrize("name", ["images.cmeb", "texts.cmeb"])
+    def test_id_holding_a_tab_or_cr_refused(self, tmp_path, name, char):
+        # A texts footer like the images one is not decoded, so a bad
+        # texts id is only found in a footer that differs.
+        bad = ["p0", f"p{char}1", "p2"]
+        images = bad if name == "images.cmeb" else ["p0", "p1", "p2"]
+        (tmp_path / "images.cmeb").write_bytes(valid_cmeb(3, 2, images))
+        (tmp_path / "texts.cmeb").write_bytes(valid_cmeb(3, 2, bad))
+        (tmp_path / "manifest.json").write_text(json.dumps({"dim": 2, "M": 3}))
+        with pytest.raises(ComretError, match=error_at(tmp_path / name, "id of row 1 holds a tab or a CR")):
+            load_index(tmp_path)
+
+
+class TestSaveIndexAgreement:
+    """save_index refuses, before it writes a byte, every index whose files
+    load_index would refuse to pair, with load_index's message."""
+
+    ROWS = np.arange(6, dtype=np.float32).reshape(3, 2)
+    GOOD = PackedMatrix(ids=("a", "b", "c"), data=ROWS)
+    EMPTY = PackedMatrix(ids=(), data=np.empty((0, 2), dtype=np.float32))
+    FITS = {"dim": 2, "M": 3}
+    DIM_M = "{root}/manifest.json: dim/M do not match the matrices (dim 2, M 3)"
+
+    @pytest.mark.parametrize(
+        "images, texts, manifest, message",
+        [
+            pytest.param(
+                GOOD, PackedMatrix(ids=("c", "b", "a"), data=ROWS), FITS,
+                "{root}: texts.cmeb holds the ids of images.cmeb in a different row order", id="texts-reordered",
+            ),
+            pytest.param(
+                GOOD, PackedMatrix(ids=("a", "b", "z"), data=ROWS), FITS,
+                "ids present on one side only: c, z", id="texts-other-ids",
+            ),
+            pytest.param(
+                GOOD, PackedMatrix(ids=GOOD.ids, data=np.ones((3, 5), dtype=np.float32)), FITS,
+                "texts vs images: expected dim 2, got 5", id="texts-other-dim",
+            ),
+            pytest.param(GOOD, GOOD, {"dim": 3, "M": 3}, DIM_M, id="manifest-dim"),
+            pytest.param(GOOD, GOOD, {"dim": 2, "M": 4}, DIM_M, id="manifest-M"),
+            pytest.param(EMPTY, EMPTY, {"dim": 2, "M": 0}, "{root}: the index holds no pages", id="zero-pages"),
+        ],
+    )
+    def test_refused_index_leaves_the_old_one_loadable(self, tmp_path, rng, images, texts, manifest, message):
+        old = random_index(rng, 4, 3)
+        save_index(old, tmp_path)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ComretError, match=f"^{re.escape(message.format(root=tmp_path))}$"):
+            save_index(IndexDirectory(images=images, texts=texts, manifest=manifest), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+        loaded = load_index(tmp_path)
+        assert loaded.ids == old.ids
+        assert loaded.images.data.tobytes() == old.images.data.tobytes()
+        assert loaded.texts.data.tobytes() == old.texts.data.tobytes()
+
+    def test_refused_index_creates_no_directory(self, tmp_path):
+        with pytest.raises(ComretError, match="the index holds no pages$"):
+            save_index(hand_built(self.EMPTY), tmp_path / "new")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParseQueryJsonl:

@@ -33,6 +33,9 @@ id, with page ``p003`` renamed to ``p003]t`` (so ``t`` lies between the
 line's first ``[`` and last ``]``, and the line takes the type scan).
 ``train-toy`` with ``--lr 50`` on six 4-dim triplets must succeed with a
 rising loss, and print it as one ``warning:`` line that names no path.
+``train-toy`` also runs on mini-batches of 4 with momentum 0.9, and on
+triplets whose image features have 9 dims against the queries' 6 (the
+frozen image map is then a seeded Gaussian, not the identity).
 These inputs must fail with exit code 1:
 - ingest of an images file whose second embedding holds ``true``, one
   whose second embedding holds ``1e39`` (beyond float32), one whose
@@ -238,6 +241,8 @@ def make_inputs(out: Path) -> None:
     write_jsonl(out / "triplets_deep.jsonl", triplets[:2] + [{**triplets[2], "i": "DEEP"}] + triplets[3:])
     spoil_line(out / "triplets_deep.jsonl", 2, '"DEEP"', DEEP_ARRAY)
     write_jsonl(out / "triplets_rises.jsonl", [{key: rng.standard_normal(4).tolist() for key in "qit"} for _ in range(6)])
+    image_dim = [{k: rng.standard_normal(n).tolist() for k, n in (("q", 6), ("i", 9), ("t", 5))} for _ in range(10)]
+    write_jsonl(out / "triplets_image_dim.jsonl", image_dim)
 
 
 def commands(o: Path) -> list[tuple[str, list[str]]]:
@@ -356,6 +361,10 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
                             "--out", o / "train-deep"]),
         ("train-toy-loss-rises", ["train-toy", "--triplets", o / "triplets_rises.jsonl", "--lr", "50",
                                   "--steps", "20", "--out", o / "train-loss-rises"]),
+        ("train-toy-minibatch", ["train-toy", "--triplets", o / "triplets.jsonl", "--steps", "30", "--batch-size", "4",
+                                 "--momentum", "0.9", "--seed", "7", "--out", o / "train-minibatch"]),
+        ("train-toy-image-dim", ["train-toy", "--triplets", o / "triplets_image_dim.jsonl", "--steps", "30",
+                                 "--seed", "5", "--out", o / "train-image-dim"]),
     ]
     cmds += [
         (f"train-toy-lr-{lr}", ["train-toy", "--triplets", o / "triplets.jsonl", "--steps", "3", "--lr", lr,
