@@ -5,6 +5,10 @@ found in the top k (the stricter multi-gold reading); hit@k is the
 any-hit variant and equals recall@k whenever a query has a single gold
 page. nDCG uses the log2(rank+1) discount. Macro averages are plain
 arithmetic means over queries.
+
+A page listed again in one ranking keeps the rank of its first listing,
+and its later listings take no place in the top k: every metric scores
+the first k distinct pages.
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ from typing import Iterable, Mapping, Sequence, TextIO
 from .errors import ComretError
 
 Qrels = dict[str, frozenset[str]]
-
-METRIC_NAMES = ("recall", "hit", "ndcg", "mrr")
-
 
 def read_qrels(lines: Iterable[str]) -> Qrels:
     """Parse TSV qrels: query_id, page_id, relevance in {0,1}.
@@ -48,7 +49,7 @@ def parse_metric_spec(spec: str) -> tuple[str, int]:
     """Parse "name@k" (case-insensitive) into (name, k)."""
     name, sep, k_s = spec.strip().lower().partition("@")
     try:
-        k = int(k_s) if sep and name in METRIC_NAMES else 0
+        k = int(k_s) if sep and name in _METRIC_FNS else 0
     except ValueError:
         k = 0
     if k < 1:
@@ -56,39 +57,28 @@ def parse_metric_spec(spec: str) -> tuple[str, int]:
     return name, k
 
 
-def _dedup(ranked: Sequence[str]) -> list[str]:
-    seen: set[str] = set()
-    out = []
-    for pid in ranked:
-        if pid not in seen:
-            seen.add(pid)
-            out.append(pid)
-    return out
+def _gold_ranks(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int, name: str) -> list[int]:
+    """The 1-based ranks of the gold pages among the first k distinct pages of ``ranked``."""
+    if not gold:
+        raise ComretError(f"{name} needs a non-empty gold set")
+    top = list(dict.fromkeys(ranked))[:k]
+    return [rank for rank, pid in enumerate(top, start=1) if pid in gold]
 
 
 def recall_at_k(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int) -> float:
     """Fraction of gold pages present in the top k."""
-    if not gold:
-        raise ComretError("recall needs a non-empty gold set")
-    top = set(_dedup(ranked)[:k])
-    return len(top & set(gold)) / len(gold)
+    return len(_gold_ranks(ranked, gold, k, "recall")) / len(gold)
 
 
 def hit_at_k(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int) -> float:
     """1.0 if any gold page is in the top k, else 0.0."""
-    if not gold:
-        raise ComretError("hit needs a non-empty gold set")
-    return 1.0 if set(_dedup(ranked)[:k]) & set(gold) else 0.0
+    return 1.0 if _gold_ranks(ranked, gold, k, "hit") else 0.0
 
 
 def mrr_at_k(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int) -> float:
     """Reciprocal rank of the first gold page within the top k, else 0.0."""
-    if not gold:
-        raise ComretError("mrr needs a non-empty gold set")
-    for rank, pid in enumerate(_dedup(ranked)[:k], start=1):
-        if pid in gold:
-            return 1.0 / rank
-    return 0.0
+    ranks = _gold_ranks(ranked, gold, k, "mrr")
+    return 1.0 / ranks[0] if ranks else 0.0
 
 
 def ndcg_at_k(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int) -> float:
@@ -98,12 +88,9 @@ def ndcg_at_k(ranked: Sequence[str], gold: frozenset[str] | set[str], k: int) ->
     which keeps nDCG@k nondecreasing in k; with |gold| <= k this is the
     usual normalization.
     """
-    if not gold:
-        raise ComretError("ndcg needs a non-empty gold set")
     dcg = 0.0
-    for rank, pid in enumerate(_dedup(ranked)[:k], start=1):
-        if pid in gold:
-            dcg += 1.0 / math.log2(rank + 1)
+    for rank in _gold_ranks(ranked, gold, k, "ndcg"):
+        dcg += 1.0 / math.log2(rank + 1)
     idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, len(gold) + 1))
     return dcg / idcg
 

@@ -40,7 +40,7 @@ ids are ignored.
 
 An index directory holds ``images.cmeb``, ``texts.cmeb`` and
 ``manifest.json`` (dim, M, normalize flag, build timestamp). ``load_index``
-maps the ``.cmeb`` files read-only; ``save_index`` replaces each by rename.
+maps the ``.cmeb`` files read-only; ``save_index`` replaces all three by rename.
 """
 
 from __future__ import annotations
@@ -511,21 +511,32 @@ def _check_agreement(root: Path, images: PackedMatrix, texts: PackedMatrix, mani
 def save_index(index: IndexDirectory, path: str | Path) -> None:
     """Write images.cmeb, texts.cmeb and manifest.json under ``path``.
 
-    Each ``.cmeb`` file is written to a temporary sibling and renamed over
-    the old one: truncating a mapped file in place would kill, with SIGBUS,
-    every process that has it loaded. Both are renamed only when both were
-    written, so a failed save leaves the old index whole. Ids that ingest
-    would refuse (a non-string, an empty id, one holding a tab, a CR, a
-    "\n" or an unpaired surrogate) are refused first, as are one id too
-    many or too few, and then an index whose files ``load_index`` would
-    refuse to pair; a refused index writes nothing.
+    Each file is written to a temporary sibling and renamed over the old
+    one: truncating a mapped file in place would kill, with SIGBUS, every
+    process that has it loaded. The three are renamed only when all three
+    were written, so a failed save leaves the old index whole. Ids that
+    ingest would refuse (a non-string, an empty id, one holding a tab, a
+    CR, a "\n" or an unpaired surrogate) are refused first, as are one id
+    too many or too few, then an index whose files ``load_index`` would
+    refuse to pair, and a manifest that JSON cannot hold; a refused index
+    writes nothing.
     """
     root = Path(path)
-    paths = (root / IMAGES_FILE, root / TEXTS_FILE)
-    footers = [_footer(matrix, target) for matrix, target in zip((index.images, index.texts), paths)]
+    paths = (root / IMAGES_FILE, root / TEXTS_FILE, root / MANIFEST_FILE)
+    footers = [_footer(index.images, paths[0])]
+    # A built or loaded index holds one ids tuple, so one footer serves both
+    # files; texts of another row count still meet _footer's count check.
+    shared = index.texts.ids is index.images.ids and index.texts.count == index.images.count
+    footers.append(footers[0] if shared else _footer(index.texts, paths[1]))
     _check_agreement(root, index.images, index.texts, index.manifest)
+    try:
+        manifest = (json.dumps(index.manifest, indent=2, sort_keys=True) + "\n").encode()
+    except (TypeError, ValueError, RecursionError) as exc:  # a value JSON cannot hold, or a cycle
+        raise ComretError(f"{paths[2]}: the manifest cannot be written as JSON ({exc})")
     root.mkdir(parents=True, exist_ok=True)
     try:
+        with open(_temp(paths[2]), "wb") as fh:
+            fh.write(manifest)
         # A large write releases the GIL, so the two files are written at once.
         _both((_write_temp, index.images, footers[0], paths[0]), (_write_temp, index.texts, footers[1], paths[1]))
         for target in paths:
@@ -533,9 +544,6 @@ def save_index(index: IndexDirectory, path: str | Path) -> None:
     finally:
         for target in paths:
             _temp(target).unlink(missing_ok=True)
-    with open(root / MANIFEST_FILE, "w", encoding="utf-8") as fh:
-        json.dump(index.manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_index(path: str | Path) -> IndexDirectory:

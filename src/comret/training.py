@@ -14,7 +14,10 @@ text. Only the text map is trained; the image map stays frozen to
 preserve its pretrained alignment, so the text-map gradient of the
 blended loss is lam times the text-side gradient. tau stays positive by
 training log(tau). A run returns its loss log; ``train-toy`` prints one
-``warning:`` line when the final loss is not below the initial one.
+``warning:`` line when the final loss is not below the initial one. A run
+whose loss, tau or eta stops being finite has diverged: it raises one
+``ComretError`` naming the step, and NumPy's overflow warnings on the way
+there are silenced, not printed.
 """
 
 from __future__ import annotations
@@ -218,12 +221,14 @@ def self_retrieval_mrr_at_1(batch: TripletBatch, encoders: ToyEncoders) -> float
     return float(np.mean(best == np.arange(batch.size)))
 
 
+@np.errstate(all="ignore")  # a diverging run is refused at its first non-finite log row
 def train_toy(batch: TripletBatch, cfg: TrainConfig) -> TrainResult:
     """Gradient descent on (w_text, log tau, eta) with a frozen image map.
 
     Full-batch by default; with cfg.batch_size set, mini-batches are drawn
     from a seeded shuffle each epoch. The log holds the full-batch loss at
-    step 0 and after every update.
+    step 0 and after every update. A loss, tau or eta that is no longer
+    finite raises a ``ComretError`` naming the step.
     """
     if batch.size < 2:
         raise ComretError("need at least 2 triplets to form negative pairs")
@@ -233,8 +238,14 @@ def train_toy(batch: TripletBatch, cfg: TrainConfig) -> TrainResult:
     lr = cfg.learning_rate
 
     def snapshot(step: int) -> LogRow:
-        tau = math.exp(theta)
-        return LogRow(step, *combined_loss(batch, encoders, cfg.lam, tau, eta), tau, eta)
+        try:
+            tau = math.exp(theta)
+        except OverflowError:
+            tau = math.inf
+        row = LogRow(step, *combined_loss(batch, encoders, cfg.lam, tau, eta), tau, eta)
+        if not all(map(math.isfinite, row[1:])):
+            raise ComretError(f"training diverged at step {step}: loss {row.loss:.6g}, tau {tau:.6g}, eta {eta:.6g}")
+        return row
 
     log = [snapshot(0)]
 

@@ -3,6 +3,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -982,6 +983,25 @@ class TestTrainToy:
         assert report["final_loss"] > report["initial_loss"]
         assert (code, stdout.count("\n")) == (0, 1)
         assert err == f"warning: loss did not decrease: {report['initial_loss']:.6g} -> {report['final_loss']:.6g}\n"
+
+    @pytest.mark.parametrize("case", ["tau-overflows", "loss-turns-nan"])
+    def test_diverging_run_is_one_error_line(self, rng, tmp_path, case):
+        # tau-overflows: a huge step drives log(tau) past exp's range.
+        # loss-turns-nan: entries near 1e100 at the default step overflow
+        # the score grid. A fresh interpreter, so NumPy warnings would show.
+        if case == "tau-overflows":
+            query = rng.standard_normal((6, 4)) * 1e-2
+            rows = [{"q": q, "i": q + rng.standard_normal(4), "t": q + rng.standard_normal(4)} for q in query]
+            args = ["--lr", "1e5", "--steps", "20"]
+        else:
+            rows = [{key: rng.standard_normal(4) * 1e100 for key in "qit"} for _ in range(6)]
+            args = []
+        triplets = write_jsonl(tmp_path / "six.jsonl", [{k: v.tolist() for k, v in row.items()} for row in rows])
+        out = tmp_path / "train"
+        code, stdout, err = run_process("train-toy", "--triplets", triplets, *args, "--out", out)
+        assert (code, stdout) == (1, "")
+        assert re.fullmatch(r"error: training diverged at step [1-9][0-9]*: loss \S+, tau \S+, eta \S+\n", err)
+        assert not out.exists()
 
     def test_unchanged_loss_is_one_warning_line(self, triplets, tmp_path, capsys):
         # A step far below float64 resolution leaves the loss where it was,

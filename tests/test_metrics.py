@@ -80,6 +80,33 @@ class TestNdcg:
         assert ndcg_at_k(["a", "b", "c"], {"a", "b", "c"}, 3) == pytest.approx(1.0)
 
 
+class TestRepeatedPages:
+    """A page listed again keeps its first rank and takes no place in the top k."""
+
+    def test_repeat_ahead_of_the_gold_page_takes_no_place(self):
+        ranked, gold = ["a", "a", "b", "c"], {"b"}
+        assert recall_at_k(ranked, gold, 2) == 1.0
+        assert hit_at_k(ranked, gold, 2) == 1.0
+        assert mrr_at_k(ranked, gold, 2) == 0.5
+        assert ndcg_at_k(ranked, gold, 2) == 1.0 / math.log2(3)
+
+    def test_repeated_gold_page_counts_once(self):
+        ranked, gold = ["b", "b", "x", "c"], {"b", "c"}
+        idcg = 1.0 + 1.0 / math.log2(3)
+        assert recall_at_k(ranked, gold, 2) == 0.5
+        assert hit_at_k(ranked, gold, 2) == 1.0
+        assert mrr_at_k(ranked, gold, 2) == 1.0
+        assert ndcg_at_k(ranked, gold, 2) == 1.0 / idcg
+        assert recall_at_k(ranked, gold, 3) == 1.0
+        assert ndcg_at_k(ranked, gold, 3) == (1.0 + 1.0 / math.log2(4)) / idcg
+
+    def test_gold_page_pushed_out_only_by_distinct_pages(self):
+        ranked, gold = ["a", "b", "a", "c"], {"c"}
+        for fn in (recall_at_k, hit_at_k, mrr_at_k, ndcg_at_k):
+            assert fn(ranked, gold, 2) == 0.0
+        assert mrr_at_k(ranked, gold, 3) == 1 / 3
+
+
 class TestAgainstNaiveReference(object):
     def test_random_instances_match(self, rng):
         for _ in range(300):

@@ -606,6 +606,20 @@ class TestMatrixRoundTrip:
         assert loaded.texts.data.tobytes() == idx.texts.data.tobytes()
         assert loaded.manifest["M"] == 2 and loaded.manifest["dim"] == 3
 
+    @pytest.mark.parametrize("distinct", [False, True], ids=["shared-ids", "equal-distinct-ids"])
+    def test_footer_built_once_for_shared_ids(self, tmp_path, monkeypatch, rng, distinct):
+        built = make_index(rng.standard_normal((3, 2)).tolist(), rng.standard_normal((3, 2)).tolist())
+        texts = PackedMatrix(ids=tuple(list(built.ids)), data=built.texts.data) if distinct else built.texts
+        footer = store._footer
+        calls = []
+        monkeypatch.setattr(store, "_footer", lambda matrix, path: calls.append(path.name) or footer(matrix, path))
+        save_index(IndexDirectory(images=built.images, texts=texts, manifest=built.manifest), tmp_path)
+        assert calls == (["images.cmeb", "texts.cmeb"] if distinct else ["images.cmeb"])
+        loaded = load_index(tmp_path)
+        assert loaded.images.ids == loaded.texts.ids == built.ids
+        assert loaded.images.data.tobytes() == built.images.data.tobytes()
+        assert loaded.texts.data.tobytes() == built.texts.data.tobytes()
+
     def test_round_trip_property(self, tmp_path, rng):
         for trial in range(10):
             pages = int(rng.integers(1, 12))
@@ -1020,7 +1034,17 @@ class TestSaveIndexAgreement:
                 GOOD, PackedMatrix(ids=GOOD.ids, data=np.ones((3, 5), dtype=np.float32)), FITS,
                 "texts vs images: expected dim 2, got 5", id="texts-other-dim",
             ),
+            pytest.param(
+                GOOD, PackedMatrix(ids=GOOD.ids, data=ROWS[:2]), FITS,
+                "{root}/texts.cmeb: 3 ids for 2 rows", id="texts-shared-ids-fewer-rows",
+            ),
             pytest.param(GOOD, GOOD, {"dim": 3, "M": 3}, DIM_M, id="manifest-dim"),
+            pytest.param(
+                GOOD, GOOD, {**FITS, "scale": np.float32(1.5)},
+                "{root}/manifest.json: the manifest cannot be written as JSON "
+                "(Object of type float32 is not JSON serializable)",
+                id="manifest-not-json",
+            ),
             pytest.param(GOOD, GOOD, {"dim": 2, "M": 4}, DIM_M, id="manifest-M"),
             pytest.param(EMPTY, EMPTY, {"dim": 2, "M": 0}, "{root}: the index holds no pages", id="zero-pages"),
         ],
@@ -1031,6 +1055,27 @@ class TestSaveIndexAgreement:
         files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(ComretError, match=f"^{re.escape(message.format(root=tmp_path))}$"):
             save_index(IndexDirectory(images=images, texts=texts, manifest=manifest), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+        loaded = load_index(tmp_path)
+        assert loaded.ids == old.ids
+        assert loaded.images.data.tobytes() == old.images.data.tobytes()
+        assert loaded.texts.data.tobytes() == old.texts.data.tobytes()
+
+    def test_failed_manifest_write_leaves_the_old_index_whole(self, tmp_path, monkeypatch, rng):
+        old = random_index(rng, 4, 3)
+        save_index(old, tmp_path)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        class ManifestDiskFull(FullDisk):
+            def write(self, raw):
+                self.writes += "manifest" in self.name
+                return super().write(raw)
+
+        monkeypatch.setattr(store, "open", ManifestDiskFull, raising=False)
+        with pytest.raises(OSError, match="No space left") as err:
+            save_index(make_index([[1.0, 2.0]] * 2, [[3.0, 4.0]] * 2), tmp_path)
+        monkeypatch.undo()
+        assert err.value.filename == str(tmp_path / f".manifest.json.{os.getpid()}.tmp")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
         loaded = load_index(tmp_path)
         assert loaded.ids == old.ids

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,24 @@ class TestTrainToy:
         assert runs[0].log == runs[1].log
         assert runs[0].encoders.w_image.tobytes() == runs[1].encoders.w_image.tobytes()
         assert not np.array_equal(runs[0].encoders.w_image, runs[2].encoders.w_image)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [("tau-overflows", "loss inf, tau inf"), ("loss-turns-nan", "loss nan, tau 0")],
+    )
+    def test_diverging_run_raises_naming_the_step(self, rng, case, message):
+        if case == "tau-overflows":  # a huge step drives log(tau) past exp's range
+            query = rng.standard_normal((6, 4)) * 1e-2
+            noise = rng.standard_normal((6, 2, 4))
+            batch = TripletBatch(query, query + noise[:, 0], query + noise[:, 1])
+            cfg = TrainConfig(learning_rate=1e5, steps=20)
+        else:  # entries near 1e100 overflow the score grid at the default step
+            batch = TripletBatch(*(rng.standard_normal((3, 6, 4)) * 1e100))
+            cfg = TrainConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NumPy's overflow warnings stay silent
+            with pytest.raises(ComretError, match=f"^training diverged at step 1: {message}, eta [-0-9.e+]+$"):
+                train_toy(batch, cfg)
 
     def test_needs_two_triplets(self):
         batch = TripletBatch(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)))

@@ -15,7 +15,10 @@ block of the sweep), texts in reverse order; 21 queries with distinct
 image/text channels and qrels, the last aimed at the tail duplicate, plus
 the same queries with the image channel only (fallback and the
 ensemble-ucmr error) and the same queries in reverse order (a ``ucmr``
-retrieve that must write its run sorted by query id). ``ablate`` and ``diagnose`` also run with several
+retrieve that must write its run sorted by query id). ``eval`` also scores
+a run that ranks a non-gold page and then a gold page of ``q00`` twice
+each: a page listed again keeps its first rank and takes no place in the
+top k, so both gold pages count at k = 3. ``ablate`` and ``diagnose`` also run with several
 threads, whose outputs must equal the single-threaded ones. ``ingest``
 also runs on an images file whose second embedding starts with the
 integer 2**70 + 2**46 + 1, which orjson reads as a float and json.loads
@@ -235,6 +238,10 @@ def make_inputs(out: Path) -> None:
     (out / "qrels_no_q00.tsv").write_text("".join(q for q in qrels if not q.startswith("q00\t")), encoding="utf-8")
     (out / "run_columns.tsv").write_text("q00\tp001\t1\t0.5\t0.5\n", encoding="utf-8")
     (out / "run_empty.tsv").write_text("", encoding="utf-8")
+    gold = ids.index(qrels[0].split("\t")[1])  # q00 has two gold pages, gold and gold + 1
+    repeated = [ids[(gold + 2) % pages], ids[(gold + 2) % pages], ids[gold], ids[gold], ids[(gold + 1) % pages]]
+    lines = (f"q00\t{pid}\t{rank}\t0.5\t0.5\t0.5\tucmr\n" for rank, pid in enumerate(repeated, start=1))
+    (out / "run_repeated.tsv").write_text("".join(lines), encoding="utf-8")
     triplets = [{key: rng.standard_normal(6).tolist() for key in "qit"} for _ in range(12)]
     write_jsonl(out / "triplets.jsonl", triplets)
     write_jsonl(out / "triplets_dim.jsonl", triplets[:2] + [{**triplets[2], "t": triplets[2]["t"][:5]}] + triplets[3:])
@@ -340,6 +347,8 @@ def commands(o: Path) -> list[tuple[str, list[str]]]:
         ("eval-qrels-no-q00", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", o / "qrels_no_q00.tsv"]),
         ("eval-run-columns", ["eval", "--run", o / "run_columns.tsv", "--qrels", qrels]),
         ("eval-run-empty", ["eval", "--run", o / "run_empty.tsv", "--qrels", qrels]),
+        ("eval-repeated-page", ["eval", "--run", o / "run_repeated.tsv", "--qrels", qrels,
+                                "--metrics", "recall@3,hit@3,mrr@3,ndcg@3"]),
         ("eval-unknown-metric", ["eval", "--run", o / "run-ucmr.tsv", "--qrels", qrels, "--metrics", "map@5"]),
         ("ablate", ["ablate", "--index", idx, "--queries", q, "--qrels", qrels, "--modes", ",".join(MODES),
                     "--beta-sweep", "0:1:0.25", "--metrics", "mrr@10,ndcg@5"]),
