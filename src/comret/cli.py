@@ -1,7 +1,8 @@
 """Command-line pipeline: ingest -> retrieve -> eval -> ablate -> diagnose
 -> train-toy.
 
-Exit code 0 on success, 1 on any domain error (messages go to stderr).
+Exit code 0 on success, 1 on any domain error or when memory runs out
+(one ``error:`` line on stderr).
 Data goes to stdout or the --out target. Query scoring (retrieve, ablate,
 diagnose) shares each sweep's row blocks among --threads N threads,
 every core the process may run on by default; no output byte depends on
@@ -280,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ComretError, OSError) as exc:  # OSError: a missing, unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # the last resort for a command whose memory grows with its inputs
+        print(f"error: {args.command}: out of memory ({exc})", file=sys.stderr)
         return 1
 
 

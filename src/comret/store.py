@@ -38,9 +38,10 @@ surrogates, as ingest's ids are (``_check_id``), so the footer splits back
 into exactly ``count`` ids that each fit in one TSV field. Bytes after the
 ids are ignored.
 
-An index directory holds ``images.cmeb``, ``texts.cmeb`` and
-``manifest.json`` (dim, M, normalize flag, build timestamp). ``load_index``
-maps the ``.cmeb`` files read-only; ``save_index`` replaces all three by rename.
+An index directory is its two ``.cmeb`` files, ``images.cmeb`` and
+``texts.cmeb``; each header holds the dim and the row count, and any other
+file in the directory is ignored. ``load_index`` maps both files
+read-only; ``save_index`` replaces both by rename.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -67,7 +67,6 @@ VERSION = 2
 
 IMAGES_FILE = "images.cmeb"
 TEXTS_FILE = "texts.cmeb"
-MANIFEST_FILE = "manifest.json"
 
 Record = tuple[str, np.ndarray]
 
@@ -100,11 +99,10 @@ class PackedMatrix:
 
 @dataclass(frozen=True)
 class IndexDirectory:
-    """Aligned image/text matrices plus build metadata."""
+    """Aligned image/text matrices, one row per page in the same order."""
 
     images: PackedMatrix
     texts: PackedMatrix
-    manifest: dict
 
     @property
     def dim(self) -> int:
@@ -400,14 +398,7 @@ def build_index(images: list[Record], texts: list[Record], normalize: bool = Fal
         if len(text_ids) != len(texts):
             raise _duplicate("texts", (r[0] for r in texts))
         return _pack("texts", ids, list(map(dict(texts).__getitem__, ids)), dim, normalize)
-    image_matrix, text_matrix = _both((pack_images,), (pack_texts,))
-    manifest = {
-        "dim": image_matrix.dim,
-        "M": image_matrix.count,
-        "normalize": bool(normalize),
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-    return IndexDirectory(images=image_matrix, texts=text_matrix, manifest=manifest)
+    return IndexDirectory(*_both((pack_images,), (pack_texts,)))
 
 
 def _temp(path: Path) -> Path:
@@ -490,53 +481,42 @@ def _decode_ids(path: Path, footer: bytes, count: int) -> tuple[str, ...]:
     return ids
 
 
-def _check_agreement(root: Path, images: PackedMatrix, texts: PackedMatrix, manifest: object) -> None:
-    """Refuse an index under ``root`` whose files disagree: other ids or
-    another row order in the two matrices, other dims, a manifest whose
-    dim/M do not match, or no pages at all."""
+def _check_agreement(root: Path, images: PackedMatrix, texts: PackedMatrix) -> None:
+    """Refuse an index under ``root`` whose two matrices disagree (other
+    ids, another row order or other dims) or that holds no pages."""
     if tuple(images.ids) != tuple(texts.ids):
         if sorted(images.ids) == sorted(texts.ids):
             raise ComretError(f"{root}: {TEXTS_FILE} holds the ids of {IMAGES_FILE} in a different row order")
         raise _one_side_only(images.ids, texts.ids)
     if texts.dim != images.dim:
         raise ComretError(f"texts vs images: expected dim {images.dim}, got {texts.dim}")
-    if not isinstance(manifest, dict) or (manifest.get("dim"), manifest.get("M")) != (images.dim, images.count):
-        raise ComretError(
-            f"{root / MANIFEST_FILE}: dim/M do not match the matrices (dim {images.dim}, M {images.count})"
-        )
     if images.count == 0:
         raise ComretError(f"{root}: the index holds no pages")
 
 
 def save_index(index: IndexDirectory, path: str | Path) -> None:
-    """Write images.cmeb, texts.cmeb and manifest.json under ``path``.
+    """Write images.cmeb and texts.cmeb under ``path``.
 
     Each file is written to a temporary sibling and renamed over the old
     one: truncating a mapped file in place would kill, with SIGBUS, every
-    process that has it loaded. The three are renamed only when all three
-    were written, so a failed save leaves the old index whole. Ids that
-    ingest would refuse (a non-string, an empty id, one holding a tab, a
-    CR, a "\n" or an unpaired surrogate) are refused first, as are one id
-    too many or too few, then an index whose files ``load_index`` would
-    refuse to pair, and a manifest that JSON cannot hold; a refused index
-    writes nothing.
+    process that has it loaded. The two are renamed only when both were
+    written, so a failed save leaves the old index whole. Ids that ingest
+    would refuse (a non-string, an empty id, one holding a tab, a CR, a
+    "\n" or an unpaired surrogate) are refused first, as are one id too
+    many or too few, then an index whose files ``load_index`` would refuse
+    to pair; a refused index writes nothing. Any other file under ``path``
+    is left as it is.
     """
     root = Path(path)
-    paths = (root / IMAGES_FILE, root / TEXTS_FILE, root / MANIFEST_FILE)
+    paths = (root / IMAGES_FILE, root / TEXTS_FILE)
     footers = [_footer(index.images, paths[0])]
     # A built or loaded index holds one ids tuple, so one footer serves both
     # files; texts of another row count still meet _footer's count check.
     shared = index.texts.ids is index.images.ids and index.texts.count == index.images.count
     footers.append(footers[0] if shared else _footer(index.texts, paths[1]))
-    _check_agreement(root, index.images, index.texts, index.manifest)
-    try:
-        manifest = (json.dumps(index.manifest, indent=2, sort_keys=True) + "\n").encode()
-    except (TypeError, ValueError, RecursionError) as exc:  # a value JSON cannot hold, or a cycle
-        raise ComretError(f"{paths[2]}: the manifest cannot be written as JSON ({exc})")
+    _check_agreement(root, index.images, index.texts)
     root.mkdir(parents=True, exist_ok=True)
     try:
-        with open(_temp(paths[2]), "wb") as fh:
-            fh.write(manifest)
         # A large write releases the GIL, so the two files are written at once.
         _both((_write_temp, index.images, footers[0], paths[0]), (_write_temp, index.texts, footers[1], paths[1]))
         for target in paths:
@@ -547,8 +527,8 @@ def save_index(index: IndexDirectory, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> IndexDirectory:
-    """Map an index directory and check that its three files agree and
-    hold at least one page.
+    """Map an index directory and check that its two files agree and hold
+    at least one page; any other file in it is not read.
 
     The texts file's ids are decoded only when its footer differs from the
     images file's; if both files are bad, the images file's error is raised.
@@ -561,11 +541,5 @@ def load_index(path: str | Path) -> IndexDirectory:
         texts = PackedMatrix(ids=images.ids, data=text_data)
     else:
         texts = PackedMatrix(ids=_decode_ids(root / TEXTS_FILE, text_footer, len(text_data)), data=text_data)
-    manifest_path = root / MANIFEST_FILE
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, or nested too deeply
-            raise ComretError(f"{manifest_path}: unreadable manifest ({exc})")
-    _check_agreement(root, images, texts, manifest)
-    return IndexDirectory(images=images, texts=texts, manifest=manifest)
+    _check_agreement(root, images, texts)
+    return IndexDirectory(images=images, texts=texts)

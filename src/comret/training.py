@@ -1,8 +1,9 @@
 """Desk-scale trainer for the pairwise sigmoid alignment objective.
 
 A batch of b (query, image, text) feature triplets is embedded into the
-query feature space: queries are used as they are, images and texts go
-through a linear map each. For each modality the b*b pair grid is scored
+query feature space: queries are used as they are, and so are images of
+the queries' dims; texts, and images of other dims, go through a linear
+map each. For each modality the b*b pair grid is scored
 by inner product and every pair contributes a sigmoid-contrastive term
 
     softplus( gamma_ij * (-tau * z_ij + eta) ) / b
@@ -84,14 +85,16 @@ class TripletBatch:
 class ToyEncoders:
     """Linear maps of image and text features into the query feature space.
 
-    w_image is frozen; only w_text receives updates.
+    w_image is frozen, and None when the image features are used as they
+    are; only w_text receives updates.
     """
 
-    w_image: np.ndarray
+    w_image: np.ndarray | None
     w_text: np.ndarray
 
     def embed(self, batch: TripletBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return batch.query, batch.image @ self.w_image, batch.text @ self.w_text
+        image = batch.image if self.w_image is None else batch.image @ self.w_image
+        return batch.query, image, batch.text @ self.w_text
 
 
 def _pair_signs(b: int) -> np.ndarray:
@@ -177,11 +180,14 @@ def load_triplets(lines: Iterable[str]) -> TripletBatch:
 
 
 def init_encoders(batch: TripletBatch, seed: int = 0) -> ToyEncoders:
-    """Frozen image map into the query feature space (identity when the
-    dims agree, else a seeded Gaussian) and a zero text map."""
+    """Frozen image map into the query feature space (None, the features
+    as they are, when the dims agree; else a seeded Gaussian) and a zero
+    text map."""
     d, fi = batch.query.shape[1], batch.image.shape[1]
-    w_image = np.eye(d) if fi == d else np.random.default_rng(seed).standard_normal((fi, d)) / math.sqrt(fi)
-    w_image.flags.writeable = False
+    w_image = None
+    if fi != d:
+        w_image = np.random.default_rng(seed).standard_normal((fi, d)) / math.sqrt(fi)
+        w_image.flags.writeable = False
     return ToyEncoders(w_image, np.zeros((batch.text.shape[1], d)))
 
 
@@ -206,7 +212,7 @@ class TrainResult:
             "steps": last.step,
             "initial_loss": first.loss,
             "final_loss": last.loss,
-            "loss_ratio": last.loss / first.loss if first.loss else math.nan,
+            "loss_ratio": last.loss / first.loss if first.loss else None,  # JSON null, not NaN
             "self_retrieval_mrr_at_1": self.mrr_at_1,
             "tau": last.tau,
             "eta": last.eta,

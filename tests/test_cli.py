@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from comret import _kernels, cli, fusion, metrics, store
+from comret import _kernels, cli, diagnostics, fusion, metrics, store
 from comret.cli import main
 from comret.core import FusionConfig
 
@@ -91,8 +91,9 @@ class TestIngest:
         assert run_cli("ingest", "--images", images, "--texts", texts, "--out", root / "idx") == 0
         out = capsys.readouterr().out
         assert "pages=6" in out and "dim=4" in out
-        manifest = json.loads((root / "idx" / "manifest.json").read_text())
-        assert manifest["M"] == 6 and manifest["dim"] == 4
+        assert sorted(p.name for p in (root / "idx").iterdir()) == ["images.cmeb", "texts.cmeb"]
+        index = store.load_index(root / "idx")
+        assert (index.page_count, index.dim) == (6, 4)
 
     def test_id_mismatch_exits_one(self, workspace, capsys):
         root, images, texts, _, _ = workspace
@@ -539,8 +540,7 @@ class TestEval:
 class TestIOFailures:
     @pytest.mark.parametrize(
         "case",
-        ["missing-index", "out-dir-missing", "footer-not-utf8", "manifest-not-json", "manifest-too-deep",
-         "header-row-count", "queries-not-utf8"],
+        ["missing-index", "out-dir-missing", "footer-not-utf8", "header-row-count", "queries-not-utf8"],
     )
     def test_exits_one_with_error(self, built_index, capsys, case):
         root, idx, queries, _ = built_index
@@ -552,10 +552,6 @@ class TestIOFailures:
         elif case == "footer-not-utf8":
             path = idx / "images.cmeb"
             path.write_bytes(path.read_bytes()[:-1] + b"\xff")  # last byte of the last id
-        elif case == "manifest-not-json":
-            (idx / "manifest.json").write_text("{not json")
-        elif case == "manifest-too-deep":
-            (idx / "manifest.json").write_text("[" * 100_000 + "]" * 100_000)
         elif case == "header-row-count":
             (idx / "images.cmeb").write_bytes(b"CMEB" + struct.pack("<IIQ", 2, 0, 2**64 - 1) + struct.pack("<Q", 0))
         else:
@@ -579,7 +575,6 @@ class TestIOFailures:
         # save_index refuses an index of no pages, so its files are written by hand.
         for name in ("images.cmeb", "texts.cmeb"):
             (idx / name).write_bytes(b"CMEB" + struct.pack("<IIQ", 2, 4, 0) + struct.pack("<Q", 0))
-        (idx / "manifest.json").write_text(json.dumps({"dim": 4, "M": 0}))
         # A fresh interpreter, so stderr is all a user sees, warnings included.
         result = run_process(command, "--index", idx, "--queries", queries, "--out", root / "out")
         assert result == (1, "", f"error: {idx}: the index holds no pages\n")
@@ -937,6 +932,44 @@ class TestDiagnose:
         assert capsys.readouterr().err == "error: num_bins must be <= 1000000, got 10000000000000\n"
         assert not (root / "d").exists()
 
+    def test_memory_error_is_one_error_line(self, built_index, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 763. MiB")
+
+        monkeypatch.setattr(diagnostics, "modality_divergence_report", out_of_memory)
+        root, idx, queries, _ = built_index
+        assert run_cli("diagnose", "--index", idx, "--queries", queries, "--out", root / "d") == 1
+        assert capsys.readouterr().err == "error: diagnose: out of memory (Unable to allocate 763. MiB)\n"
+
+    #: The child caps its own address space before it imports comret.
+    CAPPED = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1_200_000_000, 1_200_000_000))\n"
+        "from comret.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, rng):
+        # diagnose pools a queries x pages float64 array per channel:
+        # 763 MiB each for 5,000 queries on 20k pages, beyond a 1.2 GB cap.
+        ids = [f"p{i}" for i in range(20_000)]
+        rows = rng.standard_normal((2, len(ids), 2))
+        store.save_index(store.build_index(list(zip(ids, rows[0])), list(zip(ids, rows[1]))), tmp_path / "idx")
+        vectors = rng.standard_normal((5_000, 2, 2)).tolist()
+        queries = [{"query_id": f"q{j}", "embeddings": {"image-query": v[0], "text-query": v[1]}}
+                   for j, v in enumerate(vectors)]
+        # One BLAS thread and one sweep thread, so the cap does not depend on the core count.
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        for count, code in ((500, 0), (5_000, 1)):
+            path = write_jsonl(tmp_path / f"queries-{count}.jsonl", queries[:count])
+            argv = ["diagnose", "--index", tmp_path / "idx", "--queries", path, "--threads", "1", "--out", tmp_path / "d"]
+            proc = subprocess.run([sys.executable, "-c", self.CAPPED, *map(str, argv)], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == code, proc.stderr
+            if code:
+                (line,) = proc.stderr.splitlines()
+                assert line.startswith("error: diagnose: out of memory (") and "Traceback" not in proc.stderr
+
 
 class TestTrainToy:
     @pytest.fixture
@@ -1002,6 +1035,24 @@ class TestTrainToy:
         assert (code, stdout) == (1, "")
         assert re.fullmatch(r"error: training diverged at step [1-9][0-9]*: loss \S+, tau \S+, eta \S+\n", err)
         assert not out.exists()
+
+    def test_zero_initial_loss_writes_a_null_ratio(self, tmp_path, capsys):
+        # Image features at +-1000 push every softplus term below float64's
+        # smallest value, so with --lambda 0 the loss is exactly 0 throughout.
+        n = 4
+        rows = [{"q": one_hot, "i": [1000.0 if k == j else -1000.0 for k in range(n)], "t": one_hot}
+                for j, one_hot in enumerate(np.eye(n).tolist())]
+        triplets = write_jsonl(tmp_path / "zero.jsonl", rows)
+        out = tmp_path / "train"
+        assert run_cli("train-toy", "--triplets", triplets, "--lambda", "0", "--steps", "2", "--out", out) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        assert report["initial_loss"] == report["final_loss"] == 0.0
+        assert report["loss_ratio"] is None
+        assert capsys.readouterr().err == "warning: loss did not decrease: 0 -> 0\n"
 
     def test_unchanged_loss_is_one_warning_line(self, triplets, tmp_path, capsys):
         # A step far below float64 resolution leaves the loss where it was,

@@ -488,6 +488,12 @@ class TestQueryEngine:
         for j, cfg in enumerate(cfgs):
             assert same_rankings([r[j] for r in ranked], [r for (r,) in rank_queries(idx, queries, [cfg])])
 
+    def test_no_configs_yield_one_empty_tuple_per_query(self, rng):
+        # No mode sweeps a modality, so each block's sweep list is empty.
+        idx = random_index(rng, pages=40, dim=4)
+        queries = two_channel_queries(rng, QUERY_BLOCK + 1, 4)
+        assert list(rank_queries(idx, queries, [])) == [()] * len(queries)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_every_channel_checked_before_any_sweep(self, rng, monkeypatch, mode):
         # The bad query sits in the second block, and its text channel is

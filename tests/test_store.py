@@ -588,7 +588,7 @@ def read_cmeb(path):
 
 def hand_built(images, texts=None):
     """An index directory built by hand, as save_index accepts one."""
-    return IndexDirectory(images=images, texts=texts or images, manifest={"dim": images.dim, "M": images.count})
+    return IndexDirectory(images=images, texts=texts or images)
 
 
 def error_at(path, message):
@@ -604,7 +604,7 @@ class TestMatrixRoundTrip:
         assert loaded.images.ids == idx.images.ids
         assert loaded.images.data.tobytes() == idx.images.data.tobytes()
         assert loaded.texts.data.tobytes() == idx.texts.data.tobytes()
-        assert loaded.manifest["M"] == 2 and loaded.manifest["dim"] == 3
+        assert (loaded.page_count, loaded.dim) == (2, 3)
 
     @pytest.mark.parametrize("distinct", [False, True], ids=["shared-ids", "equal-distinct-ids"])
     def test_footer_built_once_for_shared_ids(self, tmp_path, monkeypatch, rng, distinct):
@@ -613,7 +613,7 @@ class TestMatrixRoundTrip:
         footer = store._footer
         calls = []
         monkeypatch.setattr(store, "_footer", lambda matrix, path: calls.append(path.name) or footer(matrix, path))
-        save_index(IndexDirectory(images=built.images, texts=texts, manifest=built.manifest), tmp_path)
+        save_index(IndexDirectory(images=built.images, texts=texts), tmp_path)
         assert calls == (["images.cmeb", "texts.cmeb"] if distinct else ["images.cmeb"])
         loaded = load_index(tmp_path)
         assert loaded.images.ids == loaded.texts.ids == built.ids
@@ -688,7 +688,33 @@ class TestMatrixRoundTrip:
         reloaded = load_index(tmp_path)
         assert reloaded.ids == second.ids
         assert reloaded.images.data.tobytes() == second.images.data.tobytes()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["images.cmeb", "manifest.json", "texts.cmeb"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["images.cmeb", "texts.cmeb"]
+
+    @pytest.mark.parametrize(
+        "manifest",
+        ['{"dim": 8, "M": 40}', '{"dim": 3, "M": 7, "normalize": true}', "{not json"],
+        ids=["fits-the-old-index", "other-dim-M", "not-json"],
+    )
+    def test_save_over_an_older_manifest_ignores_it(self, tmp_path, monkeypatch, rng, manifest):
+        # A directory written by an older version also holds a manifest.json.
+        save_index(random_index(rng, 40, 8), tmp_path)
+        (tmp_path / "manifest.json").write_text(manifest)
+        new = random_index(rng, 30, 8)
+        opened = []
+
+        def recording_open(name, mode):
+            opened.append(os.path.basename(name))
+            return open(name, mode)
+
+        monkeypatch.setattr(store, "open", recording_open, raising=False)
+        save_index(new, tmp_path)
+        monkeypatch.undo()
+        assert sorted(opened) == [f".images.cmeb.{os.getpid()}.tmp", f".texts.cmeb.{os.getpid()}.tmp"]
+        assert (tmp_path / "manifest.json").read_text() == manifest
+        loaded = load_index(tmp_path)
+        assert loaded.ids == new.ids
+        assert loaded.images.data.tobytes() == new.images.data.tobytes()
+        assert loaded.texts.data.tobytes() == new.texts.data.tobytes()
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
@@ -697,7 +723,7 @@ class TestMatrixRoundTrip:
         with pytest.raises(OSError, match="No space left"):
             save_index(make_index([[3.0, 4.0]] * 2, [[3.0, 4.0]] * 2), tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
-        assert sorted(old) == ["images.cmeb", "manifest.json", "texts.cmeb"]
+        assert sorted(old) == ["images.cmeb", "texts.cmeb"]
 
     def test_save_index_writes_the_documented_layout(self, tmp_path, rng):
         pages, dim = 150, 9
@@ -731,7 +757,7 @@ class TestMatrixRoundTrip:
         with pytest.raises(OSError, match="No space left") as err:
             save_index(random_index(rng, 4, 3), tmp_path)
         assert err.value.filename == str(tmp_path / f".images.cmeb.{os.getpid()}.tmp")
-        assert list(tmp_path.iterdir()) == []  # no temporary sibling, no texts.cmeb, no manifest
+        assert list(tmp_path.iterdir()) == []  # no temporary sibling, no texts.cmeb
 
     @pytest.mark.parametrize("ids", [("p1", "p2", "p3"), ("q1", "q2", "q3")], ids=["same-ids", "other-ids"])
     def test_failed_save_leaves_the_old_index_whole(self, tmp_path, monkeypatch, rng, ids):
@@ -752,7 +778,7 @@ class TestMatrixRoundTrip:
         assert loaded.images.ids == loaded.texts.ids == old.ids
         assert loaded.images.data.tobytes() == old.images.data.tobytes()
         assert loaded.texts.data.tobytes() == old.texts.data.tobytes()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["images.cmeb", "manifest.json", "texts.cmeb"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["images.cmeb", "texts.cmeb"]
 
     def test_version_2_layout(self, tmp_path):
         ids = ["page-a", "página-β"]
@@ -816,7 +842,7 @@ class TestMatrixRoundTrip:
         assert loaded.ids == old.ids
         assert loaded.images.data.tobytes() == old.images.data.tobytes()
         assert loaded.texts.data.tobytes() == old.texts.data.tobytes()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["images.cmeb", "manifest.json", "texts.cmeb"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["images.cmeb", "texts.cmeb"]
 
     def test_write_rejects_ids_unlike_the_rows(self, tmp_path):
         matrix = PackedMatrix(ids=("a", "b", "c"), data=np.ones((2, 3), dtype=np.float32))
@@ -948,16 +974,6 @@ class TestLoadIndexChecks:
         with pytest.raises(ComretError, match="^texts vs images: expected dim 2, got 3$"):
             load_index(tmp_path)
 
-    @pytest.mark.parametrize("key", ["dim", "M"])
-    def test_manifest_must_match_matrices(self, tmp_path, key):
-        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
-        path = tmp_path / "manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest[key] += 1
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(ComretError, match="dim/M"):
-            load_index(tmp_path)
-
     def test_ids_on_one_side_only_named(self, tmp_path):
         save_index(make_index([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]), tmp_path)
         (tmp_path / "texts.cmeb").write_bytes(valid_cmeb(2, 2, ["p1", "p9"]))
@@ -972,17 +988,10 @@ class TestLoadIndexChecks:
         with pytest.raises(ComretError, match=f"^{re.escape(message)}$"):
             load_index(tmp_path)
 
-    def test_manifest_must_be_an_object(self, tmp_path):
-        save_index(make_index([[1.0, 2.0]], [[1.0, 2.0]]), tmp_path)
-        (tmp_path / "manifest.json").write_text("[2, 1]")
-        with pytest.raises(ComretError, match="dim/M"):
-            load_index(tmp_path)
-
     def test_zero_page_index_refused(self, tmp_path):
         # save_index refuses an index of no pages, so its files are written by hand.
         for name in ("images.cmeb", "texts.cmeb"):
             (tmp_path / name).write_bytes(valid_cmeb(0, 2, []))
-        (tmp_path / "manifest.json").write_text(json.dumps({"dim": 2, "M": 0}))
         with pytest.raises(ComretError, match="the index holds no pages$"):
             load_index(tmp_path)
 
@@ -991,7 +1000,6 @@ class TestLoadIndexChecks:
         empty = MAGIC + struct.pack("<IIQ", 2, 2, 0) + struct.pack("<Q", 0)
         (tmp_path / "images.cmeb").write_bytes(empty)
         (tmp_path / "texts.cmeb").write_bytes(empty)
-        (tmp_path / "manifest.json").write_text(json.dumps({"dim": 2, "M": 0}))
         with pytest.raises(ComretError, match="the index holds no pages$"):
             load_index(tmp_path)
 
@@ -1004,7 +1012,6 @@ class TestLoadIndexChecks:
         images = bad if name == "images.cmeb" else ["p0", "p1", "p2"]
         (tmp_path / "images.cmeb").write_bytes(valid_cmeb(3, 2, images))
         (tmp_path / "texts.cmeb").write_bytes(valid_cmeb(3, 2, bad))
-        (tmp_path / "manifest.json").write_text(json.dumps({"dim": 2, "M": 3}))
         with pytest.raises(ComretError, match=error_at(tmp_path / name, "id of row 1 holds a tab or a CR")):
             load_index(tmp_path)
 
@@ -1016,66 +1023,35 @@ class TestSaveIndexAgreement:
     ROWS = np.arange(6, dtype=np.float32).reshape(3, 2)
     GOOD = PackedMatrix(ids=("a", "b", "c"), data=ROWS)
     EMPTY = PackedMatrix(ids=(), data=np.empty((0, 2), dtype=np.float32))
-    FITS = {"dim": 2, "M": 3}
-    DIM_M = "{root}/manifest.json: dim/M do not match the matrices (dim 2, M 3)"
 
     @pytest.mark.parametrize(
-        "images, texts, manifest, message",
+        "images, texts, message",
         [
             pytest.param(
-                GOOD, PackedMatrix(ids=("c", "b", "a"), data=ROWS), FITS,
+                GOOD, PackedMatrix(ids=("c", "b", "a"), data=ROWS),
                 "{root}: texts.cmeb holds the ids of images.cmeb in a different row order", id="texts-reordered",
             ),
             pytest.param(
-                GOOD, PackedMatrix(ids=("a", "b", "z"), data=ROWS), FITS,
+                GOOD, PackedMatrix(ids=("a", "b", "z"), data=ROWS),
                 "ids present on one side only: c, z", id="texts-other-ids",
             ),
             pytest.param(
-                GOOD, PackedMatrix(ids=GOOD.ids, data=np.ones((3, 5), dtype=np.float32)), FITS,
+                GOOD, PackedMatrix(ids=GOOD.ids, data=np.ones((3, 5), dtype=np.float32)),
                 "texts vs images: expected dim 2, got 5", id="texts-other-dim",
             ),
             pytest.param(
-                GOOD, PackedMatrix(ids=GOOD.ids, data=ROWS[:2]), FITS,
+                GOOD, PackedMatrix(ids=GOOD.ids, data=ROWS[:2]),
                 "{root}/texts.cmeb: 3 ids for 2 rows", id="texts-shared-ids-fewer-rows",
             ),
-            pytest.param(GOOD, GOOD, {"dim": 3, "M": 3}, DIM_M, id="manifest-dim"),
-            pytest.param(
-                GOOD, GOOD, {**FITS, "scale": np.float32(1.5)},
-                "{root}/manifest.json: the manifest cannot be written as JSON "
-                "(Object of type float32 is not JSON serializable)",
-                id="manifest-not-json",
-            ),
-            pytest.param(GOOD, GOOD, {"dim": 2, "M": 4}, DIM_M, id="manifest-M"),
-            pytest.param(EMPTY, EMPTY, {"dim": 2, "M": 0}, "{root}: the index holds no pages", id="zero-pages"),
+            pytest.param(EMPTY, EMPTY, "{root}: the index holds no pages", id="zero-pages"),
         ],
     )
-    def test_refused_index_leaves_the_old_one_loadable(self, tmp_path, rng, images, texts, manifest, message):
+    def test_refused_index_leaves_the_old_one_loadable(self, tmp_path, rng, images, texts, message):
         old = random_index(rng, 4, 3)
         save_index(old, tmp_path)
         files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(ComretError, match=f"^{re.escape(message.format(root=tmp_path))}$"):
-            save_index(IndexDirectory(images=images, texts=texts, manifest=manifest), tmp_path)
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
-        loaded = load_index(tmp_path)
-        assert loaded.ids == old.ids
-        assert loaded.images.data.tobytes() == old.images.data.tobytes()
-        assert loaded.texts.data.tobytes() == old.texts.data.tobytes()
-
-    def test_failed_manifest_write_leaves_the_old_index_whole(self, tmp_path, monkeypatch, rng):
-        old = random_index(rng, 4, 3)
-        save_index(old, tmp_path)
-        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-
-        class ManifestDiskFull(FullDisk):
-            def write(self, raw):
-                self.writes += "manifest" in self.name
-                return super().write(raw)
-
-        monkeypatch.setattr(store, "open", ManifestDiskFull, raising=False)
-        with pytest.raises(OSError, match="No space left") as err:
-            save_index(make_index([[1.0, 2.0]] * 2, [[3.0, 4.0]] * 2), tmp_path)
-        monkeypatch.undo()
-        assert err.value.filename == str(tmp_path / f".manifest.json.{os.getpid()}.tmp")
+            save_index(IndexDirectory(images=images, texts=texts), tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
         loaded = load_index(tmp_path)
         assert loaded.ids == old.ids

@@ -194,8 +194,12 @@ class TestTrainToy:
         losses = [row.loss for row in result.log]
         assert losses[-1] < losses[0]
 
-    def test_frozen_maps_bit_identical_after_training(self):
+    def test_frozen_maps_bit_identical_after_training(self, rng):
+        # Image features of the queries' dims are used as they are: no map.
         batch = separable_batch()
+        assert init_encoders(batch, seed=0).w_image is None
+        assert train_toy(batch, TrainConfig(steps=50)).encoders.w_image is None
+        batch = TripletBatch(rng.standard_normal((6, 3)), rng.standard_normal((6, 5)), rng.standard_normal((6, 4)))
         init = init_encoders(batch, seed=0)
         result = train_toy(batch, TrainConfig(steps=50))
         assert result.encoders.w_image.tobytes() == init.w_image.tobytes()
@@ -231,9 +235,22 @@ class TestTrainToy:
         assert np.array(runs[0].log).tobytes() == np.array(runs[1].log).tobytes()
         assert runs[0].encoders.w_text.tobytes() == runs[1].encoders.w_text.tobytes()
 
+    def test_negative_zero_images_train_like_positive_zero(self, rng):
+        # Images of the queries' dims are used as they are, as queries are.
+        image = rng.standard_normal((6, 3))
+        image[1] = 0.0
+        image[3, 0] = 0.0
+        negative = image.copy()
+        negative[image == 0.0] = -0.0
+        query, text = rng.standard_normal((6, 3)), rng.standard_normal((6, 4))
+        cfg = TrainConfig(steps=20, batch_size=4, momentum=0.9, seed=7)
+        runs = [train_toy(TripletBatch(query, i, text), cfg) for i in (image, negative)]
+        assert np.array(runs[0].log).tobytes() == np.array(runs[1].log).tobytes()
+        assert runs[0].encoders.w_text.tobytes() == runs[1].encoders.w_text.tobytes()
+
     def test_image_map_seeded_when_dims_differ(self, rng):
-        # 5-dim image features against 3-dim queries: the frozen image map
-        # is a Gaussian drawn from the seed, not the identity.
+        # 5-dim image features against 3-dim queries: they go through a
+        # frozen image map, a Gaussian drawn from the seed.
         batch = TripletBatch(rng.standard_normal((6, 3)), rng.standard_normal((6, 5)), rng.standard_normal((6, 4)))
         runs = [train_toy(batch, TrainConfig(steps=5, seed=seed)) for seed in (0, 0, 1)]
         assert runs[0].encoders.w_image.shape == (5, 3)

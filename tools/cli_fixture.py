@@ -5,9 +5,11 @@
 prints one ``sha256  path`` line per output file (stdout, stderr and exit
 code of each command, plus every file the commands write), sorted by path,
 then the sha256 of that listing. Run it on two checkouts to show that a
-change leaves every CLI output byte-identical. Wall-clock fields
-(``elapsed=`` in ingest's summary, ``created_utc`` in manifests) are
-removed before hashing.
+change leaves every CLI output byte-identical. The wall-clock field
+``elapsed=`` in ingest's summary is removed before hashing. Ingest writes
+no ``manifest.json``; the hand-built index directories hold one, as a
+directory that an older version wrote does, and every ``manifest.json``
+is rewritten in one layout, without ``created_utc``, before hashing.
 
 The fixture: 300 pages x 16 dims, a text channel on another scale, two
 exact-duplicate pairs (ties; one copy sits in the last, partial 128-row
