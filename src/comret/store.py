@@ -3,29 +3,24 @@
 Embeddings arrive as JSONL (one ``{"id": ..., "embedding": [...]}`` object
 per line) and are packed into two aligned row-major float32 matrices, one
 per modality, so the online scoring pass is a single sequential sweep.
-Page, query and triplet files share one line reader (``json_objects``)
+Page, query and triplet files share one line reader (``_json_object``)
 and one rule for number arrays (``finite_vector``).
 
 orjson reads each line, about 4x faster than ``json``, but ``json.loads``
 stays the referee: it reads every line that orjson refuses and every line
-holding more than ``ORJSON_BRACKETS`` brackets. json accepts NaN,
+holding more than ``ORJSON_BRACKETS`` ``[`` and ``{``. json accepts NaN,
 infinities, numbers that overflow to inf and escaped lone surrogates,
-which orjson refuses; orjson accepts nesting of any depth, which json
-refuses. So each line gives the value or error message that ``json.loads``
-gives, except that an integer beyond 64 bits comes back as a float.
-
-A page line is first read by orjson alone, with no bracket count
-(``_flat_record``). It is kept when it is an object with no repeated key,
-whose values bar a finite "embedding" array are scalars, and whose checks
-pass: such a line nests two deep, so json reads the same value. Any other
-line takes the reader above and the same checks, so its record or error
-is the referee's.
+which orjson refuses; json refuses nesting past its recursion limit, which
+orjson reads until it overflows the C stack. So each line gives the value
+or error message that ``json.loads`` gives, except that an integer beyond
+64 bits comes back as a float.
 
 Every number array becomes a vector the same way (``_vector``): one
 ``struct.pack`` of its values as float64, then one cast to the vector's
-dtype. struct refuses every JSON value but a number or a bool, so a flat
-line with no ``t`` and no ``f`` around its embedding, which can then hold
-no bool, skips ``finite_vector``'s type scan.
+dtype. struct refuses every JSON value but a number or a bool, so a page
+line with no ``t`` and no ``f`` between its first ``[`` and its last
+``]``, whose embedding can then hold no bool, skips ``finite_vector``'s
+type scan.
 
 Packed matrix file layout (all integers little-endian):
 
@@ -70,11 +65,9 @@ TEXTS_FILE = "texts.cmeb"
 
 Record = tuple[str, np.ndarray]
 
-#: Types a flat page line may hold outside its "embedding".
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-
-#: Most "[" and "{" a line may hold for orjson to read it. orjson reads any
-#: depth, json.loads refuses nesting past the recursion limit, far above 64.
+#: Most "[" and "{" a line may hold for orjson to read it. json.loads refuses
+#: nesting past the recursion limit, far above 64; orjson reads deeper
+#: nesting until it overflows the C stack.
 ORJSON_BRACKETS = 64
 
 #: Rows normalized at a time, so the float64 temporaries stay small beside a matrix.
@@ -135,7 +128,14 @@ def _loads(line: str) -> object:
     """``json.loads(line)``, read by orjson when the line holds at most
     ``ORJSON_BRACKETS`` brackets and orjson accepts it; an integer beyond
     64 bits then comes back as a float."""
-    if line.count("[") + line.count("{") <= ORJSON_BRACKETS:
+    # str.find scans at memchr speed, and stops counting past the limit.
+    brackets = 0
+    for bracket in "[{":
+        at = line.find(bracket)
+        while at >= 0 and brackets <= ORJSON_BRACKETS:
+            brackets += 1
+            at = line.find(bracket, at + 1)
+    if brackets <= ORJSON_BRACKETS:
         try:
             return orjson.loads(line)
         except orjson.JSONDecodeError:
@@ -218,51 +218,24 @@ def finite_vector(values: object, dtype: type, line_no: int, field: str, where: 
     return vec
 
 
-def _page_record(obj: dict, line_no: int) -> Record:
-    rec_id = _check_id(obj.get("id"), "id", line_no)
-    return rec_id, finite_vector(obj.get("embedding"), EMBEDDING_DTYPE, line_no, '"embedding"', f"line {line_no}")
-
-
-def _flat_record(line: str, line_no: int) -> Record | None:
-    """The record on a flat page line, read by orjson alone, or None to
-    leave the line to the referee.
-
-    orjson keeps the last of a repeated key, whose earlier value may nest
-    past json's limit, so the line must hold no more quotes than its keys
-    and strings need (an escaped quote declines it too). Counting stops at
-    the last quote, before an embedding that follows the id.
+def _page_record(obj: dict, line: str, line_no: int) -> Record:
+    """The record of a page ``line`` whose object is ``obj``.
 
     The embedding skips the type scan when no ``t`` and no ``f`` lies
-    between the line's first ``[`` and its last ``]``. The embedding's own
+    between the line's first ``[`` and its last ``]``. The embedding's
     brackets lie in that span, so a ``true`` or ``false`` in it would be
     found. A bool is the one value besides a number that ``struct.pack``
-    reads as a float; a string, null, array or object makes ``_vector``
-    decline, and so does a value that is not finite, as does a bad id:
-    each such line goes to the referee. Any other line takes the type scan.
+    reads as a float; any other value, or one that is not finite, makes
+    ``_vector`` decline, and the type scan then names the fault.
     """
-    try:
-        obj = orjson.loads(line)
-    except orjson.JSONDecodeError:
-        return None
-    if type(obj) is not dict:
-        return None
-    strings = 0
-    for key, value in obj.items():
-        if type(value) is str:
-            strings += 1
-        elif key != "embedding" and type(value) not in _SCALAR_TYPES:
-            return None
-    if line.count('"', 0, line.rfind('"') + 1) != 2 * (len(obj) + strings):
-        return None
+    rec_id = _check_id(obj.get("id"), "id", line_no)
     values = obj.get("embedding")
     first, last = line.find("["), line.rfind("]")
-    try:
-        if type(values) is list and values and line.find("t", first, last) < 0 and line.find("f", first, last) < 0:
-            vec = _vector(values, EMBEDDING_DTYPE)
-            return None if vec is None else (_check_id(obj.get("id"), "id", line_no), vec)
-        return _page_record(obj, line_no)
-    except ComretError:
-        return None
+    if type(values) is list and values and line.find("t", first, last) < 0 and line.find("f", first, last) < 0:
+        vec = _vector(values, EMBEDDING_DTYPE)
+        if vec is not None:
+            return rec_id, vec
+    return rec_id, finite_vector(values, EMBEDDING_DTYPE, line_no, '"embedding"', f"line {line_no}")
 
 
 def parse_embedding_jsonl(stream: TextIO | Iterable[str]) -> list[Record]:
@@ -270,20 +243,16 @@ def parse_embedding_jsonl(stream: TextIO | Iterable[str]) -> list[Record]:
 
     Returns (id, float32 vector) records in file order. Blank lines are
     ignored; every other line must be a JSON object with a string "id" and
-    a numeric-array "embedding" of uniform dimension.
-
-    A flat line (see the module docstring) is read by orjson with no
-    bracket count; each other line is read and checked as ``json.loads``
-    reads it, so every record and error is the referee's.
+    a numeric-array "embedding" of uniform dimension. Each line is read and
+    checked as ``json.loads`` reads it, so every record and error is the
+    referee's.
     """
     records: list[Record] = []
     expected_dim: int | None = None
     for line_no, line in enumerate(stream, start=1):
-        record = _flat_record(line, line_no)
-        if record is None:
-            if not line.strip():
-                continue
-            record = _page_record(_json_object(line, line_no), line_no)
+        if not line.strip():
+            continue
+        record = _page_record(_json_object(line, line_no), line, line_no)
         dim = record[1].shape[0]
         if expected_dim is None:
             expected_dim = dim

@@ -14,11 +14,12 @@ The text-side and image-side losses are blended with weight ``lam`` on
 text. Only the text map is trained; the image map stays frozen to
 preserve its pretrained alignment, so the text-map gradient of the
 blended loss is lam times the text-side gradient. tau stays positive by
-training log(tau). A run returns its loss log; ``train-toy`` prints one
-``warning:`` line when the final loss is not below the initial one. A run
-whose loss, tau or eta stops being finite has diverged: it raises one
-``ComretError`` naming the step, and NumPy's overflow warnings on the way
-there are silenced, not printed.
+training log(tau / TAU_INIT) from 0, so every run starts at TAU_INIT
+exactly. A run returns its loss log; ``train-toy`` prints one ``warning:``
+line when the final loss is not below the initial one. A run whose loss,
+tau or eta stops being finite has diverged: it raises one ``ComretError``
+naming the step, and NumPy's overflow warnings on the way there are
+silenced, not printed.
 """
 
 from __future__ import annotations
@@ -239,13 +240,13 @@ def train_toy(batch: TripletBatch, cfg: TrainConfig) -> TrainResult:
     if batch.size < 2:
         raise ComretError("need at least 2 triplets to form negative pairs")
     encoders = init_encoders(batch, cfg.seed)
-    theta = math.log(TAU_INIT)
+    theta = 0.0  # log(tau / TAU_INIT)
     eta = ETA_INIT
     lr = cfg.learning_rate
 
     def snapshot(step: int) -> LogRow:
         try:
-            tau = math.exp(theta)
+            tau = TAU_INIT * math.exp(theta)
         except OverflowError:
             tau = math.inf
         row = LogRow(step, *combined_loss(batch, encoders, cfg.lam, tau, eta), tau, eta)
@@ -270,11 +271,11 @@ def train_toy(batch: TripletBatch, cfg: TrainConfig) -> TrainResult:
             sub = batch.take(np.asarray(take))
         else:
             sub = batch
-        tau = math.exp(theta)
+        tau = TAU_INIT * math.exp(theta)
         grads = loss_gradients(sub, encoders, cfg.lam, tau, eta)
 
         v_w = cfg.momentum * v_w + grads.w_text
-        v_theta = cfg.momentum * v_theta + tau * grads.tau  # chain rule for log-tau
+        v_theta = cfg.momentum * v_theta + tau * grads.tau  # chain rule for log(tau / TAU_INIT)
         v_eta = cfg.momentum * v_eta + grads.eta
         encoders = ToyEncoders(encoders.w_image, encoders.w_text - lr * v_w)
         theta -= lr * v_theta

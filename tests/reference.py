@@ -130,6 +130,22 @@ def ndcg_at_k(ranked, gold, k):
     return dcg / ideal
 
 
+def metrics_without_repeats(ranked, gold, k):
+    """recall, hit, MRR and nDCG at k of a ranking that may list a page
+    more than once: every listing after a page's first is dropped, then
+    the ranking is cut at k."""
+    distinct = []
+    for pid in ranked:
+        if pid not in distinct:
+            distinct.append(pid)
+    return {
+        "recall": recall_at_k(distinct, gold, k),
+        "hit": 1.0 if any(pid in gold for pid in distinct[:k]) else 0.0,
+        "mrr": mrr_at_k(distinct, gold, k),
+        "ndcg": ndcg_at_k(distinct, gold, k),
+    }
+
+
 def softplus(a):
     # max(a, 0) + log1p(exp(-|a|)) is stable for any a
     return max(a, 0.0) + math.log1p(math.exp(-abs(a)))

@@ -689,31 +689,44 @@ JSON_LIMITS = [
 ]
 
 
+def spoiled_command(workspace, target, array):
+    """(bad file, argv): a command whose ``target`` file holds ``array`` on
+    line 2, as a page's embedding, a query channel or a triplet field."""
+    root, images, texts, queries, _ = workspace
+    if target in ("images", "texts"):
+        bad = images if target == "images" else texts
+        TestTwoProcessIngest.spoil(bad, 2, f'{{"id": "p2", "embedding": {array}}}')
+        return bad, ["ingest", "--images", images, "--texts", texts, "--out", root / "idx"]
+    if target == "queries":
+        TestTwoProcessIngest.spoil(queries, 2, f'{{"query_id": "q9", "embeddings": {{"image-query": {array}}}}}')
+        assert run_quiet("ingest", "--images", images, "--texts", texts, "--out", root / "idx")[0] == 0
+        return queries, ["retrieve", "--index", root / "idx", "--queries", queries, "--out", root / "run.tsv"]
+    bad = write_jsonl(root / "triplets.jsonl", [{"q": [1.0], "i": [1.0], "t": [1.0]}] * 2)
+    TestTwoProcessIngest.spoil(bad, 2, f'{{"q": [1.0], "i": {array}, "t": [1.0]}}')
+    return bad, ["train-toy", "--triplets", bad, "--out", root / "train"]
+
+
 @pytest.mark.parametrize(("array", "reason"), JSON_LIMITS)
 @pytest.mark.parametrize("target", ["images", "texts", "queries", "triplets"])
 def test_json_limits_are_one_error_line(workspace, cores, capsys, target, array, reason):
     """Each reader refuses such a line by its number, the texts file from
     ingest's worker process too, instead of ending in a traceback."""
-    root, images, texts, queries, _ = workspace
     sizes = cores(2)
-    if target in ("images", "texts"):
-        bad = images if target == "images" else texts
-        TestTwoProcessIngest.spoil(bad, 2, f'{{"id": "p2", "embedding": {array}}}')
-        argv = ["ingest", "--images", images, "--texts", texts, "--out", root / "idx"]
-    elif target == "queries":
-        bad = queries
-        TestTwoProcessIngest.spoil(bad, 2, f'{{"query_id": "q9", "embeddings": {{"image-query": {array}}}}}')
-        run_cli("ingest", "--images", images, "--texts", texts, "--out", root / "idx")
-        argv = ["retrieve", "--index", root / "idx", "--queries", queries, "--out", root / "run.tsv"]
-    else:
-        bad = write_jsonl(root / "triplets.jsonl", [{"q": [1.0], "i": [1.0], "t": [1.0]}] * 2)
-        TestTwoProcessIngest.spoil(bad, 2, f'{{"q": [1.0], "i": {array}, "t": [1.0]}}')
-        argv = ["train-toy", "--triplets", bad, "--out", root / "train"]
+    bad, argv = spoiled_command(workspace, target, array)
     capsys.readouterr()
     assert run_cli(*argv) == 1
     assert capsys.readouterr() == ("", f"error: {bad}: line 2: invalid JSON ({reason})\n")
     if target in ("images", "texts"):
         assert sizes == [1]  # the texts file was parsed in the worker process
+
+
+@pytest.mark.parametrize("target", ["images", "texts", "queries", "triplets"])
+def test_million_deep_line_is_one_error_line(workspace, target):
+    """A line nested 1,000,000 deep is refused by json.loads; orjson would
+    overflow the C stack on it and kill the process with no message. Run in
+    a child process, so a crash fails the test and not the whole suite."""
+    bad, argv = spoiled_command(workspace, target, "[" * 1_000_000 + "]" * 1_000_000)
+    assert run_process(*argv) == (1, "", f"error: {bad}: line 2: invalid JSON (nested too deeply)\n")
 
 
 def run_quiet(*argv):
@@ -908,6 +921,76 @@ class TestAblateEngine:
         assert self.ablate(idx, queries, qrels, "--threads", "3") == serial
 
 
+#: One BLAS thread, for children that run with one sweep thread, so an
+#: address-space cap does not depend on the core count.
+ONE_THREAD = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+
+#: Pages of ``narrow_index``.
+NARROW_PAGES = 20_000
+
+
+def narrow_index(path, rng, count):
+    """Save a 20k-page, 2-dim index at ``path``; return ``count`` two-channel
+    query objects. Small files, but queries x pages grows fast."""
+    ids = [f"p{i}" for i in range(NARROW_PAGES)]
+    rows = rng.standard_normal((2, len(ids), 2))
+    store.save_index(store.build_index(list(zip(ids, rows[0])), list(zip(ids, rows[1]))), path)
+    vectors = rng.standard_normal((count, 2, 2)).tolist()
+    return [{"query_id": f"q{j}", "embeddings": {"image-query": v[0], "text-query": v[1]}}
+            for j, v in enumerate(vectors)]
+
+
+class TestMemoryCap:
+    """retrieve and ablate hold memory bounded by the index and a query
+    block, not by queries x pages: under an address-space cap a fixed
+    margin above a one-query run, thousands of queries give the outputs of
+    an uncapped run."""
+
+    QUERIES = 2_000
+    #: Room for what grows with the query count (the parsed queries, the
+    #: run and the metrics), a quarter of the two queries x pages float64
+    #: arrays that sweeping every query at once would take.
+    MARGIN = 2 * QUERIES * NARROW_PAGES * 8 // 4
+
+    #: The child caps its own address space at argv[1] bytes (0: no cap)
+    #: before it imports comret, and prints its peak size as its last stderr line.
+    CHILD = (
+        "import resource, sys\n"
+        "cap = int(sys.argv[1])\n"
+        "if cap:\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from comret.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        "peak = next(line for line in open('/proc/self/status') if line.startswith('VmPeak:'))\n"
+        "print(int(peak.split()[1]) * 1024, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    def run(self, cap, argv, out):
+        """(stdout, the bytes of ``out`` or None, peak address-space bytes) of a child run."""
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, str(cap), *map(str, argv)], env=ONE_THREAD,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        (peak,) = proc.stderr.splitlines()
+        return proc.stdout, out.read_bytes() if out.exists() else None, int(peak)
+
+    @pytest.mark.parametrize("command", ["retrieve", "ablate"])
+    def test_many_queries_fit_a_margin_above_one(self, tmp_path, rng, command):
+        queries = narrow_index(tmp_path / "idx", rng, self.QUERIES)
+        (tmp_path / "qrels.tsv").write_text("".join(f"q{j}\tp{j}\t1\n" for j in range(self.QUERIES)))
+        out = tmp_path / "run.tsv"
+        argv = {
+            "retrieve": ["retrieve", "--out", out],
+            "ablate": ["ablate", "--qrels", tmp_path / "qrels.tsv", "--modes", "ucmr,image-only",
+                       "--beta-sweep", "0:1:0.5"],
+        }[command] + ["--index", tmp_path / "idx", "--threads", "1"]
+        one = write_jsonl(tmp_path / "one.jsonl", queries[:1])
+        many = write_jsonl(tmp_path / "many.jsonl", queries)
+        *_, baseline = self.run(0, [*argv, "--queries", one], out)
+        capped = self.run(baseline + self.MARGIN, [*argv, "--queries", many], out)
+        assert capped[:2] == self.run(0, [*argv, "--queries", many], out)[:2]
+
+
 class TestDiagnose:
     def test_writes_histogram_and_summary(self, built_index):
         root, idx, queries, _ = built_index
@@ -952,18 +1035,11 @@ class TestDiagnose:
     def test_out_of_memory_is_one_error_line(self, tmp_path, rng):
         # diagnose pools a queries x pages float64 array per channel:
         # 763 MiB each for 5,000 queries on 20k pages, beyond a 1.2 GB cap.
-        ids = [f"p{i}" for i in range(20_000)]
-        rows = rng.standard_normal((2, len(ids), 2))
-        store.save_index(store.build_index(list(zip(ids, rows[0])), list(zip(ids, rows[1]))), tmp_path / "idx")
-        vectors = rng.standard_normal((5_000, 2, 2)).tolist()
-        queries = [{"query_id": f"q{j}", "embeddings": {"image-query": v[0], "text-query": v[1]}}
-                   for j, v in enumerate(vectors)]
-        # One BLAS thread and one sweep thread, so the cap does not depend on the core count.
-        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        queries = narrow_index(tmp_path / "idx", rng, 5_000)
         for count, code in ((500, 0), (5_000, 1)):
             path = write_jsonl(tmp_path / f"queries-{count}.jsonl", queries[:count])
             argv = ["diagnose", "--index", tmp_path / "idx", "--queries", path, "--threads", "1", "--out", tmp_path / "d"]
-            proc = subprocess.run([sys.executable, "-c", self.CAPPED, *map(str, argv)], env=env,
+            proc = subprocess.run([sys.executable, "-c", self.CAPPED, *map(str, argv)], env=ONE_THREAD,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == code, proc.stderr
             if code:

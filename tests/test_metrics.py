@@ -119,6 +119,19 @@ class TestAgainstNaiveReference(object):
             assert mrr_at_k(ranked, gold, k) == pytest.approx(reference.mrr_at_k(ranked, gold, k), abs=1e-12)
             assert ndcg_at_k(ranked, gold, k) == pytest.approx(reference.ndcg_at_k(ranked, gold, k), abs=1e-12)
 
+    def test_random_rankings_with_repeated_pages_match(self, rng):
+        metrics = {"recall": recall_at_k, "hit": hit_at_k, "mrr": mrr_at_k, "ndcg": ndcg_at_k}
+        for _ in range(300):
+            n_pages = int(rng.integers(1, 12))
+            # Drawn with replacement, so most rankings list some page again.
+            ranked = [f"p{i}" for i in rng.integers(0, n_pages, size=int(rng.integers(1, 30)))]
+            gold_size = int(rng.integers(1, min(6, n_pages + 1)))
+            gold = {f"p{i}" for i in rng.choice(n_pages, size=gold_size, replace=False)}
+            k = int(rng.integers(1, 15))
+            want = reference.metrics_without_repeats(ranked, gold, k)
+            for name, fn in metrics.items():
+                assert fn(ranked, gold, k) == pytest.approx(want[name], abs=1e-12), (name, ranked, gold, k)
+
 
 @st.composite
 def ranking_with_gold(draw):

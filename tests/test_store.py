@@ -116,12 +116,18 @@ def test_row_check_accepts_what_isinstance_accepted(entries):
     assert passes_row_check(load_triplets, {"q": [1.0], "i": entries, "t": [1.0]}) == want
 
 
+def scanned_page_record(obj: dict, line: str, line_no: int) -> store.Record:
+    """``store._page_record`` with no t/f rule: every line takes the type scan."""
+    rec_id = store._check_id(obj.get("id"), "id", line_no)
+    return rec_id, store.finite_vector(obj.get("embedding"), np.float32, line_no, '"embedding"', f"line {line_no}")
+
+
 def read_both_ways(read) -> list:
-    """``read()``, then ``read()`` with json.loads reading every line (the
-    referee) and the flat page path declining each: each its result or its
-    ComretError's message."""
+    """``read()``, then ``read()`` with json.loads reading every line and
+    every page line taking the type scan (the referee): each its result or
+    its ComretError's message."""
     results = []
-    referee = mock.patch.multiple(store, _loads=json.loads, _flat_record=lambda line, line_no: None)
+    referee = mock.patch.multiple(store, _loads=json.loads, _page_record=scanned_page_record)
     for patch in (contextlib.nullcontext(), referee):
         with patch:
             try:
@@ -273,14 +279,15 @@ def test_finite_vector_gives_the_asarray_bits(row):
 DEEP = "[" * 2000 + "]" * 2000
 
 #: Ids that put a bracket, or a t or f, in the span between a line's first
-#: "[" and its last "]", where the flat path looks for a bool.
+#: "[" and its last "]", where the t/f rule looks for a bool.
 EDGE_IDS = ["t", "f", "p[", "p]", "p{", "[t", "t]", "f][", "{f}"]
 
 
 @st.composite
 def page_line(draw, dim: int) -> str:
-    """One line of a page file: a flat page, or one the flat path must
-    decline (a container, repeated key, bad entry, blank or non-object line)."""
+    """One line of a page file: a flat page, or one with a container,
+    repeated key, bad entry or too many brackets, or a blank or non-object
+    line."""
     entry = st.floats(-1e30, 1e30, allow_subnormal=True).map(json.dumps) | edge_numbers
     entries = draw(st.lists(entry, min_size=dim, max_size=dim))
     page = draw(
@@ -324,8 +331,9 @@ def page_line(draw, dim: int) -> str:
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), dim=st.integers(1, 4), count=st.integers(1, 5))
 def test_flat_page_lines_read_as_json_loads_reads(data, dim, count):
-    """Page files mixing lines the flat path takes with lines it must leave
-    to json.loads give the referee's records, bit for bit, or its message."""
+    """Page files mixing lines orjson reads with lines json.loads reads,
+    and lines the t/f rule lets skip the type scan with lines that take
+    it, give the referee's records, bit for bit, or its message."""
     lines = [data.draw(page_line(dim)) for _ in range(count)]
 
     def records():
@@ -335,7 +343,7 @@ def test_flat_page_lines_read_as_json_loads_reads(data, dim, count):
     assert got == want, lines
 
 
-#: Embeddings on the edge of the flat path's bool check: bools at the first,
+#: Embeddings on the edge of the t/f rule's bool check: bools at the first,
 #: a middle and the last position; ints on float32 and float64 rounding
 #: edges or past 64 bits; and the entries struct refuses.
 BOUNDARY_ROWS = [
@@ -360,9 +368,9 @@ def boundary_line(row: str, page: str, layout: str) -> str:
 @pytest.mark.parametrize("layout", ["id-first", "embedding-first", "string-after"])
 @pytest.mark.parametrize("row", BOUNDARY_ROWS)
 def test_flat_path_bool_boundary(row, layout):
-    """A bool anywhere in the embedding is refused as json.loads's reader
-    refuses it, and every number gives the referee's bits, whatever the id
-    holds and wherever the embedding sits."""
+    """Under the t/f rule, a bool anywhere in the embedding is refused as
+    the type scan refuses it, and every number gives the referee's bits,
+    whatever the id holds and wherever the embedding sits."""
     for page in ["p1", *EDGE_IDS]:
         line = boundary_line(row, page, layout)
         got, want = read_both_ways(lambda: [(rid, v.tobytes()) for rid, v in parse_embedding_jsonl([line])])

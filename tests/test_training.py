@@ -212,6 +212,14 @@ class TestTrainToy:
         report = result.report()
         assert report["tau"] == pytest.approx(10.0) and report["eta"] == -10.0
 
+    def test_tau_starts_at_tau_init_exactly(self):
+        # Zero queries score every pair 0, so the tau gradient is exactly 0.
+        batch = separable_batch()
+        flat = TripletBatch(np.zeros_like(batch.query), batch.image, batch.text)
+        for result in (train_toy(batch, TrainConfig(steps=0)), train_toy(flat, TrainConfig(steps=5))):
+            assert [row.tau for row in result.log] == [TAU_INIT] * len(result.log)
+            assert result.report()["tau"] == 10.0
+
     def test_reproducible_logs(self):
         batch = separable_batch()
         cfg = TrainConfig(steps=30, batch_size=4, seed=7)

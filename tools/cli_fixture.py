@@ -25,12 +25,11 @@ threads, whose outputs must equal the single-threaded ones. ``ingest``
 also runs on an images file whose second embedding starts with the
 integer 2**70 + 2**46 + 1, which orjson reads as a float and json.loads
 as an int; both round it twice on the way to float32, to the same bits.
-Two more ingest inputs sit on the edge of the flat page-line path and must
-succeed: an images file whose second line carries ``"meta": {"page": 2}``
-(a container the path leaves to json.loads), and a pair of files in which
-page ``p002`` is renamed to ``p002`` followed by 70 ``[`` (beyond the 64
-brackets up to which the general reader lets orjson read a line; the flat
-path reads it with orjson). Two more must succeed and write the same
+Two more ingest inputs must succeed: an images file whose second line
+carries ``"meta": {"page": 2}`` (a container beside the embedding), and a
+pair of files in which page ``p002`` is renamed to ``p002`` followed by
+70 ``[`` (beyond the 64 brackets up to which orjson reads a line, so
+json.loads reads it). Two more must succeed and write the same
 ``.cmeb`` bytes whichever way a line is read: a pair of files whose
 embeddings are all integers (``p001``'s image row starts with 2**63,
 -2**63 and 2**64 + 1), and a pair whose lines put the embedding before the
